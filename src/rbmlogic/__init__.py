@@ -7,7 +7,16 @@ visible units composes circuits whose joint distribution still
 concentrates on valid assignments, so the same model runs forward
 (multiply) or backward (divide, factor) depending on which terminals the
 Gibbs sampler clamps.
+
+``RBMLOGIC_THREADS`` fills in any unset BLAS thread-count variable here,
+before the first import below loads numpy: BLAS reads them once, at load.
 """
+
+import os
+
+if "RBMLOGIC_THREADS" in os.environ:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["RBMLOGIC_THREADS"])
 
 from .model import (
     BinaryState,

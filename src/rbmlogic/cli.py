@@ -9,8 +9,10 @@ seeded PCG64, and floats are serialized via repr so they round-trip).
 Exit codes: 0 on success, 1 when a solve verdict is wrong or a benchmark
 finds nothing, 2 on usage or input errors.
 
-Environment: RBMLOGIC_OUTDIR prefixes relative output paths;
-RBMLOGIC_THREADS is exported to the BLAS thread-count variables early.
+Environment: RBMLOGIC_OUTDIR prefixes relative output paths.
+RBMLOGIC_THREADS fills in any unset OMP/OPENBLAS/MKL_NUM_THREADS when the
+``rbmlogic`` package is first imported, before it loads numpy (see the
+package ``__init__``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .exact import (
     propagate_distribution,
     tv_distance,
 )
-from .merge import MergedModel, Netlist, compose
+from .merge import MergedModel, Netlist, compose, model_parts, resolve_clamp
 from .model import Rbm
 from .sampler import integrated_autocorrelation_time, run_chain, success_curve
 from .synthesis import (
@@ -45,6 +46,7 @@ from .synthesis import (
     build_multiplier,
     builtin_model,
     multiplier_width,
+    parse_unit,
 )
 from .tasks import SolveSettings, TaskSpec, public_terminals, random_task, solve
 from .training import TrainConfig, train
@@ -150,10 +152,11 @@ def cmd_build(args, argv) -> int:
         else:
             model = load_model(spec)
     elif args.base:
-        m = re.fullmatch(r"(adder|mult|fa)(\d+)", spec)
-        if not m:
-            raise ValueError(f"--base only applies to adder<n>/mult<n>, got {spec!r}")
-        kind, width = m.group(1), int(m.group(2))
+        try:
+            kind, width = parse_unit(spec)
+        except ValueError:
+            raise ValueError(
+                f"--base only applies to adder<n>/mult<n>, got {spec!r}") from None
         base = _resolve_component(args.base, args.sharpness)
         if kind == "mult":
             model = build_multiplier(width, base, builtin_model("adder1", args.sharpness))
@@ -162,11 +165,10 @@ def cmd_build(args, argv) -> int:
     else:
         model = builtin_model(spec, args.sharpness)
     outputs = save_model(model, out)
-    rbm = model.rbm if isinstance(model, MergedModel) else model
-    consts = len(model.constants) if isinstance(model, MergedModel) else 0
+    rbm, constants = model_parts(model)
     _write_manifest("build", argv, outputs, out)
     print(f"built {spec}: {rbm.n_visible} visible, {rbm.n_hidden} hidden, "
-          f"{len(public_terminals(model))} exported terminals, {consts} constants")
+          f"{len(public_terminals(model))} exported terminals, {len(constants)} constants")
     print(f"wrote {' '.join(str(p) for p in outputs)}")
     return 0
 
@@ -269,18 +271,16 @@ def cmd_bench(args, argv) -> int:
 def cmd_diagnose(args, argv) -> int:
     model = load_model(args.model)
     clamp = _parse_clamp_items(args.clamp)
+    rbm, _ = model_parts(model)
+    n_free = rbm.n_visible - len(resolve_clamp(model, clamp))
     outdir = _out_path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
     report: dict = {"model": args.model, "clamp": clamp}
-
-    rbm = model.rbm if isinstance(model, MergedModel) else model
     report["n_visible"] = rbm.n_visible
     report["n_hidden"] = rbm.n_hidden
     report["delta_bound"] = delta_bound(model)
 
-    n_free = rbm.n_visible - len(clamp) - (
-        len(model.constants) if isinstance(model, MergedModel) else 0)
     exact_ok = n_free + rbm.n_hidden <= args.max_joint
     if exact_ok:
         delta = delta_exact(model, clamp, max_joint=args.max_joint)
@@ -330,7 +330,7 @@ def cmd_diagnose(args, argv) -> int:
 
 def cmd_inspect(args, argv) -> int:
     model = load_model(args.model)
-    rbm = model.rbm if isinstance(model, MergedModel) else model
+    rbm, constants = model_parts(model)
     w = rbm.weights
     print(f"visible: {rbm.n_visible}  hidden: {rbm.n_hidden}  "
           f"parameters: {w.size + rbm.n_visible + rbm.n_hidden}")
@@ -340,8 +340,8 @@ def cmd_inspect(args, argv) -> int:
     print(f"visible bias: min {rbm.visible_bias.min():.4f} max {rbm.visible_bias.max():.4f}")
     exported = public_terminals(model)
     print(f"exported terminals ({len(exported)}): {' '.join(exported)}")
-    if isinstance(model, MergedModel) and model.constants:
-        consts = ", ".join(f"{k}={v}" for k, v in sorted(model.constants.items()))
+    if constants:
+        consts = ", ".join(f"{k}={v}" for k, v in sorted(constants.items()))
         print(f"constants: {consts}")
     if args.weights_csv:
         path = _out_path(args.weights_csv)
@@ -425,9 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if "RBMLOGIC_THREADS" in os.environ:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, os.environ["RBMLOGIC_THREADS"])
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)

@@ -20,43 +20,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .merge import MergedModel
-from .model import Rbm, free_energy_batch
+from .merge import clamp_arrays, model_parts, resolve_clamp
+from .model import free_energy_batch
 
 MAX_FREE_UNITS = 24
 MAX_HIDDEN_UNITS = 30
 MAX_JOINT_UNITS = 20
 MAX_MATRIX_UNITS = 14
-
-
-def _resolve_model(model) -> tuple[Rbm, dict[str, int]]:
-    """Split a model into its Rbm and the constant clamps it carries."""
-    if isinstance(model, MergedModel):
-        return model.rbm, dict(model.constants)
-    if isinstance(model, Rbm):
-        return model, {}
-    raise TypeError(f"expected Rbm or MergedModel, got {type(model).__name__}")
-
-
-def resolve_clamp(model, clamp: Mapping[str, int] | None) -> dict[str, int]:
-    """Normalize a clamp mapping and fold in MergedModel constants."""
-    rbm, assignments = _resolve_model(model)
-    for name, value in dict(clamp or {}).items():
-        rbm.terminal_index(name)  # raises on unknown terminals
-        if value not in (0, 1):
-            raise ValueError(f"clamp value for {name!r} must be 0 or 1, got {value!r}")
-        if name in assignments and assignments[name] != value:
-            raise ValueError(f"clamp for {name!r} conflicts with model constant")
-        assignments[name] = int(value)
-    return assignments
-
-
-def _clamp_arrays(rbm: Rbm, assignments: Mapping[str, int]):
-    idx = np.array(sorted(rbm.terminal_index(n) for n in assignments), dtype=np.intp)
-    by_index = {rbm.terminal_index(n): v for n, v in assignments.items()}
-    vals = np.array([by_index[i] for i in idx], dtype=np.float64)
-    free = np.array([i for i in range(rbm.n_visible) if i not in by_index], dtype=np.intp)
-    return idx, vals, free
 
 
 def _bit_grid(n: int) -> np.ndarray:
@@ -128,9 +98,9 @@ def exact_visible_distribution(
     max_hidden: int = MAX_HIDDEN_UNITS,
 ) -> ExactDistribution:
     """Enumerate p(v_free | clamp) by summing out the hidden layer."""
-    rbm, assignments = _resolve_model(model)
+    rbm, _ = model_parts(model)
     assignments = resolve_clamp(model, clamp)
-    idx, vals, free = _clamp_arrays(rbm, assignments)
+    idx, vals, free = clamp_arrays(rbm, assignments)
     if free.size > max_free:
         raise ValueError(f"{free.size} free units exceed limit {max_free}")
     if rbm.n_hidden > max_hidden:
@@ -186,9 +156,10 @@ def l1_distance(p, q) -> float:
     return float(np.abs(p - q).sum())
 
 
-def _joint_log_weights(rbm: Rbm, assignments: Mapping[str, int], max_joint: int):
+def _joint_log_weights(model, clamp: Mapping[str, int] | None, max_joint: int):
     """Log e^{-E} over (hidden, free-visible) grids, hidden as rows."""
-    idx, vals, free = _clamp_arrays(rbm, assignments)
+    rbm, _ = model_parts(model)
+    idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
     if free.size + rbm.n_hidden > max_joint:
         raise ValueError(
             f"{free.size} free + {rbm.n_hidden} hidden units exceed limit {max_joint}"
@@ -206,9 +177,7 @@ def _joint_log_weights(rbm: Rbm, assignments: Mapping[str, int], max_joint: int)
 def exact_joint_distribution(model, clamp: Mapping[str, int] | None = None,
                              max_joint: int = MAX_JOINT_UNITS):
     """Joint p(h, v_free) grid and log partition function."""
-    rbm, _ = _resolve_model(model)
-    assignments = resolve_clamp(model, clamp)
-    log_w, _, _, _ = _joint_log_weights(rbm, assignments, max_joint)
+    log_w, _, _, _ = _joint_log_weights(model, clamp, max_joint)
     log_z = float(logsumexp(log_w))
     return np.exp(log_w - log_z), log_z
 
@@ -216,15 +185,13 @@ def exact_joint_distribution(model, clamp: Mapping[str, int] | None = None,
 def delta_exact(model, clamp: Mapping[str, int] | None = None,
                 max_joint: int = MAX_JOINT_UNITS) -> float:
     """Exact energy range max E - min E over all joint states."""
-    rbm, _ = _resolve_model(model)
-    assignments = resolve_clamp(model, clamp)
-    log_w, _, _, _ = _joint_log_weights(rbm, assignments, max_joint)
+    log_w, _, _, _ = _joint_log_weights(model, clamp, max_joint)
     return float(log_w.max() - log_w.min())
 
 
 def delta_bound(model) -> float:
     """Cheap upper bound on the energy range: sum of |W|, |a|, |b|."""
-    rbm, _ = _resolve_model(model)
+    rbm, _ = model_parts(model)
     return float(
         np.abs(rbm.weights).sum()
         + np.abs(rbm.hidden_bias).sum()
@@ -251,9 +218,10 @@ def convergence_bound(delta: float, initial_l1: float, n_sweeps) -> np.ndarray |
     return float(out) if out.ndim == 0 else out
 
 
-def _conditional_tables(rbm: Rbm, assignments: Mapping[str, int], max_units: int):
+def _conditional_tables(model, clamp: Mapping[str, int] | None, max_units: int):
     """Per-state conditionals p(h'|v) and p(v_free'|h) for all states."""
-    log_w, V, H, free = _joint_log_weights(rbm, assignments, max_units)
+    rbm, _ = model_parts(model)
+    _, V, H, free = _joint_log_weights(model, clamp, max_units)
     act_h = V @ rbm.weights + rbm.hidden_bias  # (2^nf, nh)
     log_ph = act_h @ H.T - np.logaddexp(0.0, act_h).sum(axis=1, keepdims=True)
     act_v = (H @ rbm.weights.T + rbm.visible_bias)[:, free]  # (2^nh, nf)
@@ -269,9 +237,7 @@ def gibbs_transition_matrix(model, clamp: Mapping[str, int] | None = None,
     State ``v_index + (h_index << n_free)`` indexes rows and columns.
     Rows sum to 1; the exact joint distribution is stationary.
     """
-    rbm, _ = _resolve_model(model)
-    assignments = resolve_clamp(model, clamp)
-    ph_tab, pv_tab = _conditional_tables(rbm, assignments, max_units)
+    ph_tab, pv_tab = _conditional_tables(model, clamp, max_units)
     nf_states, nh_states = ph_tab.shape
     p_h = np.zeros((nh_states, nf_states, nh_states, nf_states))
     for v in range(nf_states):
@@ -292,9 +258,7 @@ def propagate_distribution(model, mu0: np.ndarray, n_sweeps: int,
     as gibbs_transition_matrix; returns the flat distribution after
     ``n_sweeps`` full sweeps.
     """
-    rbm, _ = _resolve_model(model)
-    assignments = resolve_clamp(model, clamp)
-    ph_tab, pv_tab = _conditional_tables(rbm, assignments, max_joint)
+    ph_tab, pv_tab = _conditional_tables(model, clamp, max_joint)
     nf_states, nh_states = ph_tab.shape
     mu = np.asarray(mu0, dtype=np.float64).reshape(nh_states, nf_states).copy()
     for _ in range(int(n_sweeps)):

@@ -10,6 +10,12 @@ restricted to agreeing shared units.
 ``merge_pair`` is the two-model primitive.  ``compose`` generalizes it to
 a netlist of many components with multi-way shared terminals (a wire
 feeding several gates) via union-find over named terminals.
+
+A model is a plain ``Rbm`` or a ``MergedModel``.  ``model_parts`` is the
+one place that tells them apart: a plain ``Rbm`` is a model with no
+constants.  ``resolve_clamp`` validates a clamp together with the
+model's constants, and ``clamp_arrays`` turns the result into the index
+arrays the samplers and enumerators use.
 """
 
 from __future__ import annotations
@@ -117,12 +123,6 @@ class Netlist:
     connections: list[tuple[str, str]] = field(default_factory=list)
     exports: dict[str, str] = field(default_factory=dict)
 
-    def component_rbm(self, cid: str) -> Rbm:
-        for name, comp in self.components:
-            if name == cid:
-                return comp.rbm if isinstance(comp, MergedModel) else comp
-        raise KeyError(f"unknown component {cid!r}")
-
 
 @dataclass
 class MergedModel:
@@ -141,6 +141,67 @@ class MergedModel:
     def exported_terminals(self) -> tuple[str, ...]:
         """Terminals with public (dot-free) names, in visible order."""
         return tuple(n for n in self.rbm.visible_names if "." not in n)
+
+
+def model_parts(model) -> tuple[Rbm, dict[str, int]]:
+    """A model's RBM and a copy of the constants it carries."""
+    if isinstance(model, MergedModel):
+        return model.rbm, dict(model.constants)
+    if isinstance(model, Rbm):
+        return model, {}
+    raise TypeError(f"expected Rbm or MergedModel, got {type(model).__name__}")
+
+
+def public_terminals(model) -> list[str]:
+    """Terminals with dot-free names that are not constants, in visible order."""
+    rbm, constants = model_parts(model)
+    return [n for n in rbm.visible_names if "." not in n and n not in constants]
+
+
+@dataclass(frozen=True)
+class ClampMask:
+    """Visible units held fixed during sampling, by terminal name."""
+
+    assignments: dict[str, int]
+
+    def __post_init__(self):
+        for name, value in self.assignments.items():
+            if value not in (0, 1):
+                raise ValueError(f"clamp value for {name!r} must be 0 or 1")
+
+    def arrays(self, rbm: Rbm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(clamped indices, their values, free indices) for one model."""
+        return clamp_arrays(rbm, self.assignments)
+
+
+def resolve_clamp(model, clamp: Mapping[str, int] | ClampMask | None = None) -> dict[str, int]:
+    """The model's constants plus ``clamp``, validated as one assignment.
+
+    Every name must be a terminal of the model and every value 0 or 1,
+    for constants as for the clamp; a clamp may not contradict a constant.
+    """
+    rbm, constants = model_parts(model)
+    if isinstance(clamp, ClampMask):
+        clamp = clamp.assignments
+    assignments: dict[str, int] = {}
+    for what, source in (("constant", constants), ("clamp", clamp or {})):
+        for name, value in source.items():
+            rbm.terminal_index(name)  # raises on unknown terminals
+            if value not in (0, 1):
+                raise ValueError(f"{what} value for {name!r} must be 0 or 1, got {value!r}")
+            if assignments.get(name, value) != value:
+                raise ValueError(f"clamp for {name!r} conflicts with model constant")
+            assignments[name] = int(value)
+    return assignments
+
+
+def clamp_arrays(rbm: Rbm, assignments: Mapping[str, int]):
+    """(clamped indices ascending, their values, free indices) of a clamp."""
+    by_index = {rbm.terminal_index(n): v for n, v in assignments.items()}
+    idx = np.array(sorted(by_index), dtype=np.intp)
+    vals = np.array([by_index[i] for i in idx], dtype=np.float64)
+    free = np.array([i for i in range(rbm.n_visible) if i not in by_index], dtype=np.intp)
+    return idx, vals, free
 
 
 class _UnionFind:
@@ -177,11 +238,10 @@ def compose(netlist: Netlist) -> MergedModel:
     prefixed: list[tuple[str, Rbm]] = []
     inherited_constants: dict[str, int] = {}
     for cid, comp in netlist.components:
-        rbm = comp.rbm if isinstance(comp, MergedModel) else comp
+        rbm, constants = model_parts(comp)
         prefixed.append((cid, rbm.with_prefix(f"{cid}.")))
-        if isinstance(comp, MergedModel):
-            for term, bit in comp.constants.items():
-                inherited_constants[f"{cid}.{term}"] = bit
+        for term, bit in constants.items():
+            inherited_constants[f"{cid}.{term}"] = bit
 
     all_terms: list[str] = []
     for _, rbm in prefixed:

@@ -33,39 +33,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .exact import _bit_grid, resolve_clamp
-from .merge import MergedModel
+from .exact import _bit_grid
+from .merge import ClampMask, clamp_arrays, model_parts, resolve_clamp
 from .model import BinaryState, Rbm, free_energy_batch
-
-
-def _resolve_rbm(model) -> Rbm:
-    return model.rbm if isinstance(model, MergedModel) else model
-
-
-@dataclass(frozen=True)
-class ClampMask:
-    """Visible units held fixed during sampling, by terminal name."""
-
-    assignments: dict[str, int]
-
-    def __post_init__(self):
-        for name, value in self.assignments.items():
-            if value not in (0, 1):
-                raise ValueError(f"clamp value for {name!r} must be 0 or 1")
-
-    def arrays(self, rbm: Rbm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(clamped indices, their values, free indices) for one model."""
-        index = {rbm.terminal_index(n): v for n, v in self.assignments.items()}
-        idx = np.array(sorted(index), dtype=np.intp)
-        vals = np.array([index[i] for i in idx], dtype=np.float64)
-        free = np.array([i for i in range(rbm.n_visible) if i not in index], dtype=np.intp)
-        return idx, vals, free
-
-
-def _normalize_clamp(model, clamp) -> ClampMask:
-    if isinstance(clamp, ClampMask):
-        clamp = clamp.assignments
-    return ClampMask(resolve_clamp(model, clamp))
 
 
 @dataclass
@@ -137,9 +107,10 @@ def _initial_visible(rbm: Rbm, gens, idx: np.ndarray, vals: np.ndarray) -> np.nd
     return v
 
 
-def _chain_sweeps(rbm: Rbm, mask: ClampMask, seeds: Sequence[int], n_sweeps: int):
+def _chain_sweeps(rbm: Rbm, assignments: Mapping[str, int], seeds: Sequence[int],
+                  n_sweeps: int):
     """Yield the visible matrix after every sweep of a batch of chains."""
-    idx, vals, free = mask.arrays(rbm)
+    idx, vals, free = clamp_arrays(rbm, assignments)
     gens = [np.random.default_rng(int(s)) for s in seeds]
     w, vb, hb = rbm.weights, rbm.visible_bias, rbm.hidden_bias
     v = _initial_visible(rbm, gens, idx, vals)
@@ -171,14 +142,14 @@ def run_chain(
     record_terminals: Sequence[str] | None = None,
 ) -> tuple[ChainTrace, Histogram]:
     """Run one chain; record every ``thin``-th sweep after ``burn_in``."""
-    rbm = _resolve_rbm(model)
+    rbm, _ = model_parts(model)
     if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps:
         raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1")
-    mask = _normalize_clamp(model, clamp)
+    assignments = resolve_clamp(model, clamp)
     rec_idx, rec_names = _record_indices(rbm, record_terminals)
     kept = []
     hist = Histogram(rec_names)
-    for t, v in enumerate(_chain_sweeps(rbm, mask, [seed], n_sweeps)):
+    for t, v in enumerate(_chain_sweeps(rbm, assignments, [seed], n_sweeps)):
         if t >= burn_in and (t - burn_in) % thin == 0:
             kept.append(v[0].copy())
             hist.add(tuple(int(b) for b in v[0, rec_idx]))
@@ -196,9 +167,8 @@ def run_chain(
 
 def gibbs_sweep(model, state: BinaryState, clamp=None, rng=None) -> BinaryState:
     """One sweep from an explicit state; draws h then v from ``rng``."""
-    rbm = _resolve_rbm(model)
-    mask = _normalize_clamp(model, clamp)
-    idx, vals, free = mask.arrays(rbm)
+    rbm, _ = model_parts(model)
+    idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
     rng = np.random.default_rng() if rng is None else rng
     state = BinaryState.checked(rbm, state.visible, state.hidden)
     v = np.asarray(state.visible, dtype=np.float64).copy()
@@ -225,17 +195,17 @@ def multistart(
     record_terminals: Sequence[str] | None = None,
 ) -> Histogram:
     """Pool histograms from independent chains seeded seed, seed+1, ..."""
-    rbm = _resolve_rbm(model)
+    rbm, _ = model_parts(model)
     if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps:
         raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1")
     if seeds is None:
         seeds = [seed + c for c in range(n_chains)]
     elif len(seeds) != n_chains:
         raise ValueError("seeds length must equal n_chains")
-    mask = _normalize_clamp(model, clamp)
+    assignments = resolve_clamp(model, clamp)
     rec_idx, rec_names = _record_indices(rbm, record_terminals)
     hist = Histogram(rec_names)
-    for t, v in enumerate(_chain_sweeps(rbm, mask, list(seeds), n_sweeps)):
+    for t, v in enumerate(_chain_sweeps(rbm, assignments, list(seeds), n_sweeps)):
         if t >= burn_in and (t - burn_in) % thin == 0:
             for c in range(len(seeds)):
                 hist.add(tuple(int(b) for b in v[c, rec_idx]))
@@ -288,17 +258,17 @@ def success_curve(
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive sample counts")
-    rbm = _resolve_rbm(model)
+    rbm, _ = model_parts(model)
     successes = np.zeros(len(checkpoints))
     for i, task in enumerate(tasks):
-        mask = ClampMask(clamp_assignments(model, task))
+        assignments = resolve_clamp(model, clamp_assignments(model, task))
         rec_idx, rec_names = _record_indices(rbm, answer_terminals(model, task))
         check = assignment_checker(model, task)
         hist = Histogram(rec_names)
         milestones = [(c + n_chains - 1) // n_chains + burn_in for c in checkpoints]
         seeds = [seed + i * n_chains + c for c in range(n_chains)]
         next_mark = 0
-        for t, v in enumerate(_chain_sweeps(rbm, mask, seeds, milestones[-1])):
+        for t, v in enumerate(_chain_sweeps(rbm, assignments, seeds, milestones[-1])):
             if t >= burn_in:
                 for c in range(n_chains):
                     hist.add(tuple(int(b) for b in v[c, rec_idx]))
@@ -420,7 +390,7 @@ def replica_exchange(
     n_ladders * len(betas) * n_sweeps chain-sweeps.  See the module
     docstring for the stream contract.
     """
-    rbm = _resolve_rbm(model)
+    rbm, _ = model_parts(model)
     if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps or n_ladders < 1:
         raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1, "
                          "n_ladders >= 1")
@@ -428,7 +398,7 @@ def replica_exchange(
     if (betas.ndim != 1 or not betas.size or betas[-1] != 1.0 or (betas <= 0).any()
             or (np.diff(betas) <= 0).any()):
         raise ValueError("betas must be positive, increasing and end at 1.0")
-    idx, vals, free = _normalize_clamp(model, clamp).arrays(rbm)
+    idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
     rec_idx, rec_names = _record_indices(rbm, record_terminals)
     tables = FreeEnergyTables(rbm)
     classes = tables.color_classes(free)

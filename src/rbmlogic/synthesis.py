@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .merge import MergedModel, Netlist, compose
+from .merge import MergedModel, Netlist, compose, public_terminals
 from .model import Rbm
 
 DEFAULT_SHARPNESS = 12.0
@@ -95,60 +95,75 @@ def gate(kind: str, sharpness: float = DEFAULT_SHARPNESS) -> Rbm:
     return rbm_from_truth_table(gate_table(kind), sharpness)
 
 
+# Unit kinds by the names they go by; "fa" is an adder slice.
+_UNIT_KINDS = {"adder": "adder", "fa": "adder", "mult": "mult", "multiplier": "mult"}
+
+
+def parse_unit(unit) -> tuple[str, int]:
+    """("adder" | "mult", width) of a unit such as "adder4", "fa2", "mult8"
+    or a (kind, width) pair such as ("multiplier", 8)."""
+    if isinstance(unit, str):
+        m = re.fullmatch(r"([a-z]+)([0-9]+)", unit)
+        kind, width = m.groups() if m else (None, None)
+    elif isinstance(unit, (tuple, list)) and len(unit) == 2:
+        kind, width = unit
+    else:
+        raise TypeError(f"bad unit spec {unit!r}")
+    if kind not in _UNIT_KINDS:
+        raise ValueError(f"cannot parse unit {unit!r}")
+    if int(width) < 1:
+        raise ValueError("unit width must be >= 1")
+    return _UNIT_KINDS[kind], int(width)
+
+
+def unit_terminals(kind: str, width: int) -> tuple[str, ...]:
+    """Terminal names of an adder or multiplier unit, in row order."""
+    if kind == "adder":
+        return tuple(bit_names("A", width) + bit_names("B", width) + ["Cin"]
+                     + bit_names("S", width) + ["Cout"])
+    return tuple(bit_names("A", width) + bit_names("B", width) + bit_names("P", 2 * width))
+
+
+def unit_inputs(kind: str, width: int) -> list[tuple[int, ...]]:
+    """Every input combination, (A, B, Cin) or (A, B), in table row order."""
+    top = range(2**width)
+    if kind == "adder":
+        return [(a, b, cin) for a in top for b in top for cin in (0, 1)]
+    return [(a, b) for a in top for b in top]
+
+
+def unit_row(kind: str, width: int, inputs: Sequence[int]) -> tuple[int, ...]:
+    """The valid row of a unit for one input combination, bits LSB first."""
+    if kind == "adder":
+        a, b, cin = inputs
+        fields = ((a, width), (b, width), (cin, 1), (a + b + cin, width + 1))  # S, Cout
+    else:
+        a, b = inputs
+        fields = ((a, width), (b, width), (a * b, 2 * width))
+    return tuple(value >> i & 1 for value, n in fields for i in range(n))
+
+
+def _unit_table(kind: str, n_bits: int) -> TruthTable:
+    if n_bits < 1:
+        raise ValueError("n_bits must be >= 1")
+    names = unit_terminals(kind, n_bits)
+    rows = tuple(unit_row(kind, n_bits, x) for x in unit_inputs(kind, n_bits))
+    return TruthTable(len(names), rows, names)
+
+
 def full_adder_table() -> TruthTable:
     """All 8 valid (A, B, Cin, S, Cout) assignments of a full adder."""
-    rows = []
-    for a in (0, 1):
-        for b in (0, 1):
-            for cin in (0, 1):
-                total = a + b + cin
-                rows.append((a, b, cin, total & 1, total >> 1))
-    return TruthTable(5, tuple(rows), ("A", "B", "Cin", "S", "Cout"))
+    return adder_table(1)
 
 
 def adder_table(n_bits: int) -> TruthTable:
     """Joint table of n-bit addition: A + B + Cin = S + 2^n * Cout."""
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    if n_bits == 1:
-        return full_adder_table()
-    names = tuple(
-        bit_names("A", n_bits) + bit_names("B", n_bits) + ["Cin"]
-        + bit_names("S", n_bits) + ["Cout"]
-    )
-    rows = []
-    for a in range(2**n_bits):
-        for b in range(2**n_bits):
-            for cin in (0, 1):
-                total = a + b + cin
-                s, cout = total % 2**n_bits, total >> n_bits
-                rows.append(
-                    tuple(a >> i & 1 for i in range(n_bits))
-                    + tuple(b >> i & 1 for i in range(n_bits))
-                    + (cin,)
-                    + tuple(s >> i & 1 for i in range(n_bits))
-                    + (cout,)
-                )
-    return TruthTable(3 * n_bits + 2, tuple(rows), names)
+    return _unit_table("adder", n_bits)
 
 
 def multiplier_table(n_bits: int) -> TruthTable:
     """Joint table of n-bit multiplication: A * B = P, P over 2n bits."""
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    names = tuple(
-        bit_names("A", n_bits) + bit_names("B", n_bits) + bit_names("P", 2 * n_bits)
-    )
-    rows = []
-    for a in range(2**n_bits):
-        for b in range(2**n_bits):
-            p = a * b
-            rows.append(
-                tuple(a >> i & 1 for i in range(n_bits))
-                + tuple(b >> i & 1 for i in range(n_bits))
-                + tuple(p >> i & 1 for i in range(2 * n_bits))
-            )
-    return TruthTable(4 * n_bits, tuple(rows), names)
+    return _unit_table("mult", n_bits)
 
 
 def full_adder_netlist(sharpness: float = DEFAULT_SHARPNESS) -> Netlist:
@@ -195,11 +210,6 @@ def _as_component(base) -> "Rbm | MergedModel":
     raise TypeError(f"expected Rbm, Netlist or MergedModel, got {type(base).__name__}")
 
 
-def _public_names(component) -> list[str]:
-    rbm = component.rbm if isinstance(component, MergedModel) else component
-    return [n for n in rbm.visible_names if "." not in n]
-
-
 def operand_width(names: Iterable[str], prefix: str) -> int:
     """Width of an operand group: plain ``prefix`` counts as width 1."""
     names = set(names)
@@ -223,7 +233,7 @@ def _slice_name(prefix: str, j: int, width: int) -> str:
 
 def adder_slice_width(base) -> int:
     """Operand width of an adder slice; validates its terminal interface."""
-    names = _public_names(_as_component(base))
+    names = public_terminals(_as_component(base))
     w = operand_width(names, "A")
     for prefix in ("B", "S"):
         if operand_width(names, prefix) != w:
@@ -257,7 +267,7 @@ def build_adder(n_bits: int, base) -> MergedModel:
 
 
 def multiplier_width(base) -> int:
-    names = _public_names(_as_component(base))
+    names = public_terminals(_as_component(base))
     w = operand_width(names, "A")
     if operand_width(names, "B") != w:
         raise ValueError("multiplier operands A/B have mismatched widths")
@@ -345,9 +355,6 @@ def build_multiplier(n_bits: int, base_mult, base_adder) -> MergedModel:
     return MergedModel(merged.rbm, merged.terminal_map, constants)
 
 
-_GENERATOR_RE = re.compile(r"(adder|mult|fa)(\d+)$")
-
-
 def builtin_model(name: str, sharpness: float = DEFAULT_SHARPNESS):
     """Resolve a builtin component name to a model.
 
@@ -360,16 +367,13 @@ def builtin_model(name: str, sharpness: float = DEFAULT_SHARPNESS):
         return gate(key, sharpness)
     if key == "fa1":
         return compose(full_adder_netlist(sharpness))
-    m = _GENERATOR_RE.fullmatch(key)
-    if not m:
-        raise KeyError(f"unknown builtin model {name!r}")
-    kind, width = m.group(1), int(m.group(2))
-    if kind in ("adder", "fa"):
-        if width == 1:
-            return rbm_from_truth_table(full_adder_table(), sharpness)
-        return build_adder(width, rbm_from_truth_table(full_adder_table(), sharpness))
-    if width <= MULT_DIRECT_MAX:
+    try:
+        kind, width = parse_unit(key)
+    except ValueError:
+        raise KeyError(f"unknown builtin model {name!r}") from None
+    if kind == "mult" and width <= MULT_DIRECT_MAX:
         return rbm_from_truth_table(multiplier_table(width), sharpness)
-    half = builtin_model(f"mult{width // 2}", sharpness)
-    slice_fa = rbm_from_truth_table(full_adder_table(), sharpness)
-    return build_multiplier(width, half, slice_fa)
+    slice_fa = rbm_from_truth_table(adder_table(1), sharpness)
+    if kind == "mult":
+        return build_multiplier(width, builtin_model(f"mult{width // 2}", sharpness), slice_fa)
+    return slice_fa if width == 1 else build_adder(width, slice_fa)

@@ -26,8 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .merge import MergedModel
-from .model import Rbm
+from .merge import public_terminals
 from .sampler import Histogram, mode_estimate, multistart, replica_exchange
 from .synthesis import bit_names, operand_width
 
@@ -81,12 +80,6 @@ class TaskSpec:
         for name, value in self.clamps.items():
             if int(value) < 0:
                 raise ValueError(f"clamp {name}={value} is negative")
-
-
-def public_terminals(model) -> list[str]:
-    rbm = model.rbm if isinstance(model, MergedModel) else model
-    constants = model.constants if isinstance(model, MergedModel) else {}
-    return [n for n in rbm.visible_names if "." not in n and n not in constants]
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from .merge import model_parts, resolve_clamp
 from .model import Rbm
-from .synthesis import adder_table, bit_names, multiplier_table
+from .synthesis import (adder_table, multiplier_table, parse_unit, unit_inputs, unit_row,
+                        unit_terminals)
 from .tasks import TaskSpec, answer_terminals, assignment_checker, clamp_assignments
 from . import exact, sampler
 
@@ -85,60 +87,19 @@ class TrainConfig:
             raise ValueError("weight_decay and init_scale must be nonnegative")
 
 
-def parse_task(task) -> tuple[str, int]:
-    """Normalize a task name like "adder4" or ("mult", 2)."""
-    if isinstance(task, (tuple, list)) and len(task) == 2:
-        kind, width = task
-    elif isinstance(task, str):
-        for prefix in ("adder", "mult"):
-            if task.startswith(prefix) and task[len(prefix):].isdigit():
-                kind, width = prefix, int(task[len(prefix):])
-                break
-        else:
-            raise ValueError(f"cannot parse task {task!r}")
-    else:
-        raise TypeError(f"bad task spec {task!r}")
-    kind = {"multiplier": "mult", "adder": "adder", "mult": "mult"}[kind]
-    if width < 1:
-        raise ValueError("task width must be >= 1")
-    return kind, int(width)
+# Training units are named as in synthesis: "adder4", "mult8", ("mult", 2).
+parse_task = parse_unit
 
 
 def task_layout(task) -> tuple[str, int, tuple[str, ...]]:
     kind, width = parse_task(task)
-    if kind == "adder":
-        names = tuple(bit_names("A", width) + bit_names("B", width) + ["Cin"]
-                      + bit_names("S", width) + ["Cout"])
-    else:
-        names = tuple(bit_names("A", width) + bit_names("B", width)
-                      + bit_names("P", 2 * width))
-    return kind, width, names
+    return kind, width, unit_terminals(kind, width)
 
 
 def dataset_size(task) -> int:
     """Number of distinct valid rows: one per input combination."""
     kind, width = parse_task(task)
     return 2 ** (2 * width + 1) if kind == "adder" else 2 ** (2 * width)
-
-
-def _row(kind: str, width: int, inputs: tuple[int, ...]) -> tuple[int, ...]:
-    if kind == "adder":
-        a, b, cin = inputs
-        total = a + b + cin
-        return (
-            tuple(a >> i & 1 for i in range(width))
-            + tuple(b >> i & 1 for i in range(width))
-            + (cin,)
-            + tuple(total >> i & 1 for i in range(width))
-            + (total >> width,)
-        )
-    a, b = inputs
-    p = a * b
-    return (
-        tuple(a >> i & 1 for i in range(width))
-        + tuple(b >> i & 1 for i in range(width))
-        + tuple(p >> i & 1 for i in range(2 * width))
-    )
 
 
 def generate_dataset(task, cap: int | None = None,
@@ -160,14 +121,11 @@ def generate_dataset(task, cap: int | None = None,
     if cap < 1:
         raise ValueError("cap must be >= 1")
     rng = np.random.default_rng() if rng is None else rng
+    # Each row draws A, then B, then (adders only) Cin.
+    highs = (2**width, 2**width, 2) if kind == "adder" else (2**width, 2**width)
     rows = np.empty((cap, len(names)), dtype=np.uint8)
     for i in range(cap):
-        if kind == "adder":
-            inputs = (int(rng.integers(2**width)), int(rng.integers(2**width)),
-                      int(rng.integers(2)))
-        else:
-            inputs = (int(rng.integers(2**width)), int(rng.integers(2**width)))
-        rows[i] = _row(kind, width, inputs)
+        rows[i] = unit_row(kind, width, [int(rng.integers(hi)) for hi in highs])
     return rows, names
 
 
@@ -247,11 +205,7 @@ def reconstruction_error(rbm: Rbm, data: np.ndarray) -> float:
 
 
 def _instances(kind: str, width: int, limit: int, seed: int) -> list[tuple[int, ...]]:
-    if kind == "adder":
-        all_inputs = [(a, b, cin) for a in range(2**width)
-                      for b in range(2**width) for cin in (0, 1)]
-    else:
-        all_inputs = [(a, b) for a in range(2**width) for b in range(2**width)]
+    all_inputs = unit_inputs(kind, width)
     if len(all_inputs) <= limit:
         return all_inputs
     rng = np.random.default_rng(seed)
@@ -268,8 +222,8 @@ def _instance_task(kind: str, width: int, inputs: tuple[int, ...]) -> TaskSpec:
 
 
 def _exact_eval_feasible(model, spec) -> bool:
-    rbm, _ = exact._resolve_model(model)
-    free = rbm.n_visible - len(exact.resolve_clamp(model, clamp_assignments(model, spec)))
+    rbm, _ = model_parts(model)
+    free = rbm.n_visible - len(resolve_clamp(model, clamp_assignments(model, spec)))
     return free <= exact.MAX_FREE_UNITS and 2**free * max(rbm.n_hidden, 1) <= EXACT_EVAL_WORK
 
 

@@ -1,16 +1,22 @@
 """End-to-end command line tests.
 
-Each test drives ``rbmlogic.cli.main`` in process with a throwaway
+Each test drives ``rbmlogic.cli.main`` in process (one starts a fresh
+interpreter to see what happens before numpy loads) with a throwaway
 working directory, then checks exit codes, printed summaries, and the
 files the command leaves behind (models, CSV reports, manifests).
 """
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import rbmlogic
 from rbmlogic.cli import load_model, main
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm
@@ -251,6 +257,16 @@ class TestDiagnose:
         assert not (diag / "distribution.csv").exists()
         assert (diag / "free_energy.csv").exists()
 
+    def test_bad_sidecar_constant_is_an_input_error(self, tmp_path, capsys):
+        rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
+        rbm.save(tmp_path / "m.json")
+        (tmp_path / "m.terminals.json").write_text(json.dumps(
+            {"terminal_map": {"x": 0, "y": 1}, "constants": {"x": 2}}))
+        code = main(["diagnose", str(tmp_path / "m.json"), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert "must be 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestInspect:
     def test_weight_dump(self, tmp_path, monkeypatch, model_dir, capsys):
@@ -294,6 +310,33 @@ class TestEnvironment:
         assert main(["build", "xor", "-o", str(absolute)]) == 0
         assert absolute.exists()
         capsys.readouterr()
+
+    def test_threads_setting_is_exported_before_numpy_loads(self):
+        # In a fresh interpreter a meta-path probe records
+        # OPENBLAS_NUM_THREADS at the moment importing the CLI module
+        # first imports numpy.
+        script = textwrap.dedent("""
+            import os, sys
+            seen = []
+
+            class Probe:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+                    return None
+
+            assert "numpy" not in sys.modules
+            sys.meta_path.insert(0, Probe())
+            import rbmlogic.cli
+            print(seen)
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["RBMLOGIC_THREADS"] = "1"
+        env["PYTHONPATH"] = str(Path(rbmlogic.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "['1']"
 
     def test_help_and_missing_command_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -24,7 +24,9 @@ from rbmlogic.exact import (
 )
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm
+from rbmlogic.sampler import multistart, replica_exchange, success_curve
 from rbmlogic.synthesis import gate
+from rbmlogic.tasks import TaskSpec
 
 from .reference import bits_le, random_rbm, ref_delta, ref_visible_marginal
 
@@ -121,6 +123,19 @@ class TestVisibleDistribution:
         assert resolve_clamp(mm, {"v1": 1}) == {"v0": 0, "v1": 1}
         with pytest.raises(ValueError, match="conflicts with model constant"):
             exact_visible_distribution(mm, clamp={"v0": 1})
+
+    @pytest.mark.parametrize("constants", [{"v0": 2}, {"nope": 0}], ids=["bit_2", "unknown_name"])
+    @pytest.mark.parametrize("run", [
+        exact_visible_distribution,
+        exact_joint_distribution,
+        lambda mm: multistart(mm, n_chains=1, n_sweeps=2),
+        lambda mm: replica_exchange(mm, n_sweeps=2),
+        lambda mm: success_curve(mm, [TaskSpec("sat")], [1]),
+    ], ids=["visible", "joint", "multistart", "replica_exchange", "success_curve"])
+    def test_bad_model_constants_are_rejected(self, run, constants):
+        mm = MergedModel(zero_rbm(2, 1), {"v0": 0, "v1": 1}, constants=constants)
+        with pytest.raises((ValueError, KeyError), match="must be 0 or 1|unknown terminal"):
+            run(mm)
 
     def test_size_limits(self):
         with pytest.raises(ValueError, match="free units exceed"):

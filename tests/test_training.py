@@ -1,5 +1,7 @@
 """Contrastive-divergence training: datasets, updates, schedule, evaluation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -107,6 +109,16 @@ class TestDataset:
             s = decode_bits(row, 33, 16)
             cout = int(row[49])
             assert a + b + cin == s + (cout << 16)
+
+    def test_sampled_rows_are_pinned(self):
+        # Each sampled row draws A, then B, then (adders) Cin; reordering
+        # the draws would change every `train --cap` dataset.
+        for task, cap, digest in [
+            ("adder16", 100, "04ee1a379725d615adf8b7446d0e215952a21b571d5798606c874926d7a9356a"),
+            ("mult8", 64, "adf7b56ed2f2908938e1649c43a97667a870dd8c9222a02911d9930d48afb900"),
+        ]:
+            rows, _ = generate_dataset(task, cap=cap, rng=np.random.default_rng(0))
+            assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
     def test_cap_validation(self):
         with pytest.raises(ValueError, match="cap"):
