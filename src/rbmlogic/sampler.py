@@ -5,7 +5,15 @@ all free visible units given the hidden layer; clamped visible units
 never change.  Chains are reproducible: a chain consumes, per sweep,
 first n_hidden then n_visible uniforms from its own PCG64 generator
 (clamped positions burn draws too, so the stream does not depend on the
-clamp pattern), after n_visible initialization draws.
+clamp pattern), after n_visible initialization draws.  The uniforms of
+a block of sweeps are drawn with one call per chain (see
+SWEEP_BLOCK_BYTES); PCG64 gives the same numbers for one draw of k * n
+uniforms as for k draws of n, so blocking changes no result.
+
+_chain_sweeps is the one block Gibbs loop (run_chain, multistart,
+success_curve and gibbs_sweep run on it) and _Recorder the one sample
+recorder: recorded columns are kept as uint8 rows and counted with
+np.unique, so a key tuple is built once per distinct row.
 
 multistart with seeds [s, s+1, ...] pools exactly the histograms that
 run_chain would produce for each seed individually.
@@ -15,9 +23,10 @@ exp(-beta F(v)), with the hidden layer summed out, on a ladder of
 inverse temperatures ending at beta = 1, and swaps states between
 neighbouring rungs.  Its stream contract: row r = ladder * len(betas) +
 rung runs on generator seed + r, which draws n_visible initialization
-uniforms and then n_visible uniforms per sweep (clamped positions burn
-draws too).  Swaps draw from one more generator, seed + n_rows, one
-uniform per attempted pair, ladder by ladder and rung by rung.  After
+uniforms and then n_visible uniforms per sweep, drawn in blocks like the
+block Gibbs uniforms (clamped positions burn draws too).  Swaps draw
+from one more generator, seed + n_rows, one uniform per attempted pair,
+ladder by ladder and rung by rung.  After
 sweep t the pairs (k, k+1) with k = t mod 2, t mod 2 + 2, ... are
 attempted.  Only the beta = 1 rungs are recorded, and every row's sweeps
 count toward the chain-sweep total.  There are no restarts within a run:
@@ -27,6 +36,7 @@ each on its own seeds under the same contract.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -98,6 +108,33 @@ class ChainTrace:
         return self.samples[:, self.names.index(name)].astype(np.float64)
 
 
+# Bytes of uniforms drawn at once: each chain draws the uniforms of a
+# block of sweeps with one call, and the block length is set so that the
+# (chains, block, width) buffer stays within this budget.
+SWEEP_BLOCK_BYTES = 2**21
+
+# Bytes of recorded uint8 rows held before they are folded into the
+# histogram.  Bounds the recorder's memory on long runs; a typical solve
+# folds once, at the end.
+RECORD_BLOCK_BYTES = 2**22
+
+
+def _sweep_uniforms(gens, width: int, n_sweeps: int):
+    """Yield each sweep's (chains, width) uniforms, drawn in blocks of sweeps.
+
+    Row c of a block is one ``gens[c].random`` call for k * width
+    uniforms: the same PCG64 stream as k draws of width each.
+    """
+    block = max(1, min(n_sweeps, SWEEP_BLOCK_BYTES // (8 * len(gens) * width)))
+    buf = np.empty((len(gens), block, width))
+    for start in range(0, n_sweeps, block):
+        k = min(block, n_sweeps - start)
+        for c, gen in enumerate(gens):
+            gen.random(out=buf[c, :k].reshape(-1))
+        for s in range(k):
+            yield buf[:, s]
+
+
 def _initial_visible(rbm: Rbm, gens, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Uniform random start, one row per generator, then the clamps."""
     v = np.empty((len(gens), rbm.n_visible))
@@ -107,22 +144,50 @@ def _initial_visible(rbm: Rbm, gens, idx: np.ndarray, vals: np.ndarray) -> np.nd
     return v
 
 
-def _chain_sweeps(rbm: Rbm, assignments: Mapping[str, int], seeds: Sequence[int],
-                  n_sweeps: int):
-    """Yield the visible matrix after every sweep of a batch of chains."""
-    idx, vals, free = clamp_arrays(rbm, assignments)
-    gens = [np.random.default_rng(int(s)) for s in seeds]
-    w, vb, hb = rbm.weights, rbm.visible_bias, rbm.hidden_bias
-    v = _initial_visible(rbm, gens, idx, vals)
-    for _ in range(n_sweeps):
-        p_h = expit(v @ w + hb)
-        u = np.stack([gen.random(rbm.n_hidden) for gen in gens])
-        h = (u < p_h).astype(np.float64)
-        p_v = expit(h @ w.T + vb)
-        u = np.stack([gen.random(rbm.n_visible) for gen in gens])
+def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int):
+    """Block Gibbs on the rows of ``v`` in place; yield (v, h) after every sweep.
+
+    Row c draws from ``gens[c]``: n_hidden then n_visible uniforms per
+    sweep.  Only the ``free`` visible units change; the uniforms of
+    clamped units are drawn and left unused.  The visible product is
+    taken over every column: BLAS may sum a column subset in another
+    order, which would move the last bits of the probabilities.
+    """
+    nh = rbm.n_hidden
+    w, hb = rbm.weights, rbm.hidden_bias
+    vb_free, u_free = rbm.visible_bias[free], nh + free
+    for u in _sweep_uniforms(gens, nh + rbm.n_visible, n_sweeps):
+        h = (u[:, :nh] < expit(v @ w + hb)).astype(np.float64)
         if free.size:
-            v[:, free] = (u < p_v)[:, free]
-        yield v
+            v[:, free] = u[:, u_free] < expit((h @ w.T)[:, free] + vb_free)
+        yield v, h
+
+
+def _check_schedule(n_sweeps: int, burn_in: int, thin: int) -> None:
+    if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps:
+        raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1")
+
+
+def _recorded_states(model, clamp, seeds: Sequence[int], n_sweeps: int, burn_in: int,
+                     thin: int):
+    """Start one chain per seed; iterate the visible matrix after each recorded sweep.
+
+    Sweep t (from 0) is recorded when t >= burn_in and (t - burn_in) is a
+    multiple of ``thin``.
+    """
+    _check_schedule(n_sweeps, burn_in, thin)
+    if not len(seeds):
+        raise ValueError("need at least one chain")
+    rbm, _ = model_parts(model)
+    idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
+    gens = [np.random.default_rng(int(s)) for s in seeds]
+    v = _initial_visible(rbm, gens, idx, vals)
+    sweeps = _chain_sweeps(rbm, free, gens, v, n_sweeps)
+    return (v for v, _ in itertools.islice(sweeps, burn_in, None, thin))
+
+
+def _n_recorded(n_sweeps: int, burn_in: int, thin: int) -> int:
+    return (n_sweeps - burn_in + thin - 1) // thin
 
 
 def _record_indices(rbm: Rbm, record_terminals) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -130,6 +195,45 @@ def _record_indices(rbm: Rbm, record_terminals) -> tuple[np.ndarray, tuple[str, 
         return np.arange(rbm.n_visible, dtype=np.intp), rbm.visible_names
     idx = np.array([rbm.terminal_index(n) for n in record_terminals], dtype=np.intp)
     return idx, tuple(record_terminals)
+
+
+class _Recorder:
+    """The recorded columns of chain states, kept as uint8 rows.
+
+    ``histogram()`` folds the rows held so far into one Histogram, and a
+    full buffer is folded before it takes more rows.  Folding counts
+    each distinct row with ``np.unique`` over the rows viewed as one
+    opaque (void) value each, which sorts like the row, bytewise
+    (``np.unique(axis=0)`` compares column by column and is about 20x
+    slower), and builds its key tuple once.
+    """
+
+    def __init__(self, names: tuple[str, ...], cols: np.ndarray, n_chains: int,
+                 n_rows: int):
+        self.hist = Histogram(names)
+        self.cols = cols
+        size = max(n_chains, RECORD_BLOCK_BYTES // max(len(cols), 1))
+        self.rows = np.empty((min(n_rows, size), len(cols)), dtype=np.uint8)
+        self.n = 0
+
+    def add(self, v: np.ndarray) -> None:
+        if self.n + len(v) > len(self.rows):
+            self.histogram()
+        self.rows[self.n:self.n + len(v)] = v[:, self.cols]
+        self.n += len(v)
+
+    def histogram(self) -> Histogram:
+        rows, self.n = self.rows[:self.n], 0
+        if not rows.size:  # no rows, or every row is the empty key ()
+            if len(rows):
+                self.hist.add((), len(rows))
+            return self.hist
+        keys, counts = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                                 return_counts=True)
+        keys = keys.view(np.uint8).reshape(len(keys), rows.shape[1])
+        for key, n in zip(keys.tolist(), counts.tolist()):
+            self.hist.add(tuple(key), n)
+        return self.hist
 
 
 def run_chain(
@@ -143,26 +247,22 @@ def run_chain(
 ) -> tuple[ChainTrace, Histogram]:
     """Run one chain; record every ``thin``-th sweep after ``burn_in``."""
     rbm, _ = model_parts(model)
-    if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps:
-        raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1")
-    assignments = resolve_clamp(model, clamp)
+    states = _recorded_states(model, clamp, [seed], n_sweeps, burn_in, thin)
     rec_idx, rec_names = _record_indices(rbm, record_terminals)
-    kept = []
-    hist = Histogram(rec_names)
-    for t, v in enumerate(_chain_sweeps(rbm, assignments, [seed], n_sweeps)):
-        if t >= burn_in and (t - burn_in) % thin == 0:
-            kept.append(v[0].copy())
-            hist.add(tuple(int(b) for b in v[0, rec_idx]))
-    samples = np.array(kept)
+    samples = np.empty((_n_recorded(n_sweeps, burn_in, thin), rbm.n_visible), dtype=np.uint8)
+    recorder = _Recorder(rec_names, rec_idx, 1, len(samples))
+    for r, v in enumerate(states):
+        samples[r] = v[0]
+        recorder.add(v)
     trace = ChainTrace(
         names=rbm.visible_names,
-        samples=samples.astype(np.uint8),
+        samples=samples,
         free_energy=free_energy_batch(rbm, samples),
         seed=int(seed),
         burn_in=burn_in,
         thin=thin,
     )
-    return trace, hist
+    return trace, recorder.histogram()
 
 
 def gibbs_sweep(model, state: BinaryState, clamp=None, rng=None) -> BinaryState:
@@ -171,16 +271,11 @@ def gibbs_sweep(model, state: BinaryState, clamp=None, rng=None) -> BinaryState:
     idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
     rng = np.random.default_rng() if rng is None else rng
     state = BinaryState.checked(rbm, state.visible, state.hidden)
-    v = np.asarray(state.visible, dtype=np.float64).copy()
-    if idx.size and not np.array_equal(v[idx], vals):
+    v = np.asarray(state.visible, dtype=np.float64)[None].copy()
+    if idx.size and not np.array_equal(v[0, idx], vals):
         raise ValueError("state disagrees with clamped values")
-    p_h = expit(v @ rbm.weights + rbm.hidden_bias)
-    h = (rng.random(rbm.n_hidden) < p_h).astype(np.float64)
-    p_v = expit(h @ rbm.weights.T + rbm.visible_bias)
-    u = rng.random(rbm.n_visible)
-    if free.size:
-        v[free] = (u < p_v)[free]
-    return BinaryState(v.astype(np.uint8), h.astype(np.uint8))
+    (v, h), = _chain_sweeps(rbm, free, [rng], v, 1)
+    return BinaryState(v[0].astype(np.uint8), h[0].astype(np.uint8))
 
 
 def multistart(
@@ -196,20 +291,17 @@ def multistart(
 ) -> Histogram:
     """Pool histograms from independent chains seeded seed, seed+1, ..."""
     rbm, _ = model_parts(model)
-    if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps:
-        raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1")
     if seeds is None:
         seeds = [seed + c for c in range(n_chains)]
     elif len(seeds) != n_chains:
         raise ValueError("seeds length must equal n_chains")
-    assignments = resolve_clamp(model, clamp)
+    states = _recorded_states(model, clamp, seeds, n_sweeps, burn_in, thin)
     rec_idx, rec_names = _record_indices(rbm, record_terminals)
-    hist = Histogram(rec_names)
-    for t, v in enumerate(_chain_sweeps(rbm, assignments, list(seeds), n_sweeps)):
-        if t >= burn_in and (t - burn_in) % thin == 0:
-            for c in range(len(seeds)):
-                hist.add(tuple(int(b) for b in v[c, rec_idx]))
-    return hist
+    recorder = _Recorder(rec_names, rec_idx, n_chains,
+                         n_chains * _n_recorded(n_sweeps, burn_in, thin))
+    for v in states:
+        recorder.add(v)
+    return recorder.histogram()
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -259,21 +351,21 @@ def success_curve(
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive sample counts")
     rbm, _ = model_parts(model)
+    # Sweeps recorded when each checkpoint's pooled sample count is reached.
+    marks = [(c + n_chains - 1) // n_chains for c in checkpoints]
     successes = np.zeros(len(checkpoints))
     for i, task in enumerate(tasks):
-        assignments = resolve_clamp(model, clamp_assignments(model, task))
+        seeds = [seed + i * n_chains + c for c in range(n_chains)]
+        states = _recorded_states(model, clamp_assignments(model, task), seeds,
+                                  burn_in + marks[-1], burn_in, 1)
         rec_idx, rec_names = _record_indices(rbm, answer_terminals(model, task))
         check = assignment_checker(model, task)
-        hist = Histogram(rec_names)
-        milestones = [(c + n_chains - 1) // n_chains + burn_in for c in checkpoints]
-        seeds = [seed + i * n_chains + c for c in range(n_chains)]
+        recorder = _Recorder(rec_names, rec_idx, n_chains, n_chains * marks[-1])
         next_mark = 0
-        for t, v in enumerate(_chain_sweeps(rbm, assignments, seeds, milestones[-1])):
-            if t >= burn_in:
-                for c in range(n_chains):
-                    hist.add(tuple(int(b) for b in v[c, rec_idx]))
-            while next_mark < len(milestones) and t + 1 == milestones[next_mark]:
-                bits, _ = answer_mode(model, task, hist)
+        for r, v in enumerate(states, start=1):
+            recorder.add(v)
+            while next_mark < len(marks) and r == marks[next_mark]:
+                bits, _ = answer_mode(model, task, recorder.histogram())
                 if check(dict(zip(rec_names, bits))):
                     successes[next_mark] += 1.0
                 next_mark += 1
@@ -391,9 +483,9 @@ def replica_exchange(
     docstring for the stream contract.
     """
     rbm, _ = model_parts(model)
-    if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps or n_ladders < 1:
-        raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1, "
-                         "n_ladders >= 1")
+    _check_schedule(n_sweeps, burn_in, thin)
+    if n_ladders < 1:
+        raise ValueError("need n_ladders >= 1")
     betas = np.asarray(betas, dtype=np.float64)
     if (betas.ndim != 1 or not betas.size or betas[-1] != 1.0 or (betas <= 0).any()
             or (np.diff(betas) <= 0).any()):
@@ -411,9 +503,9 @@ def replica_exchange(
     index = tables.indices(v)
     table, offsets, vb = tables.table, tables.offsets, tables.visible_bias
     top = np.arange(n_ladders) * n_rungs + n_rungs - 1
-    hist = Histogram(rec_names)
-    for t in range(n_sweeps):
-        u = np.stack([gen.random(rbm.n_visible) for gen in gens])
+    recorder = _Recorder(rec_names, rec_idx, n_ladders,
+                         n_ladders * _n_recorded(n_sweeps, burn_in, thin))
+    for t, u in enumerate(_sweep_uniforms(gens, rbm.n_visible, n_sweeps)):
         for units, slot, group, mask, spread in classes:
             cur = index[:, group]
             on, off = cur | mask, cur & ~mask
@@ -434,6 +526,5 @@ def replica_exchange(
             v[np.r_[a, b]] = v[np.r_[b, a]]
             index[np.r_[a, b]] = index[np.r_[b, a]]
         if t >= burn_in and (t - burn_in) % thin == 0:
-            for r in top:
-                hist.add(tuple(int(x) for x in v[r, rec_idx]))
-    return hist
+            recorder.add(v[top])
+    return recorder.histogram()

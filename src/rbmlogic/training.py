@@ -205,12 +205,19 @@ def reconstruction_error(rbm: Rbm, data: np.ndarray) -> float:
 
 
 def _instances(kind: str, width: int, limit: int, seed: int) -> list[tuple[int, ...]]:
-    all_inputs = unit_inputs(kind, width)
-    if len(all_inputs) <= limit:
-        return all_inputs
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(all_inputs), size=limit, replace=False)
-    return [all_inputs[i] for i in sorted(picks)]
+    """Up to ``limit`` distinct input combinations, in ``unit_inputs`` order.
+
+    Above ``limit`` the picks are indices into ``unit_inputs``, decoded
+    arithmetically so that wide units never build the 2^(2w+1) list.
+    """
+    n = dataset_size((kind, width))
+    if n <= limit:
+        return unit_inputs(kind, width)
+    picks = sorted(np.random.default_rng(seed).choice(n, size=limit, replace=False).tolist())
+    mask = (1 << width) - 1
+    if kind == "adder":  # index = a << (width + 1) | b << 1 | cin
+        return [(i >> (width + 1), (i >> 1) & mask, i & 1) for i in picks]
+    return [(i >> width, i & mask) for i in picks]  # index = a << width | b
 
 
 def _instance_task(kind: str, width: int, inputs: tuple[int, ...]) -> TaskSpec:

@@ -8,6 +8,7 @@ they are meant to verify.
 import math
 
 import numpy as np
+from scipy.special import expit
 
 from rbmlogic.model import Rbm
 
@@ -80,3 +81,38 @@ def random_rbm(rng: np.random.Generator, n_visible: int, n_hidden: int,
         rng.normal(scale=1.0, size=n_hidden),
         tuple(f"{prefix}{i}" for i in range(n_visible)),
     )
+
+
+def ref_block_gibbs(rbm: Rbm, clamp: dict[int, int], seeds, n_sweeps: int,
+                    burn_in: int = 0, thin: int = 1, record=None):
+    """Block Gibbs one chain and one sweep at a time, by the stream contract.
+
+    The chain on seed s draws n_visible uniforms for its start (unit i is
+    on when its uniform is below 0.5, then the clamps apply), then per
+    sweep ``random(n_hidden)`` for h and ``random(n_visible)`` for v;
+    clamped units draw too and keep their value.  Sweep t (from 0) is
+    recorded when t >= burn_in and (t - burn_in) % thin == 0.  Returns
+    each chain's recorded visible rows and a plain dict counting the
+    ``record`` columns (default: every visible unit) over all chains.
+    """
+    w, a, b = rbm.weights, rbm.visible_bias, rbm.hidden_bias
+    record = range(rbm.n_visible) if record is None else record
+    traces, hist = [], {}
+    for seed in seeds:
+        gen = np.random.default_rng(seed)
+        v = [float(x < 0.5) for x in gen.random(rbm.n_visible)]
+        for i, bit in clamp.items():
+            v[i] = float(bit)
+        rows = []
+        for t in range(n_sweeps):
+            p_h = expit(np.array(v) @ w + b)
+            h = [float(x < p) for x, p in zip(gen.random(rbm.n_hidden), p_h)]
+            p_v = expit(np.array(h) @ w.T + a)
+            u = gen.random(rbm.n_visible)
+            v = [v[i] if i in clamp else float(u[i] < p_v[i]) for i in range(rbm.n_visible)]
+            if t >= burn_in and (t - burn_in) % thin == 0:
+                rows.append(tuple(int(x) for x in v))
+                key = tuple(int(v[i]) for i in record)
+                hist[key] = hist.get(key, 0) + 1
+        traces.append(rows)
+    return traces, hist

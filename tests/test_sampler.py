@@ -9,7 +9,8 @@ from rbmlogic.exact import (
     gibbs_transition_matrix,
     tv_distance,
 )
-from rbmlogic.merge import MergedModel, compose
+from rbmlogic import sampler
+from rbmlogic.merge import MergedModel, compose, model_parts
 from rbmlogic.model import BinaryState, Rbm
 from rbmlogic.sampler import (
     ChainTrace,
@@ -30,9 +31,9 @@ from rbmlogic.synthesis import (
     gate,
     rbm_from_truth_table,
 )
-from rbmlogic.tasks import TaskSpec
+from rbmlogic.tasks import TaskSpec, clamp_assignments
 
-from .reference import random_rbm
+from .reference import random_rbm, ref_block_gibbs
 
 
 def zero_rbm(nv, nh):
@@ -206,6 +207,56 @@ class TestMultistart:
         assert a.counts == b.counts
         with pytest.raises(ValueError, match="seeds length"):
             multistart(r, n_chains=3, n_sweeps=50, seeds=[1, 2])
+
+
+def _adder16_add():
+    model = builtin_model("adder16", 6.0)
+    return model, clamp_assignments(model, TaskSpec("add", 16, {"A": 40503, "B": 9999}))
+
+
+def _random_clamped(seed, nv, nh, clamp):
+    return random_rbm(np.random.default_rng(seed), nv, nh), clamp
+
+
+class TestKernelMatchesReference:
+    """The block-drawing kernel against the per-sweep reference sampler.
+
+    ``block`` is the number of sweeps whose uniforms one draw covers
+    (None: the module's byte budget; 120 chains on adder16 get 11), so
+    the schedules below start, record and stop in the middle of blocks.
+    """
+
+    CASES = {
+        "one_chain": (lambda: _random_clamped(20, 6, 5, {}), 1, 50, 7, 3, 4, None),
+        "clamped_chains": (lambda: _random_clamped(21, 7, 9, {"v1": 1, "v4": 0}),
+                           5, 23, 5, 2, 3, None),
+        "adder16_120_chains_65_terminals": (_adder16_add, 120, 30, 5, 2, None, None),
+        "fully_clamped": (lambda: _random_clamped(22, 4, 3, {f"v{i}": i % 2 for i in range(4)}),
+                          3, 12, 0, 1, 5, None),
+        "recorder_folds_every_sweep": (lambda: _random_clamped(21, 7, 9, {"v1": 1}),
+                                       5, 23, 5, 2, 3, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_multistart_and_run_chain_match(self, case, monkeypatch):
+        make, n_chains, n_sweeps, burn_in, thin, block, record_bytes = self.CASES[case]
+        model, clamp = make()
+        rbm, _ = model_parts(model)
+        if block is not None:
+            width = rbm.n_hidden + rbm.n_visible
+            monkeypatch.setattr(sampler, "SWEEP_BLOCK_BYTES", 8 * n_chains * width * block)
+        if record_bytes is not None:
+            monkeypatch.setattr(sampler, "RECORD_BLOCK_BYTES", record_bytes)
+        by_index = {rbm.terminal_index(n): b for n, b in clamp.items()}
+        seeds = [3 + c for c in range(n_chains)]
+        traces, ref_hist = ref_block_gibbs(rbm, by_index, seeds, n_sweeps, burn_in, thin)
+        hist = multistart(model, clamp, n_chains=n_chains, n_sweeps=n_sweeps,
+                          burn_in=burn_in, thin=thin, seed=3)
+        assert hist.names == rbm.visible_names
+        assert hist.counts == ref_hist
+        trace, _ = run_chain(model, clamp, n_sweeps=n_sweeps, burn_in=burn_in, thin=thin,
+                             seed=3)
+        assert trace.samples.tolist() == [list(row) for row in traces[0]]
 
 
 class TestSamplingAccuracy:

@@ -1,10 +1,15 @@
-"""Replica exchange search and the unchanged default solve path.
+"""Replica exchange search and the unchanged sampler streams.
 
 The default ``SolveSettings`` (no beta ladder) must keep the block Gibbs
-stream contract: the digests below were computed from the histograms of
-the code before replica exchange was added, on the same grid of models,
-clamps and seeds.
+stream contract: the multistart and solve digests below were computed
+from the histograms of the code before replica exchange was added, on
+the same grid of models, clamps and seeds.  The replica exchange,
+success curve and run_chain digests were computed from the per-sweep
+draw code before sweeps drew their uniforms in blocks; the grid includes
+a composed multiplier with constants and 91 visible units.
 """
+
+import functools
 
 import hashlib
 
@@ -12,10 +17,13 @@ import numpy as np
 import pytest
 
 from rbmlogic.exact import exact_visible_distribution, tv_distance
+from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm, free_energy_batch
-from rbmlogic.sampler import FreeEnergyTables, multistart, replica_exchange
-from rbmlogic.synthesis import builtin_model
-from rbmlogic.tasks import SolveSettings, TaskSpec, solve
+from rbmlogic.sampler import (FreeEnergyTables, multistart, replica_exchange, run_chain,
+                              success_curve)
+from rbmlogic.synthesis import (build_multiplier, builtin_model, full_adder_table,
+                                rbm_from_truth_table)
+from rbmlogic.tasks import SolveSettings, TaskSpec, answer_terminals, clamp_assignments, solve
 
 from .reference import random_rbm
 
@@ -54,6 +62,66 @@ def solve_digests() -> list[str]:
     return out
 
 
+@functools.cache
+def composed_mult4():
+    """4-bit multiplier composed of mult2 and full adders: 22 zero constants."""
+    return build_multiplier(4, builtin_model("mult2"), rbm_from_truth_table(full_adder_table()))
+
+
+def replica_digests() -> list[str]:
+    factor = TaskSpec("factor", 4, {"P": 15})
+    grid = [(builtin_model("fa1", 6.0), {"A": 1, "B": 0}, (0.5, 1.0), 2, 2, None),
+            (builtin_model("mult2", 6.0), {"P1": 1, "P2": 1}, (0.4, 0.7, 1.0), 2, 1, None),
+            (composed_mult4(), clamp_assignments(composed_mult4(), factor), (0.3, 0.6, 1.0),
+             2, 3, answer_terminals(composed_mult4(), factor))]
+    out = []
+    for model, clamp, betas, n_ladders, thin, record in grid:
+        for seed in (0, 7):
+            h = replica_exchange(model, clamp, betas=betas, n_ladders=n_ladders,
+                                 n_sweeps=150, burn_in=30, thin=thin, seed=seed,
+                                 record_terminals=record)
+            out.append(_digest((h.names, sorted(h.counts.items()))))
+    return out
+
+
+def success_curve_digests() -> list[str]:
+    adds = [TaskSpec("add", 2, {"A": a, "B": b, "Cin": a & 1}) for a in range(4) for b in (1, 2)]
+    subs = [TaskSpec("subtract", 2, {"S": s, "B": 1}) for s in range(1, 4)]
+    soft = builtin_model("adder2", 3.0)
+    # The internal carry as a constant: valid for tasks without a carry out of bit 0.
+    no_carry = MergedModel(soft.rbm, soft.terminal_map, constants={"fa0.Cout": 0})
+    no_carry_tasks = [TaskSpec("add", 2, {"A": a, "B": b, "Cin": 0})
+                      for a in range(4) for b in range(4) if not a & b & 1]
+    grid = [(builtin_model("adder2", 6.0), adds + subs, [3, 12, 60], 3, 2),
+            (builtin_model("mult2", 6.0), [TaskSpec("factor", 2, {"P": p}) for p in (4, 6, 9)],
+             [2, 8, 40], 2, 0),
+            (no_carry, no_carry_tasks, [2, 5, 12, 60], 2, 1)]
+    out = []
+    for model, tasks, checkpoints, n_chains, burn_in in grid:
+        for seed in (0, 7):
+            curve = success_curve(model, tasks, checkpoints, n_chains=n_chains, seed=seed,
+                                  burn_in=burn_in)
+            out.append(_digest(curve))
+    return out
+
+
+def run_chain_digests() -> list[str]:
+    grid = [(random_rbm(np.random.default_rng(11), 5, 4), None, 120, 10, 3, None),
+            (builtin_model("fa1", 6.0), {"A": 1, "B": 1}, 200, 0, 1, ["S", "Cout"]),
+            (builtin_model("adder2", 6.0), {"A0": 1, "B1": 1, "Cin": 0}, 90, 25, 4, None),
+            (composed_mult4(), clamp_assignments(composed_mult4(), TaskSpec("factor", 4, {"P": 35})),
+             150, 40, 2, None)]
+    out = []
+    for model, clamp, n_sweeps, burn_in, thin, record in grid:
+        for seed in (0, 7):
+            trace, h = run_chain(model, clamp, n_sweeps=n_sweeps, burn_in=burn_in, thin=thin,
+                                 seed=seed, record_terminals=record)
+            out.append(_digest((trace.samples.shape, trace.samples.tobytes(),
+                                trace.free_energy.tobytes(), h.names,
+                                sorted(h.counts.items()))))
+    return out
+
+
 def _observed(hist, exact) -> np.ndarray:
     """Recorded frequencies of the exact distribution's support rows."""
     marg = hist.marginal(exact.names)
@@ -66,6 +134,15 @@ class TestDefaultPathUnchanged:
 
     def test_default_solve_matches_block_gibbs_contract(self):
         assert solve_digests() == SOLVE_DIGESTS
+
+    def test_replica_exchange_histograms_are_pinned(self):
+        assert replica_digests() == REPLICA_DIGESTS
+
+    def test_success_curves_are_pinned(self):
+        assert success_curve_digests() == SUCCESS_CURVE_DIGESTS
+
+    def test_run_chain_traces_are_pinned(self):
+        assert run_chain_digests() == RUN_CHAIN_DIGESTS
 
     def test_default_solve_counts_every_chain_sweep(self):
         r = solve(builtin_model("adder2", 6.0), TASKS[0][1],
@@ -168,4 +245,30 @@ SOLVE_DIGESTS = [
     "ad938b6b1f559fe5",
     "a4d104139e6f3eab",
     "4bb69b91c8a3b2d5",
+]
+REPLICA_DIGESTS = [
+    "5b74b55390e780e8",
+    "938400a8f5620d94",
+    "7d320b40c19ed663",
+    "29db7107fea56b2b",
+    "8f20d8070221d33c",
+    "cb4b02a491d3f21d",
+]
+SUCCESS_CURVE_DIGESTS = [
+    "c1d2755f9c930536",
+    "0db4a5cd5c654226",
+    "caaa63b275fc3b18",
+    "0c90f6c0b24c21b4",
+    "7f7b02521e5b3ec7",
+    "474682305b3cbbeb",
+]
+RUN_CHAIN_DIGESTS = [
+    "10dc53f4e73bf9c8",
+    "c5e605206cd03d0d",
+    "e6cb901352c09a71",
+    "2c17dfe730cb9685",
+    "9de1e9258fc0b0e8",
+    "643b326bd04973ce",
+    "25e537d1be7109d8",
+    "e792d4d7d0b8d37b",
 ]

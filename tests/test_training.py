@@ -10,6 +10,7 @@ from scipy.special import expit
 from rbmlogic.exact import exact_joint_distribution, exact_visible_distribution
 from rbmlogic.model import Rbm
 from rbmlogic.synthesis import builtin_model, full_adder_table
+from rbmlogic import training
 from rbmlogic.training import (
     EXACT_LEARNING_RATE,
     KNOWN_HIDDEN,
@@ -276,6 +277,30 @@ class TestReconstructionError:
         direct = builtin_model("adder1")
         rows, _ = generate_dataset("adder1")
         assert reconstruction_error(direct, rows) < 0.01
+
+
+class TestInstances:
+    # SHA-256 prefixes of the picks made when _instances indexed the full
+    # list of input combinations; decoding the indices must agree.
+    @pytest.mark.parametrize("args, digest", [
+        (("adder", 4, 64, 0), "979f5fdef49defb0"),
+        (("adder", 8, 64, 3), "15be961ea6ffc7ff"),
+        (("mult", 8, 64, 0), "18bc5e0627b28596"),
+        (("mult", 4, 100, 5), "c4dcaf50996425d6"),
+        (("adder", 1, 64, 0), "ad142c41bc4f7cee"),
+    ])
+    def test_picks_are_pinned(self, args, digest):
+        picks = training._instances(*args)
+        assert hashlib.sha256(repr(picks).encode()).hexdigest()[:16] == digest
+
+    def test_wide_unit_is_sampled_without_building_its_inputs(self, monkeypatch):
+        def refuse(kind, width):
+            raise AssertionError(f"built all {kind}{width} inputs")
+
+        monkeypatch.setattr(training, "unit_inputs", refuse)
+        picks = training._instances("adder", 16, 64, 0)
+        assert len(picks) == 64 and picks == sorted(set(picks))
+        assert all(a < 2**16 and b < 2**16 and cin in (0, 1) for a, b, cin in picks)
 
 
 class TestEvaluateAccuracy:
