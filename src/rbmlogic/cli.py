@@ -87,9 +87,24 @@ def load_model(path: str):
     side = _sidecar(path)
     if side.exists():
         info = json.loads(side.read_text())
-        return MergedModel(rbm, {k: int(v) for k, v in info["terminal_map"].items()},
+        return MergedModel(rbm, _terminal_map(info["terminal_map"], rbm.n_visible, side),
                            {k: int(v) for k, v in info.get("constants", {}).items()})
     return rbm
+
+
+def _terminal_map(raw, n_visible: int, side: Path) -> dict[str, int]:
+    """A sidecar's terminal map: names to visible indices in [0, n_visible).
+
+    Several names may share an index (a merged terminal keeps the names
+    of every unit it joined).
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{side}: terminal_map must be an object of name -> index")
+    for name, index in raw.items():
+        if type(index) is not int or not 0 <= index < n_visible:
+            raise ValueError(f"{side}: terminal_map[{name!r}] = {index!r} is not "
+                             f"a visible index in [0, {n_visible})")
+    return dict(raw)
 
 
 def _resolve_component(spec: str, sharpness: float):

@@ -15,6 +15,19 @@ success_curve and gibbs_sweep run on it) and _Recorder the one sample
 recorder: recorded columns are kept as uint8 rows and counted with
 np.unique, so a key tuple is built once per distinct row.
 
+Every update is the decision u < p for the contract probabilities
+expit(v @ W + a) and expit((h @ W.T)[:, free] + b_free), each product
+taken by BLAS over every column.  Sweeps over FILTER_MIN_ENTRIES units
+or more reach them through an exact-decision filter (_decide): fast
+probabilities come from 1 / (1 + exp(-x)), a visible product over the
+free columns only and, for weight matrices large and sparse enough
+(SPARSE_MIN_WEIGHTS, SPARSE_MAX_DENSITY), CSR products.  A per-unit
+bound (_margins) covers both errors.  Where a uniform lies within it of
+its fast probability, the contract expression is evaluated for that
+sweep and decides the entry.  The stream contract is unchanged, and the
+decisions, so the chains and histograms, are bit for bit those of the
+contract expression.
+
 multistart with seeds [s, s+1, ...] pools exactly the histograms that
 run_chain would produce for each seed individually.
 
@@ -36,6 +49,7 @@ each on its own seeds under the same contract.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -82,7 +96,7 @@ class Histogram:
         return out
 
     def top(self, k: int) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+        return heapq.nsmallest(k, self.counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 def mode_estimate(histogram: Histogram) -> tuple[tuple[int, ...], int]:
@@ -144,22 +158,122 @@ def _initial_visible(rbm: Rbm, gens, idx: np.ndarray, vals: np.ndarray) -> np.nd
     return v
 
 
+# Sweeps over at least FILTER_MIN_ENTRIES units (chains x (n_hidden +
+# n_visible)) take their decisions through the exact-decision filter;
+# below that its fixed cost per sweep (~20 us) outweighs what it saves.
+FILTER_MIN_ENTRIES = 4096
+
+# Weight matrices with at least SPARSE_MIN_WEIGHTS entries, of which at
+# most SPARSE_MAX_DENSITY are nonzero, are applied through CSR in the fast
+# products of _chain_sweeps; the others stay dense.  Either operator gives
+# the same chains.  Time per filtered sweep on one core, dense vs CSR:
+# builtin adder16 (8320 weights, 7.7% nonzero, 100 chains) 263 vs 314 us;
+# adder32 (33024, 3.9%) 654 vs 596 us; adder64 (131584, 1.9%) 1702 vs
+# 1142 us; mult8 (252032, 7.3%, 16 chains) 762 vs 602 us; dense mult4
+# (4096 weights) and 20 x 64 models ~1.6x slower through CSR.
+SPARSE_MIN_WEIGHTS = 2**15
+SPARSE_MAX_DENSITY = 1 / 8
+
+
+def _fast_sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)): a few times cheaper than expit, within 2**-47 of it."""
+    x = np.negative(a)
+    with np.errstate(over="ignore"):  # exp(745+) = inf gives 1 / inf = 0
+        np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
+def _margins(w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Per-unit bound on |fast probability - contract probability|.
+
+    Unit j's activation sums the k_j nonzero terms of column j (binary
+    inputs make every product exact) and its bias.  Any summation order
+    is within k_j 2**-53 S_j of the exact sum, S_j = sum |w_ij| + |b_j|,
+    so two orders differ by at most 2 k_j 2**-53 S_j, and the sigmoid
+    (slope <= 1/4) shrinks that fourfold.  The margin is 8x that term,
+    plus 2**-47 for the two sigmoid implementations (a few ulps each).
+    """
+    k = np.count_nonzero(w, axis=0)
+    scale = np.abs(w).sum(axis=0) + np.abs(bias)
+    return (k + 2) * 2.0**-51 * scale + 2.0**-47
+
+
+def _decide(u: np.ndarray, p: np.ndarray, margin: np.ndarray, exact) -> np.ndarray:
+    """The decisions u < p_contract, from p within ``margin`` of p_contract.
+
+    An entry is decided by u < p when u lies ``margin`` or more away
+    from ``p``.  If any entry does not (a NaN ``p`` never does),
+    ``exact()`` evaluates the contract probabilities once and decides
+    those entries.
+    """
+    d = u - p
+    on = d < 0  # the sign of a rounded difference is exact
+    np.abs(d, out=d)
+    if not d.size or d.min() >= margin.max():
+        return on
+    return np.where(d >= margin, on, u < exact())
+
+
+def _use_csr(w: np.ndarray) -> bool:
+    """Whether the fast products apply ``w`` through CSR (see SPARSE_MIN_WEIGHTS)."""
+    return w.size >= SPARSE_MIN_WEIGHTS and np.count_nonzero(w) <= SPARSE_MAX_DENSITY * w.size
+
+
+def _fast_products(w: np.ndarray, free: np.ndarray):
+    """Functions v -> v @ w and h -> h @ w[free].T, CSR when _use_csr(w).
+
+    scipy.sparse is imported only when CSR is used.
+    """
+    if _use_csr(w):
+        from scipy.sparse import csr_array
+
+        w_t, w_free = csr_array(w.T), csr_array(w[free])
+        return (lambda v: (w_t @ v.T).T), (lambda h: (w_free @ h.T).T)
+    w_free_t = np.ascontiguousarray(w[free].T)
+    return (lambda v: v @ w), (lambda h: h @ w_free_t)
+
+
 def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int):
     """Block Gibbs on the rows of ``v`` in place; yield (v, h) after every sweep.
 
     Row c draws from ``gens[c]``: n_hidden then n_visible uniforms per
     sweep.  Only the ``free`` visible units change; the uniforms of
-    clamped units are drawn and left unused.  The visible product is
-    taken over every column: BLAS may sum a column subset in another
-    order, which would move the last bits of the probabilities.
+    clamped units are drawn and left unused.  Sweeps over at least
+    FILTER_MIN_ENTRIES units decide through _decide (see the module
+    docstring); smaller ones evaluate the contract expression directly.
     """
     nh = rbm.n_hidden
     w, hb = rbm.weights, rbm.hidden_bias
     vb_free, u_free = rbm.visible_bias[free], nh + free
+
+    def hidden_p():
+        return expit(v @ w + hb)
+
+    def visible_p():
+        return expit((h @ w.T)[:, free] + vb_free)
+
+    if len(v) * (nh + rbm.n_visible) >= FILTER_MIN_ENTRIES:
+        hidden_product, visible_product = _fast_products(w, free)
+        h_margin, v_margin = _margins(w, hb), _margins(w[free].T, vb_free)
+
+        def hidden_on(u):
+            return _decide(u, _fast_sigmoid(hidden_product(v) + hb), h_margin, hidden_p)
+
+        def visible_on(u):
+            return _decide(u, _fast_sigmoid(visible_product(h) + vb_free), v_margin,
+                           visible_p)
+    else:
+        def hidden_on(u):
+            return u < hidden_p()
+
+        def visible_on(u):
+            return u < visible_p()
+
     for u in _sweep_uniforms(gens, nh + rbm.n_visible, n_sweeps):
-        h = (u[:, :nh] < expit(v @ w + hb)).astype(np.float64)
+        h = hidden_on(u[:, :nh]).astype(np.float64)
         if free.size:
-            v[:, free] = u[:, u_free] < expit((h @ w.T)[:, free] + vb_free)
+            v[:, free] = visible_on(u[:, u_free])
         yield v, h
 
 

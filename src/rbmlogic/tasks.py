@@ -319,17 +319,36 @@ class SolveResult:
 
 
 def _nontrivial_factor_mode(hist: Histogram, iface: _Interface):
-    """Most frequent (A, B) pair with both factors > 1, if any."""
-    a_cols = [hist.names.index(t) for t in iface.bits("A")]
-    b_cols = [hist.names.index(t) for t in iface.bits("B")]
-    pairs: list[tuple[tuple[int, int], int]] = []
-    for key, count in hist.counts.items():
-        a = decode_int([key[c] for c in a_cols])
-        b = decode_int([key[c] for c in b_cols])
-        if a > 1 and b > 1:
-            pairs.append(((a, b), count))
-    pairs.sort(key=lambda item: (-item[1], item[0]))
-    return pairs
+    """(A, B) pairs with both factors > 1, by falling count, then (A, B)."""
+    if not hist.counts:
+        return []
+    keys = np.array(list(hist.counts), dtype=np.uint8)
+    counts = np.fromiter(hist.counts.values(), dtype=np.int64, count=len(keys))
+    a_bits = keys[:, [hist.names.index(t) for t in iface.bits("A")]]
+    b_bits = keys[:, [hist.names.index(t) for t in iface.bits("B")]]
+    rows = np.flatnonzero(a_bits[:, 1:].any(axis=1) & b_bits[:, 1:].any(axis=1))
+    # Last lexsort key is primary: count, then A and B, most significant bit first.
+    rows = rows[np.lexsort((*b_bits[rows].T, *a_bits[rows].T, -counts[rows]))]
+
+    def decoded(bits: np.ndarray) -> list[int]:
+        # Python ints past 62 bits, where int64 would overflow.
+        place = np.array([1 << j for j in range(bits.shape[1])],
+                         dtype=np.int64 if bits.shape[1] < 63 else object)
+        return (bits[rows].astype(place.dtype) @ place).tolist()
+
+    return [((a, b), n) for a, b, n in
+            zip(decoded(a_bits), decoded(b_bits), counts[rows].tolist())]
+
+
+def _factor_mode(hist: Histogram, iface: _Interface, pairs) -> tuple[tuple[int, ...], int]:
+    """The histogram key of the first nontrivial pair, else the plain mode."""
+    if not pairs:
+        return mode_estimate(hist)
+    a_terms, b_terms = iface.bits("A"), iface.bits("B")
+    (a, b), count = pairs[0]
+    by_name = dict(zip(a_terms, encode_int(a, len(a_terms))))
+    by_name |= dict(zip(b_terms, encode_int(b, len(b_terms))))
+    return tuple(by_name[t] for t in hist.names), count
 
 
 def answer_mode(model, task: TaskSpec, hist: Histogram) -> tuple[tuple[int, ...], int]:
@@ -341,13 +360,7 @@ def answer_mode(model, task: TaskSpec, hist: Histogram) -> tuple[tuple[int, ...]
     """
     if task.operation == "factor":
         iface = model_interface(model)
-        pairs = _nontrivial_factor_mode(hist, iface)
-        if pairs:
-            a_terms, b_terms = iface.bits("A"), iface.bits("B")
-            (a, b), count = pairs[0]
-            by_name = dict(zip(a_terms, encode_int(a, len(a_terms))))
-            by_name |= dict(zip(b_terms, encode_int(b, len(b_terms))))
-            return tuple(by_name[t] for t in hist.names), count
+        return _factor_mode(hist, iface, _nontrivial_factor_mode(hist, iface))
     return mode_estimate(hist)
 
 
@@ -368,10 +381,13 @@ def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> S
             n_sweeps=settings.n_sweeps, burn_in=settings.burn_in,
             thin=settings.thin, seed=settings.seed, record_terminals=record,
         )
-    bits, count = answer_mode(model, task, hist)
     factor_pairs = None
     if task.operation == "factor":
-        factor_pairs = _nontrivial_factor_mode(hist, model_interface(model))
+        iface = model_interface(model)
+        factor_pairs = _nontrivial_factor_mode(hist, iface)
+        bits, count = _factor_mode(hist, iface, factor_pairs)
+    else:
+        bits, count = mode_estimate(hist)
     terminals = dict(zip(record, (int(b) for b in bits)))
     operands = group_operands(record, bits)
     total = hist.total
@@ -389,34 +405,56 @@ def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> S
     )
 
 
+def _draw(rng: np.random.Generator, low: int, high: int) -> int:
+    """Uniform integer in [low, high).
+
+    Ranges that fit int64 take one ``rng.integers`` draw.  Wider ones
+    draw 32-bit words, keep the low bits of their little-endian value
+    and retry while it falls outside the range.
+    """
+    if high <= 2**63:
+        return int(rng.integers(low, high))
+    span = high - low
+    n_bits = (span - 1).bit_length()
+    while True:
+        words = rng.integers(0, 2**32, size=(n_bits + 31) // 32, dtype=np.uint64)
+        x = sum(int(w) << (32 * i) for i, w in enumerate(words)) & ((1 << n_bits) - 1)
+        if x < span:
+            return low + x
+
+
 def random_task(operation: str, width: int, rng: np.random.Generator) -> TaskSpec:
     """Random solvable instance of an operation at a given width."""
     top = 2**width
+
+    def draw(low: int = 0) -> int:
+        return _draw(rng, low, top)
+
     if operation == "add":
-        a, b = int(rng.integers(top)), int(rng.integers(top))
+        a, b = draw(), draw()
         cin = int(rng.integers(2))
         total = a + b + cin
         return TaskSpec("add", width, {"A": a, "B": b, "Cin": cin},
                         expected=total)
     if operation == "subtract":
-        x, y = int(rng.integers(top)), int(rng.integers(top))
+        x, y = draw(), draw()
         if x < y:
             x, y = y, x
         return TaskSpec("subtract", width, {"S": x, "B": y}, expected=x - y)
     if operation == "reverse_carry":
-        a, b = int(rng.integers(top)), int(rng.integers(top))
+        a, b = draw(), draw()
         cin = int(rng.integers(2))
         total = a + b + cin
         return TaskSpec("reverse_carry", width,
                         {"S": total % top, "Cout": total >> width, "Cin": cin})
     if operation == "multiply":
-        a, b = int(rng.integers(top)), int(rng.integers(top))
+        a, b = draw(), draw()
         return TaskSpec("multiply", width, {"A": a, "B": b}, expected=a * b)
     if operation == "divide":
-        b, a = int(rng.integers(top)), int(rng.integers(1, top))
+        b, a = draw(), draw(1)
         return TaskSpec("divide", width, {"P": a * b, "A": a}, expected=b)
     if operation == "factor":
-        a = int(rng.integers(2, top))
-        b = int(rng.integers(2, top))
+        a = draw(2)
+        b = draw(2)
         return TaskSpec("factor", width, {"P": a * b})
     raise ValueError(f"cannot generate random {operation!r} tasks")

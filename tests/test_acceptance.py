@@ -48,6 +48,8 @@ from rbmlogic.training import evaluate_accuracy
 
 from .reference import random_rbm
 
+pytestmark = pytest.mark.slow
+
 _LINES: list[str] = []
 
 

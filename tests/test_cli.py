@@ -181,6 +181,26 @@ class TestSolve:
         assert code == 2
         assert "bad clamp 'A'; expected NAME=INTEGER" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("terminal_map, message", [
+        ({"A": 99}, "terminal_map['A'] = 99 is not a visible index in [0, 5)"),
+        ({"A": -1}, "terminal_map['A'] = -1 is not a visible index in [0, 5)"),
+        (["A", 0], "terminal_map must be an object"),
+    ], ids=["index_99", "index_minus_1", "not_an_object"])
+    def test_bad_sidecar_terminal_map_is_an_input_error(self, tmp_path, model_dir, capsys,
+                                                         terminal_map, message):
+        (tmp_path / "m.json").write_bytes((model_dir / "adder1.json").read_bytes())
+        (tmp_path / "m.terminals.json").write_text(json.dumps({"terminal_map": terminal_map}))
+        code = main(["solve", str(tmp_path / "m.json"), "--op", "add",
+                     "--clamp", "A=1", "--clamp", "B=1", "--chains", "2", "--sweeps", "10"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_sidecar_terminals_may_share_a_unit(self, tmp_path, model_dir):
+        (tmp_path / "m.json").write_bytes((model_dir / "adder1.json").read_bytes())
+        (tmp_path / "m.terminals.json").write_text(json.dumps(
+            {"terminal_map": {"A": 0, "fa0.A": 0, "B": 1}}))
+        assert load_model(tmp_path / "m.json").terminal_map == {"A": 0, "fa0.A": 0, "B": 1}
+
     def test_missing_model_file(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope.json"), "--op", "add",
                      "--clamp", "A=1", "--clamp", "B=1"])

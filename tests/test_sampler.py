@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from pytest import approx
+from scipy.special import expit
 
 from rbmlogic.exact import (
     exact_visible_distribution,
@@ -10,7 +13,7 @@ from rbmlogic.exact import (
     tv_distance,
 )
 from rbmlogic import sampler
-from rbmlogic.merge import MergedModel, compose, model_parts
+from rbmlogic.merge import MergedModel, clamp_arrays, compose, model_parts, resolve_clamp
 from rbmlogic.model import BinaryState, Rbm
 from rbmlogic.sampler import (
     ChainTrace,
@@ -257,6 +260,127 @@ class TestKernelMatchesReference:
         trace, _ = run_chain(model, clamp, n_sweeps=n_sweeps, burn_in=burn_in, thin=thin,
                              seed=3)
         assert trace.samples.tolist() == [list(row) for row in traces[0]]
+
+
+def _mult8_factor():
+    model = builtin_model("mult8", 6.0)
+    return model, clamp_assignments(model, TaskSpec("factor", 8, {"P": 143 * 211}))
+
+
+def _non_dyadic(make, seed):
+    """The case's model with weights scaled by U(0.7, 1.3) and N(0, 1) added to the biases."""
+    def made():
+        model, clamp = make()
+        rbm, constants = model_parts(model)
+        rng = np.random.default_rng(seed)
+        rbm = Rbm(rbm.weights * rng.uniform(0.7, 1.3, rbm.weights.shape),
+                  rbm.visible_bias + rng.normal(size=rbm.n_visible),
+                  rbm.hidden_bias + rng.normal(size=rbm.n_hidden), rbm.visible_names)
+        return MergedModel(rbm, model.terminal_map, constants), clamp
+    return made
+
+
+def _forced(monkeypatch, margin=None, csr=None):
+    """Run every kernel call through the filter; optionally fix the operator.
+
+    With a ``margin``, the fast sigmoid is also pushed up to 0.4 margin
+    off expit: only the exact fallback keeps the undecided entries right.
+    """
+    monkeypatch.setattr(sampler, "FILTER_MIN_ENTRIES", 0)
+    if margin is not None:
+        fast = sampler._fast_sigmoid
+        monkeypatch.setattr(sampler, "_margins", lambda w, bias: np.full(w.shape[1], margin))
+        monkeypatch.setattr(sampler, "_fast_sigmoid",
+                            lambda a: fast(a) + 0.4 * margin * np.cos(7.0 * a))
+    if csr is not None:
+        monkeypatch.setattr(sampler, "_use_csr", lambda w: csr)
+
+
+class TestDecisionFilter:
+    """Fast probabilities with an exact fallback decide exactly as the contract does.
+
+    Every case runs through the filter (FILTER_MIN_ENTRIES = 0, so
+    run_chain's single chain is filtered too) and is checked against the
+    per-sweep reference sampler.  A margin of 0.01, with fast
+    probabilities up to 0.004 off, sends nearly every sweep to the exact
+    fallback.
+    """
+
+    CASES = {
+        "adder16": (_adder16_add, 100),
+        "mult8": (_mult8_factor, 16),
+        "adder16_non_dyadic": (_non_dyadic(_adder16_add, 1), 100),
+        "mult8_non_dyadic": (_non_dyadic(_mult8_factor, 2), 16),
+        "dense_20x64": (lambda: (random_rbm(np.random.default_rng(23), 20, 64),
+                                 {"v1": 1, "v5": 0}), 16),
+    }
+
+    @pytest.mark.parametrize("margin", [None, 0.01], ids=["bound", "margin_0.01"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, case, margin, monkeypatch):
+        make, n_chains = self.CASES[case]
+        model, clamp = make()
+        rbm, _ = model_parts(model)
+        _forced(monkeypatch, margin)
+        idx, vals, _ = clamp_arrays(rbm, resolve_clamp(model, clamp))  # with the constants
+        by_index = dict(zip(idx.tolist(), vals.astype(int).tolist()))
+        seeds = [3 + c for c in range(n_chains)]
+        traces, ref_hist = ref_block_gibbs(rbm, by_index, seeds, 12, 2, 1)
+        hist = multistart(model, clamp, n_chains=n_chains, n_sweeps=12, burn_in=2, seed=3)
+        assert hist.counts == ref_hist
+        trace, _ = run_chain(model, clamp, n_sweeps=12, burn_in=2, seed=3)
+        assert trace.samples.tolist() == [list(row) for row in traces[0]]
+
+    def test_operator_choice(self):
+        assert sampler._use_csr(builtin_model("mult8", 6.0).rbm.weights)
+        assert not sampler._use_csr(builtin_model("adder16", 6.0).rbm.weights)
+        assert not sampler._use_csr(random_rbm(np.random.default_rng(0), 20, 64).weights)
+
+    @pytest.mark.parametrize("margin", [1.0, 0.05], ids=["all_exact", "some_exact"])
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    @given(seed=st.integers(0, 2**32 - 1), nv=st.integers(1, 7), nh=st.integers(0, 9),
+           density=st.sampled_from([0.3, 1.0]), data=st.data())
+    def test_random_models_match_reference(self, csr, margin, seed, nv, nh, density, data):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(scale=2.0, size=(nv, nh)) * (rng.random((nv, nh)) < density)
+        rbm = Rbm(weights, rng.normal(size=nv), rng.normal(size=nh),
+                  tuple(f"v{i}" for i in range(nv)))
+        clamped = data.draw(st.lists(st.integers(0, nv - 1), unique=True, max_size=nv))
+        clamp = {f"v{i}": int(rng.integers(2)) for i in clamped}
+        by_index = {i: clamp[f"v{i}"] for i in clamped}
+        with pytest.MonkeyPatch.context() as mp:
+            _forced(mp, margin, csr)
+            hist = multistart(rbm, clamp, n_chains=3, n_sweeps=15, seed=seed % 1000)
+            trace, _ = run_chain(rbm, clamp, n_sweeps=15, seed=seed % 1000)
+        traces, ref_hist = ref_block_gibbs(rbm, by_index, [seed % 1000 + c for c in range(3)], 15)
+        assert hist.counts == ref_hist
+        assert trace.samples.tolist() == [list(row) for row in traces[0]]
+
+    def test_decide_uses_exact_values_only_where_undecided(self):
+        u = np.array([[0.1, 0.5, 0.9, 0.3]])
+        p = np.array([[0.5, 0.52, 0.5, np.nan]])
+        margin = np.full(4, 0.05)
+
+        def exact():
+            # Disagrees with p everywhere; only the entries within the
+            # margin (0.5 vs 0.52) or with a NaN p may use it.
+            return np.array([[0.0, 0.4, 1.0, 0.4]])
+        assert sampler._decide(u, p, margin, exact).tolist() == [[True, False, False, True]]
+
+        def unused():
+            raise AssertionError("exact values evaluated for decided entries")
+        assert sampler._decide(u[:, :3:2], p[:, :3:2], margin[:2], unused).tolist() == \
+            [[True, False]]
+
+    def test_fast_sigmoid_within_margin_sigmoid_term(self):
+        rng = np.random.default_rng(0)
+        a = np.concatenate([rng.uniform(-750, 750, 500_000), rng.uniform(-40, 40, 500_000)])
+        err = np.abs(sampler._fast_sigmoid(a) - expit(a))
+        margin_term = sampler._margins(np.zeros((1, 1)), np.zeros(1))[0]
+        assert margin_term == 2.0**-47
+        assert err.max() <= margin_term
+        assert np.array_equal(sampler._fast_sigmoid(np.array([-800.0, 0.0, 800.0])),
+                              [0.0, 0.5, 1.0])
 
 
 class TestSamplingAccuracy:

@@ -1,5 +1,8 @@
 """Task encodings, clamp patterns, answer extraction, and end-to-end solve."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +10,10 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from rbmlogic.merge import MergedModel
+from rbmlogic import tasks
 from rbmlogic.model import Rbm
 from rbmlogic.sampler import Histogram
-from rbmlogic.synthesis import builtin_model
+from rbmlogic.synthesis import bit_names, builtin_model
 from rbmlogic.tasks import (
     SolveSettings,
     TaskSpec,
@@ -274,6 +278,7 @@ class TestSolve:
         with pytest.raises(ValueError, match="bad sampler settings"):
             SolveSettings(burn_in=-1)
 
+    @pytest.mark.slow
     def test_addition_on_trained_unit(self, trained_adder1):
         model, _ = trained_adder1
         task = TaskSpec("add", 1, {"A": 1, "B": 1})
@@ -304,12 +309,47 @@ class TestSolve:
         assert all(a > 1 and b > 1 and a * b != 3
                    for (a, b), _ in result.factor_pairs)
 
+    @pytest.mark.slow
     def test_subtraction(self, trained_adder1):
         model, _ = trained_adder1
         task = TaskSpec("subtract", 1, {"S": 1, "B": 0})
         result = solve(model, task, SolveSettings(n_chains=4, n_sweeps=500, seed=1))
         assert result.success
         assert result.operands == {"A": 1}
+
+
+def _random_histogram(names, seed, n_keys):
+    """Counts 1..5 on random keys: many ties, duplicates merged."""
+    rng = np.random.default_rng(seed)
+    hist = Histogram(tuple(names))
+    keys = rng.integers(0, 2, size=(n_keys, len(names)))
+    for key, count in zip(keys.tolist(), rng.integers(1, 6, size=n_keys).tolist()):
+        hist.add(tuple(key), count)
+    return hist
+
+
+class TestSolveResultPinned:
+    """solve() read out of a fixed histogram, against digests of the
+    output that the per-key decoding and full sort gave before the
+    vectorized factor extraction."""
+
+    CASES = {
+        "factor": ("mult4", TaskSpec("factor", 4, {"P": 15}),
+                   bit_names("A", 4) + bit_names("B", 4), 1, 300,
+                   "aa96d168a18264fc016e25da9fd3b6368283dd271dd68dabde0fb1352d68743e"),
+        "add": ("adder4", TaskSpec("add", 4, {"A": 3, "B": 9}), bit_names("S", 4) + ["Cout"],
+                2, 60, "2997b18cd2f3953a08bb3b2159fd634532cc000c4989bee0e991e21d352f0ae9"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_terminals_count_top_and_factor_pairs(self, case, monkeypatch):
+        unit, task, names, seed, n_keys, digest = self.CASES[case]
+        hist = _random_histogram(names, seed, n_keys)
+        monkeypatch.setattr(tasks, "multistart", lambda *args, **kwargs: hist)
+        r = solve(builtin_model(unit), task, SolveSettings(top_k=7))
+        out = [sorted(r.terminals.items()), r.count, r.total,
+               [[sorted(d.items()), c] for d, c in r.top], r.factor_pairs]
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == digest
 
 
 class TestRandomTask:
@@ -331,6 +371,66 @@ class TestRandomTask:
             assert div.clamps["P"] == div.clamps["A"] * div.expected
             fac = random_task("factor", 3, rng)
             assert fac.clamps["P"] >= 4
+
+    # SHA-256 of 20 tasks per operation drawn from default_rng(width),
+    # computed before wide widths were supported: narrow draws are unchanged.
+    NARROW_DIGESTS = {
+        4: "960909d25afb16f17143a1e1b0a8a4299c4c275f7ebc8d3aa8012f93f91fb38e",
+        8: "9456bc2a7e3d75bface4a7f268121cb5202341951696120f8fb91311672e7eff",
+        16: "366db41985fa5a91db00bd9d9c6eca2b99ba96509bb8950ac6e52aabdf90b810",
+    }
+
+    @pytest.mark.parametrize("width", sorted(NARROW_DIGESTS))
+    def test_narrow_draws_are_pinned(self, width):
+        rng = np.random.default_rng(width)
+        out = []
+        for op in ("add", "subtract", "reverse_carry", "multiply", "divide", "factor"):
+            for _ in range(20):
+                t = random_task(op, width, rng)
+                out.append([t.operation, t.bit_width, sorted(t.clamps.items()), t.expected])
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
+            self.NARROW_DIGESTS[width]
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_wide_tasks_are_in_range_and_solvable(self, width):
+        top = 2**width
+
+        def model(operands):
+            names = [n for op, w in operands for n in bit_names(op, w)]
+            return Rbm(np.zeros((len(names), 1)), np.zeros(len(names)), np.zeros(1), names)
+
+        adder = model([("A", width), ("B", width), ("Cin", 1), ("S", width), ("Cout", 1)])
+        mult = model([("A", width), ("B", width), ("P", 2 * width)])
+
+        def bits(operand, value, n=width):
+            return dict(zip(bit_names(operand, n), encode_int(value, n)))
+
+        rng = np.random.default_rng(width)
+        seen = []
+        for _ in range(20):
+            add = random_task("add", width, rng)
+            total = add.expected
+            assert assignment_checker(adder, add)(
+                bits("S", total % top) | {"Cout": total >> width})
+            sub = random_task("subtract", width, rng)
+            assert assignment_checker(adder, sub)(bits("A", sub.expected))
+            rc = random_task("reverse_carry", width, rng)
+            rest = rc.clamps["S"] + top * rc.clamps["Cout"] - rc.clamps["Cin"]
+            a = min(rest, top - 1)
+            assert assignment_checker(adder, rc)(bits("A", a) | bits("B", rest - a))
+            mul = random_task("multiply", width, rng)
+            assert assignment_checker(mult, mul)(bits("P", mul.expected, 2 * width))
+            div = random_task("divide", width, rng)
+            assert div.clamps["A"] >= 1
+            assert assignment_checker(mult, div)(bits("B", div.expected))
+            fac = random_task("factor", width, rng)
+            assert 4 <= fac.clamps["P"] < top**2
+            for task, model_ in ((add, adder), (sub, adder), (rc, adder),
+                                 (mul, mult), (div, mult), (fac, mult)):
+                clamp_assignments(model_, task)  # every operand fits its terminals
+            seen += [add.clamps["A"], add.clamps["B"], mul.clamps["A"], div.clamps["A"]]
+        assert 0 <= min(seen) and max(seen) < top
+        assert max(seen) >= top // 2  # the top word is drawn too
 
     def test_unknown_operation(self):
         with pytest.raises(ValueError, match="cannot generate"):

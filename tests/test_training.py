@@ -363,6 +363,7 @@ class TestTrain:
         assert np.array_equal(m1.hidden_bias, m2.hidden_bias)
         assert log1 == log2
 
+    @pytest.mark.slow
     def test_metrics_structure(self, trained_adder1):
         _, metrics = trained_adder1
         assert metrics, "training log must not be empty"
@@ -380,6 +381,7 @@ class TestTrain:
         first_k = metrics[0]["k"]
         assert first_k == TrainConfig().k_initial
 
+    @pytest.mark.slow
     def test_trained_adder_is_perfect(self, trained_adder1):
         model, metrics = trained_adder1
         assert model.visible_names == ("A", "B", "Cin", "S", "Cout")
@@ -387,6 +389,7 @@ class TestTrain:
         best = max(m["accuracy"] for m in metrics if m["accuracy"] is not None)
         assert best == 1.0
 
+    @pytest.mark.slow
     def test_trained_multiplier_is_accurate(self, trained_mult2):
         model, _ = trained_mult2
         assert evaluate_accuracy(model, "mult2") >= 0.95
