@@ -45,10 +45,10 @@ from .synthesis import (
     build_adder,
     build_multiplier,
     builtin_model,
-    multiplier_width,
     parse_unit,
 )
-from .tasks import SolveSettings, TaskSpec, public_terminals, random_task, solve
+from .tasks import (OPERATIONS, SolveSettings, TaskSpec, decode_int, model_interface,
+                    public_terminals, random_task, solve)
 from .training import TrainConfig, train
 
 
@@ -88,7 +88,7 @@ def load_model(path: str):
     if side.exists():
         info = json.loads(side.read_text())
         return MergedModel(rbm, _terminal_map(info["terminal_map"], rbm.n_visible, side),
-                           {k: int(v) for k, v in info.get("constants", {}).items()})
+                           _constants(info.get("constants", {}), side))
     return rbm
 
 
@@ -105,6 +105,38 @@ def _terminal_map(raw, n_visible: int, side: Path) -> dict[str, int]:
             raise ValueError(f"{side}: terminal_map[{name!r}] = {index!r} is not "
                              f"a visible index in [0, {n_visible})")
     return dict(raw)
+
+
+def _constants(raw, side: Path) -> dict[str, int]:
+    """A sidecar's constants: terminal names to the bits they are held at."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{side}: constants must be an object of name -> 0 or 1")
+    for name, bit in raw.items():
+        if type(bit) is not int or bit not in (0, 1):
+            raise ValueError(f"{side}: constants[{name!r}] = {bit!r} must be 0 or 1")
+    return dict(raw)
+
+
+def _netlist(raw: dict, sharpness: float) -> Netlist:
+    """A netlist JSON object as a Netlist, the shape of each field checked."""
+    def strings(values) -> bool:
+        return all(isinstance(v, str) for v in values)
+
+    comps, pairs, exports = raw["components"], raw.get("connections"), raw.get("exports", {})
+    for name, shape, ok in (
+        ("components", "a list of objects with string id and model",
+         isinstance(comps, list) and all(
+             isinstance(c, dict) and strings((c.get("id"), c.get("model"))) for c in comps)),
+        ("connections", "a list of [endpoint, endpoint] string pairs",
+         isinstance(pairs, list) and all(
+             isinstance(p, list) and len(p) == 2 and strings(p) for p in pairs)),
+        ("exports", "an object of string -> string",
+         isinstance(exports, dict) and strings(exports.values())),
+    ):
+        if not ok:
+            raise ValueError(f"netlist {name} must be {shape}")
+    return Netlist([(c["id"], _resolve_component(c["model"], sharpness)) for c in comps],
+                   [tuple(p) for p in pairs], dict(exports))
 
 
 def _resolve_component(spec: str, sharpness: float):
@@ -157,13 +189,7 @@ def cmd_build(args, argv) -> int:
     if spec.endswith(".json") and os.path.exists(spec) and not args.base:
         raw = json.loads(Path(spec).read_text())
         if "components" in raw:
-            netlist = Netlist(
-                components=[(c["id"], _resolve_component(c["model"], args.sharpness))
-                            for c in raw["components"]],
-                connections=[tuple(pair) for pair in raw["connections"]],
-                exports=dict(raw.get("exports", {})),
-            )
-            model = compose(netlist)
+            model = compose(_netlist(raw, args.sharpness))
         else:
             model = load_model(spec)
     elif args.base:
@@ -237,29 +263,17 @@ def cmd_solve(args, argv) -> int:
     if result.factor_pairs is not None:
         shown = ", ".join(f"{a}x{b}:{c}" for (a, b), c in result.factor_pairs[:args.top_k])
         print(f"nontrivial factor pairs: {shown or 'none found'}")
-    if args.expected is not None:
-        expected_ok = _expected_matches(result, args.expected)
-        print(f"expected {args.expected}: {'match' if expected_ok else 'MISMATCH'}")
+    if args.expected is not None:  # the answer bits, LSB first, as one integer
+        got = decode_int(list(result.terminals.values()))
+        print(f"expected {args.expected}: {'match' if got == args.expected else 'MISMATCH'}")
     print("verdict:", "consistent" if result.success else "INCONSISTENT")
     return 0 if result.success else 1
-
-
-def _expected_matches(result, expected: int) -> bool:
-    op = result.task.operation
-    if op == "add":
-        s_bits = sum(1 for name in result.terminals if name != "Cout")
-        total = result.operands.get("S", 0) + (result.operands.get("Cout", 0) << s_bits)
-        return total == expected
-    key = {"subtract": "A", "multiply": "P", "divide": "B"}.get(op)
-    return key is not None and result.operands.get(key) == expected
 
 
 def cmd_bench(args, argv) -> int:
     cfg = json.loads(Path(args.config).read_text())
     model = _resolve_component(cfg["model"], cfg.get("sharpness", DEFAULT_SHARPNESS))
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    from .tasks import model_interface
-
     width = model_interface(model).width
     tasks = [random_task(cfg["operation"], width, rng)
              for _ in range(int(cfg.get("count", 10)))]
@@ -398,12 +412,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="clamp a problem and sample the answer")
     p.add_argument("model")
-    p.add_argument("--op", required=True,
-                   choices=["add", "subtract", "reverse_carry", "multiply",
-                            "divide", "factor", "sat"])
+    p.add_argument("--op", required=True, choices=OPERATIONS)
     p.add_argument("--clamp", action="append", metavar="NAME=INT")
     p.add_argument("--cout", choices=["free", "0", "1"], default=None)
-    p.add_argument("--expected", type=int, default=None)
+    p.add_argument("--expected", type=int, default=None,
+                   help="compare with the answer read as one integer (add: S + 2^n Cout)")
     p.add_argument("--chains", type=int, default=8)
     p.add_argument("--sweeps", type=int, default=2000)
     p.add_argument("--burn-in", type=int, default=0)

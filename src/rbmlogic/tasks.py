@@ -1,15 +1,18 @@
 """Posing arithmetic problems to circuit models.
 
 Every operation is the same mechanism with a different clamp pattern on
-an adder (A + B + Cin = S + 2^n Cout) or multiplier (A * B = P):
+an adder (A + B + Cin = S + 2^n Cout) or multiplier (A * B = P).  The
+table ``_OPS`` declares each one once: its unit, the operands it clamps
+(Cin is 0 unless given), the operands it reads, and whether they read as
+one integer:
 
-* add: clamp A, B, Cin; read S, Cout.
+* add: clamp A, B, Cin; read S, Cout (one integer, S + 2^n Cout).
 * subtract: clamp S, B, Cin and (by default) Cout = 0; read A.  Clamping
   Cout to 0 makes borrowing infeasible, so S >= B + Cin is required
   unless cout="free" (or 1) is requested.
 * reverse_carry: clamp S, Cin, Cout; read any consistent (A, B).
 * multiply: clamp A, B; read P.
-* divide: clamp P, A; read B.
+* divide: clamp P, A; read B.  A must be > 0.
 * factor: clamp P; read (A, B).  The trivial factorizations 1 * P and
   P * 1 are valid rows of the multiplier for any P, so the reported
   answer is the most frequent pair with both factors > 1.
@@ -22,7 +25,7 @@ terminal Xj (plain X when the operand is one bit wide).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,10 +33,26 @@ from .merge import public_terminals
 from .sampler import Histogram, mode_estimate, multistart, replica_exchange
 from .synthesis import bit_names, operand_width
 
-OPERATIONS = ("add", "subtract", "reverse_carry", "multiply", "divide", "factor", "sat")
 
-ADDER_OPS = ("add", "subtract", "reverse_carry")
-MULT_OPS = ("multiply", "divide", "factor")
+class _Op(NamedTuple):
+    kind: str | None  # unit the operation runs on; None for sat
+    clamps: tuple[str, ...]  # operands clamped, in clamp order
+    answer: tuple[str, ...]  # operands read as the answer, LSB first
+    integer: bool  # the answer bits read as one integer
+    least: Mapping[str, int] = {}  # smallest value a correct answer allows
+
+
+_OPS = {
+    "add": _Op("adder", ("A", "B", "Cin"), ("S", "Cout"), True),
+    "subtract": _Op("adder", ("S", "B", "Cin", "Cout"), ("A",), True),
+    "reverse_carry": _Op("adder", ("S", "Cin", "Cout"), ("A", "B"), False),
+    "multiply": _Op("multiplier", ("A", "B"), ("P",), True),
+    "divide": _Op("multiplier", ("P", "A"), ("B",), True, {"A": 1}),
+    "factor": _Op("multiplier", ("P",), ("A", "B"), False, {"A": 2, "B": 2}),
+    "sat": _Op(None, (), (), False),
+}
+
+OPERATIONS = tuple(_OPS)
 
 
 def encode_int(value: int, width: int) -> list[int]:
@@ -63,7 +82,8 @@ class TaskSpec:
     ``clamps`` maps operand names (A, B, S, P, Cin, Cout) to integers;
     for the sat operation it maps individual terminal names to bits.
     ``cout`` only affects subtraction: None clamps Cout to 0, "free"
-    leaves it unclamped, 0/1 clamp it explicitly.
+    leaves it unclamped, 0/1 clamp it explicitly.  ``expected`` is only
+    meaningful for operations whose answer reads as one integer.
     """
 
     operation: str
@@ -80,6 +100,9 @@ class TaskSpec:
         for name, value in self.clamps.items():
             if int(value) < 0:
                 raise ValueError(f"clamp {name}={value} is negative")
+        if self.expected is not None and not _OPS[self.operation].integer:
+            raise ValueError(f"operation {self.operation!r} has no single-integer "
+                             f"answer to compare with expected={self.expected}")
 
 
 @dataclass(frozen=True)
@@ -111,62 +134,23 @@ def model_interface(model) -> _Interface:
     return _Interface("multiplier", width, tuple(names))
 
 
-def _require(task: TaskSpec, *operands: str) -> list[int]:
-    missing = [o for o in operands if o not in task.clamps]
+def _clamped_operands(task: TaskSpec) -> dict[str, int]:
+    """Value of each operand the task clamps, in clamp order."""
+    values = {"Cin": 0} | task.clamps
+    if task.operation == "subtract":  # Cout follows task.cout ("free": unclamped)
+        values["Cout"] = 0 if task.cout is None else task.cout
+    clamped = _OPS[task.operation].clamps
+    missing = [o for o in clamped if o not in values]
     if missing:
         raise ValueError(f"operation {task.operation!r} needs clamps for {missing}")
-    return [int(task.clamps[o]) for o in operands]
-
-
-def _check_width(task: TaskSpec, iface: _Interface) -> None:
-    if task.bit_width is not None and task.bit_width != iface.width:
-        raise ValueError(
-            f"task expects {task.bit_width}-bit operands, model has {iface.width}"
-        )
-    expected_kind = "adder" if task.operation in ADDER_OPS else "multiplier"
-    if task.operation != "sat" and iface.kind != expected_kind:
-        article = "an" if expected_kind == "adder" else "a"
-        raise ValueError(
-            f"operation {task.operation!r} needs {article} {expected_kind} model"
-        )
+    return {o: int(values[o]) for o in clamped if values[o] != "free"}
 
 
 def clamp_assignments(model, task: TaskSpec) -> dict[str, int]:
     """Per-terminal clamp bits realizing a task on a model."""
-    iface = model_interface(model) if task.operation != "sat" else None
-    if task.operation != "sat":
-        _check_width(task, iface)
-
-    def spread(operand: str, value: int) -> dict[str, int]:
-        terms = iface.bits(operand)
-        return dict(zip(terms, encode_int(value, len(terms))))
-
-    op = task.operation
+    op = _OPS[task.operation]
     out: dict[str, int] = {}
-    if op == "add":
-        a, b = _require(task, "A", "B")
-        cin = int(task.clamps.get("Cin", 0))
-        out |= spread("A", a) | spread("B", b) | spread("Cin", cin)
-    elif op == "subtract":
-        s, b = _require(task, "S", "B")
-        cin = int(task.clamps.get("Cin", 0))
-        out |= spread("S", s) | spread("B", b) | spread("Cin", cin)
-        if task.cout != "free":
-            out |= spread("Cout", 0 if task.cout is None else int(task.cout))
-    elif op == "reverse_carry":
-        s, cout = _require(task, "S", "Cout")
-        cin = int(task.clamps.get("Cin", 0))
-        out |= spread("S", s) | spread("Cin", cin) | spread("Cout", cout)
-    elif op == "multiply":
-        a, b = _require(task, "A", "B")
-        out |= spread("A", a) | spread("B", b)
-    elif op == "divide":
-        p, a = _require(task, "P", "A")
-        out |= spread("P", p) | spread("A", a)
-    elif op == "factor":
-        (p,) = _require(task, "P")
-        out |= spread("P", p)
-    else:  # sat
+    if op.kind is None:  # sat clamps terminals by name
         names = set(public_terminals(model))
         for term, bit in task.clamps.items():
             if term not in names:
@@ -174,27 +158,37 @@ def clamp_assignments(model, task: TaskSpec) -> dict[str, int]:
             if int(bit) not in (0, 1):
                 raise ValueError(f"sat clamps take bits, got {term}={bit}")
             out[term] = int(bit)
+        return out
+    iface = model_interface(model)
+    if task.bit_width is not None and task.bit_width != iface.width:
+        raise ValueError(
+            f"task expects {task.bit_width}-bit operands, model has {iface.width}"
+        )
+    if iface.kind != op.kind:
+        article = "an" if op.kind == "adder" else "a"
+        raise ValueError(f"operation {task.operation!r} needs {article} {op.kind} model")
+    for operand, value in _clamped_operands(task).items():
+        terms = iface.bits(operand)
+        out |= dict(zip(terms, encode_int(value, len(terms))))
     return out
 
 
 def answer_terminals(model, task: TaskSpec) -> tuple[str, ...]:
     """Free terminals whose mode constitutes the answer, LSB first."""
-    op = task.operation
-    if op == "sat":
+    op = _OPS[task.operation]
+    if op.kind is None:
         clamped = set(clamp_assignments(model, task))
         return tuple(n for n in public_terminals(model) if n not in clamped)
     iface = model_interface(model)
-    if op == "add":
-        return tuple(iface.bits("S") + iface.bits("Cout"))
-    if op == "subtract":
-        return tuple(iface.bits("A"))
-    if op == "reverse_carry":
-        return tuple(iface.bits("A") + iface.bits("B"))
-    if op == "multiply":
-        return tuple(iface.bits("P"))
-    if op == "divide":
-        return tuple(iface.bits("B"))
-    return tuple(iface.bits("A") + iface.bits("B"))  # factor
+    return tuple(t for operand in op.answer for t in iface.bits(operand))
+
+
+def forward_task(width: int, inputs: Sequence[int]) -> TaskSpec:
+    """The task that clamps exactly a unit's inputs, (A, B, Cin) or (A, B)
+    as ``synthesis.unit_inputs`` lists them: add or multiply."""
+    names = ("A", "B", "Cin")[:len(inputs)]
+    operation = next(name for name, op in _OPS.items() if op.clamps == names)
+    return TaskSpec(operation, width, dict(zip(names, inputs)))
 
 
 def group_operands(names: Sequence[str], bits: Sequence[int]) -> dict[str, int]:
@@ -218,64 +212,30 @@ def group_operands(names: Sequence[str], bits: Sequence[int]) -> dict[str, int]:
 
 
 def assignment_checker(model, task: TaskSpec) -> Callable[[Mapping[str, int]], bool]:
-    """Predicate on a decoded answer assignment (terminal name -> bit)."""
-    op = task.operation
-    if op == "sat":
-        def check_sat(answer: Mapping[str, int]) -> bool:
-            return True
-        return check_sat
+    """Predicate on a decoded answer assignment (terminal name -> bit).
+
+    The clamped operands and the decoded answer must satisfy the unit's
+    relation, A + B + Cin = S + 2^n Cout or A * B = P, and the
+    operation's lower bounds.  A subtract Cout left free may be either bit.
+    """
+    op = _OPS[task.operation]
+    if op.kind is None:
+        return lambda answer: True
     iface = model_interface(model)
-    n = iface.width
-    modulus = 2**n
+    clamped = _clamped_operands(task)
+    answer_bits = {operand: iface.bits(operand) for operand in op.answer}
+    modulus = 2**iface.width
 
-    def decoded(answer: Mapping[str, int], operand: str) -> int:
-        return decode_int([int(answer[t]) for t in iface.bits(operand)])
+    def check(answer: Mapping[str, int]) -> bool:
+        v = clamped | {operand: decode_int([int(answer[t]) for t in terms])
+                       for operand, terms in answer_bits.items()}
+        if any(v[operand] < low for operand, low in op.least.items()):
+            return False
+        if op.kind == "multiplier":
+            return v["A"] * v["B"] == v["P"]
+        carries = (v["Cout"],) if "Cout" in v else (0, 1)
+        return any(v["A"] + v["B"] + v["Cin"] == v["S"] + modulus * c for c in carries)
 
-    if op == "add":
-        a, b = int(task.clamps["A"]), int(task.clamps["B"])
-        cin = int(task.clamps.get("Cin", 0))
-        total = a + b + cin
-
-        def check(answer):
-            return (decoded(answer, "S") == total % modulus
-                    and int(answer["Cout"]) == total >> n)
-    elif op == "subtract":
-        s, b = int(task.clamps["S"]), int(task.clamps["B"])
-        cin = int(task.clamps.get("Cin", 0))
-        if task.cout == "free":
-            target = (s - b - cin) % modulus
-
-            def check(answer):
-                return decoded(answer, "A") == target
-        else:
-            cout = 0 if task.cout is None else int(task.cout)
-            target = s + cout * modulus - b - cin
-
-            def check(answer):
-                return 0 <= target < modulus and decoded(answer, "A") == target
-    elif op == "reverse_carry":
-        s, cout = int(task.clamps["S"]), int(task.clamps["Cout"])
-        cin = int(task.clamps.get("Cin", 0))
-
-        def check(answer):
-            return (decoded(answer, "A") + decoded(answer, "B") + cin
-                    == s + modulus * cout)
-    elif op == "multiply":
-        a, b = int(task.clamps["A"]), int(task.clamps["B"])
-
-        def check(answer):
-            return decoded(answer, "P") == a * b
-    elif op == "divide":
-        p, a = int(task.clamps["P"]), int(task.clamps["A"])
-
-        def check(answer):
-            return a > 0 and decoded(answer, "B") * a == p
-    else:  # factor
-        p = int(task.clamps["P"])
-
-        def check(answer):
-            a, b = decoded(answer, "A"), decoded(answer, "B")
-            return a > 1 and b > 1 and a * b == p
     return check
 
 
@@ -319,9 +279,10 @@ class SolveResult:
 
 
 def _nontrivial_factor_mode(hist: Histogram, iface: _Interface):
-    """(A, B) pairs with both factors > 1, by falling count, then (A, B)."""
+    """(A, B) pairs with both factors > 1, by falling count, then (A, B),
+    and the histogram key of the first (None when there is none)."""
     if not hist.counts:
-        return []
+        return [], None
     keys = np.array(list(hist.counts), dtype=np.uint8)
     counts = np.fromiter(hist.counts.values(), dtype=np.int64, count=len(keys))
     a_bits = keys[:, [hist.names.index(t) for t in iface.bits("A")]]
@@ -336,19 +297,19 @@ def _nontrivial_factor_mode(hist: Histogram, iface: _Interface):
                          dtype=np.int64 if bits.shape[1] < 63 else object)
         return (bits[rows].astype(place.dtype) @ place).tolist()
 
-    return [((a, b), n) for a, b, n in
-            zip(decoded(a_bits), decoded(b_bits), counts[rows].tolist())]
+    pairs = [((a, b), n) for a, b, n in
+             zip(decoded(a_bits), decoded(b_bits), counts[rows].tolist())]
+    return pairs, tuple(keys[rows[0]].tolist()) if pairs else None
 
 
-def _factor_mode(hist: Histogram, iface: _Interface, pairs) -> tuple[tuple[int, ...], int]:
-    """The histogram key of the first nontrivial pair, else the plain mode."""
+def _answer_mode(model, task: TaskSpec, hist: Histogram):
+    """``answer_mode`` plus the nontrivial factor pairs (None unless factoring)."""
+    if task.operation != "factor":
+        return (*mode_estimate(hist), None)
+    pairs, key = _nontrivial_factor_mode(hist, model_interface(model))
     if not pairs:
-        return mode_estimate(hist)
-    a_terms, b_terms = iface.bits("A"), iface.bits("B")
-    (a, b), count = pairs[0]
-    by_name = dict(zip(a_terms, encode_int(a, len(a_terms))))
-    by_name |= dict(zip(b_terms, encode_int(b, len(b_terms))))
-    return tuple(by_name[t] for t in hist.names), count
+        return (*mode_estimate(hist), pairs)
+    return key, pairs[0][1], pairs
 
 
 def answer_mode(model, task: TaskSpec, hist: Histogram) -> tuple[tuple[int, ...], int]:
@@ -358,10 +319,8 @@ def answer_mode(model, task: TaskSpec, hist: Histogram) -> tuple[tuple[int, ...]
     rows 1 * P and P * 1 are valid for every product, so the plain mode
     would answer them whenever P fits in one operand.
     """
-    if task.operation == "factor":
-        iface = model_interface(model)
-        return _factor_mode(hist, iface, _nontrivial_factor_mode(hist, iface))
-    return mode_estimate(hist)
+    bits, count, _ = _answer_mode(model, task, hist)
+    return bits, count
 
 
 def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> SolveResult:
@@ -381,13 +340,7 @@ def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> S
             n_sweeps=settings.n_sweeps, burn_in=settings.burn_in,
             thin=settings.thin, seed=settings.seed, record_terminals=record,
         )
-    factor_pairs = None
-    if task.operation == "factor":
-        iface = model_interface(model)
-        factor_pairs = _nontrivial_factor_mode(hist, iface)
-        bits, count = _factor_mode(hist, iface, factor_pairs)
-    else:
-        bits, count = mode_estimate(hist)
+    bits, count, factor_pairs = _answer_mode(model, task, hist)
     terminals = dict(zip(record, (int(b) for b in bits)))
     operands = group_operands(record, bits)
     total = hist.total
@@ -430,31 +383,26 @@ def random_task(operation: str, width: int, rng: np.random.Generator) -> TaskSpe
     def draw(low: int = 0) -> int:
         return _draw(rng, low, top)
 
+    # Values are listed in the operation's clamp order.
     if operation == "add":
-        a, b = draw(), draw()
-        cin = int(rng.integers(2))
-        total = a + b + cin
-        return TaskSpec("add", width, {"A": a, "B": b, "Cin": cin},
-                        expected=total)
-    if operation == "subtract":
+        a, b, cin = draw(), draw(), int(rng.integers(2))
+        values, expected = (a, b, cin), a + b + cin
+    elif operation == "subtract":
         x, y = draw(), draw()
-        if x < y:
-            x, y = y, x
-        return TaskSpec("subtract", width, {"S": x, "B": y}, expected=x - y)
-    if operation == "reverse_carry":
+        values, expected = (max(x, y), min(x, y)), abs(x - y)
+    elif operation == "reverse_carry":
+        a, b, cin = draw(), draw(), int(rng.integers(2))
+        values, expected = ((a + b + cin) % top, cin, (a + b + cin) >> width), None
+    elif operation == "multiply":
         a, b = draw(), draw()
-        cin = int(rng.integers(2))
-        total = a + b + cin
-        return TaskSpec("reverse_carry", width,
-                        {"S": total % top, "Cout": total >> width, "Cin": cin})
-    if operation == "multiply":
-        a, b = draw(), draw()
-        return TaskSpec("multiply", width, {"A": a, "B": b}, expected=a * b)
-    if operation == "divide":
+        values, expected = (a, b), a * b
+    elif operation == "divide":
         b, a = draw(), draw(1)
-        return TaskSpec("divide", width, {"P": a * b, "A": a}, expected=b)
-    if operation == "factor":
-        a = draw(2)
-        b = draw(2)
-        return TaskSpec("factor", width, {"P": a * b})
-    raise ValueError(f"cannot generate random {operation!r} tasks")
+        values, expected = (a * b, a), b
+    elif operation == "factor":
+        a, b = draw(2), draw(2)
+        values, expected = (a * b,), None
+    else:
+        raise ValueError(f"cannot generate random {operation!r} tasks")
+    return TaskSpec(operation, width, dict(zip(_OPS[operation].clamps, values)),
+                    expected=expected)

@@ -32,8 +32,9 @@ from .merge import model_parts, resolve_clamp
 from .model import Rbm
 from .synthesis import (adder_table, multiplier_table, parse_unit, unit_inputs, unit_row,
                         unit_terminals)
-from .tasks import TaskSpec, answer_terminals, assignment_checker, clamp_assignments
-from . import exact, sampler
+from .tasks import (SolveSettings, answer_terminals, assignment_checker, clamp_assignments,
+                    forward_task, solve)
+from . import exact
 
 # Hidden-layer sizes known to train well for specific units.
 KNOWN_HIDDEN = {("adder", 1): 6, ("adder", 2): 28, ("adder", 4): 64,
@@ -220,14 +221,6 @@ def _instances(kind: str, width: int, limit: int, seed: int) -> list[tuple[int, 
     return [(i >> width, i & mask) for i in picks]  # index = a << width | b
 
 
-def _instance_task(kind: str, width: int, inputs: tuple[int, ...]) -> TaskSpec:
-    if kind == "adder":
-        a, b, cin = inputs
-        return TaskSpec("add", width, {"A": a, "B": b, "Cin": cin})
-    a, b = inputs
-    return TaskSpec("multiply", width, {"A": a, "B": b})
-
-
 def _exact_eval_feasible(model, spec) -> bool:
     rbm, _ = model_parts(model)
     free = rbm.n_visible - len(resolve_clamp(model, clamp_assignments(model, spec)))
@@ -249,26 +242,21 @@ def evaluate_accuracy(model, task, n_instances: int = 64, n_chains: int = 2,
     kind, width, _ = task_layout(task)
     instances = _instances(kind, width, n_instances, seed)
     use_exact = method == "exact" or (
-        method == "auto"
-        and _exact_eval_feasible(model, _instance_task(kind, width, instances[0]))
+        method == "auto" and _exact_eval_feasible(model, forward_task(width, instances[0]))
     )
     correct = 0
     for i, inputs in enumerate(instances):
-        spec = _instance_task(kind, width, inputs)
-        clamp = clamp_assignments(model, spec)
-        record = answer_terminals(model, spec)
+        spec = forward_task(width, inputs)
         if use_exact:
+            record = answer_terminals(model, spec)
             dist = exact.exact_visible_distribution(
-                model, clamp=clamp, max_hidden=2**20).marginal(record)
+                model, clamp=clamp_assignments(model, spec), max_hidden=2**20,
+            ).marginal(record)
             bits = dist.support[int(np.argmax(dist.probabilities))]
+            correct += assignment_checker(model, spec)(dict(zip(record, bits)))
         else:
-            hist = sampler.multistart(
-                model, clamp, n_chains=n_chains, n_sweeps=n_sweeps,
-                seed=seed + 1000 * i, record_terminals=record,
-            )
-            bits, _ = sampler.mode_estimate(hist)
-        if assignment_checker(model, spec)(dict(zip(record, bits))):
-            correct += 1
+            settings = SolveSettings(n_chains=n_chains, n_sweeps=n_sweeps, seed=seed + 1000 * i)
+            correct += solve(model, spec, settings).success
     return correct / len(instances)
 
 

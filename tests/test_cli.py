@@ -95,6 +95,27 @@ class TestBuild:
         assert main(["build", "wat", "-o", str(tmp_path / "w.json")]) == 2
         assert "unknown builtin model 'wat'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, field", [
+        ({"components": {"g0": "xor"}}, "components"),
+        ({"components": [["g0", "xor"]]}, "components"),
+        ({"components": [{"id": "g0", "model": 5}]}, "components"),
+        ({"components": [{"model": "xor"}]}, "components"),
+        ({"connections": None}, "connections"),
+        ({"connections": [["g0.out", "g1.in1", "g1.in2"]]}, "connections"),
+        ({"connections": [["g0.out", 1]]}, "connections"),
+        ({"exports": [["g0.in1", "X"]]}, "exports"),
+        ({"exports": {"g0.in1": 7}}, "exports"),
+    ], ids=["components_object", "component_list", "model_int", "id_missing",
+            "connections_missing", "connection_triple", "endpoint_int", "exports_list",
+            "export_int"])
+    def test_malformed_netlist_is_an_input_error(self, tmp_path, capsys, change, field):
+        net = {"components": [{"id": "g0", "model": "xor"}, {"id": "g1", "model": "xor"}],
+               "connections": [["g0.out", "g1.in1"]], "exports": {"g0.in1": "X"}}
+        (tmp_path / "net.json").write_text(json.dumps(net | change))
+        assert main(["build", str(tmp_path / "net.json"), "-o", str(tmp_path / "m.json")]) == 2
+        assert f"error: netlist {field} must be " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestTrain:
     def test_writes_model_metrics_and_manifest(self, tmp_path, monkeypatch, capsys):
@@ -144,6 +165,35 @@ class TestSolve:
         assert "expected 2: match" in capsys.readouterr().out
         assert main(argv + ["3"]) == 0
         assert "expected 3: MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model, op, clamps, answer", [
+        ("adder1", "subtract", ["S=1", "B=0"], 1),
+        ("mult2", "multiply", ["A=3", "B=2"], 6),
+        ("mult2", "divide", ["P=6", "A=2"], 3),
+    ])
+    def test_expected_compares_the_answer_integer(self, model_dir, capsys, model, op,
+                                                  clamps, answer):
+        argv = ["solve", str(model_dir / f"{model}.json"), "--op", op, "--chains", "4",
+                "--sweeps", "400", *(x for c in clamps for x in ("--clamp", c)), "--expected"]
+        assert main(argv + [str(answer)]) == 0
+        assert f"expected {answer}: match" in capsys.readouterr().out
+        assert main(argv + [str(answer + 1)]) == 0
+        assert f"expected {answer + 1}: MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model, op, clamps", [
+        ("adder1", "reverse_carry", ["S=0", "Cout=1"]),
+        ("mult2", "factor", ["P=6"]),
+        ("xor", "sat", ["out=1"]),
+    ])
+    def test_expected_needs_a_single_integer_answer(self, model_dir, capsys, model, op,
+                                                    clamps):
+        argv = ["solve", str(model_dir / f"{model}.json"), "--op", op, "--chains", "2",
+                "--sweeps", "10", *(x for c in clamps for x in ("--clamp", c)),
+                "--expected", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"operation {op!r} has no single-integer answer" in captured.err
+        assert "mode:" not in captured.out
 
     def test_histogram_outputs_and_manifest(self, tmp_path, monkeypatch, model_dir):
         monkeypatch.chdir(tmp_path)
@@ -285,6 +335,22 @@ class TestDiagnose:
         code = main(["diagnose", str(tmp_path / "m.json"), "-o", str(tmp_path / "out")])
         assert code == 2
         assert "must be 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("constants, message", [
+        ({"x": 0.5}, "constants['x'] = 0.5 must be 0 or 1"),
+        ({"x": "1"}, "constants['x'] = '1' must be 0 or 1"),
+        (["x", 0], "constants must be an object"),
+    ], ids=["half", "string", "list"])
+    def test_sidecar_constants_are_validated_on_load(self, tmp_path, capsys, constants,
+                                                     message):
+        rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
+        rbm.save(tmp_path / "m.json")
+        (tmp_path / "m.terminals.json").write_text(json.dumps(
+            {"terminal_map": {"x": 0, "y": 1}, "constants": constants}))
+        code = main(["diagnose", str(tmp_path / "m.json"), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

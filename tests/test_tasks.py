@@ -1,6 +1,7 @@
 """Task encodings, clamp patterns, answer extraction, and end-to-end solve."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -239,6 +240,89 @@ class TestAssignmentChecker:
     def test_sat_accepts_anything(self):
         check = assignment_checker(builtin_model("xor"), TaskSpec("sat", clamps={}))
         assert check({"whatever": 1})
+
+
+def _semantics_cases():
+    """(model name, TaskSpec) for every operation at widths 1 and 2.
+
+    Each clamped operand runs over its whole range plus the first value
+    that does not fit; Cin is left out or set to 0, 1 or 2; subtract
+    runs under every ``cout``.  Divide covers A = 0 and factor the
+    trivial pairs.  Missing operands, the wrong unit kind, a wrong
+    bit width and sat clamps (including bad ones) are cases too.
+    """
+    cases = []
+    cins = [{}, {"Cin": 0}, {"Cin": 1}, {"Cin": 2}]
+    for w in (1, 2):
+        adder, mult = f"adder{w}", f"mult{w}"
+        word, product = range(2**w + 1), range(4**w + 1)
+        for a, b, cin in itertools.product(word, word, cins):
+            cases.append((adder, TaskSpec("add", w, {"A": a, "B": b} | cin)))
+        for s, b, cin, cout in itertools.product(word, word, cins, (None, 0, 1, "free")):
+            cases.append((adder, TaskSpec("subtract", w, {"S": s, "B": b} | cin, cout=cout)))
+        for s, cout, cin in itertools.product(word, (0, 1, 2), cins):
+            cases.append((adder, TaskSpec("reverse_carry", w, {"S": s, "Cout": cout} | cin)))
+        for a, b in itertools.product(word, word):
+            cases.append((mult, TaskSpec("multiply", w, {"A": a, "B": b})))
+        for p, a in itertools.product(product, word):
+            cases.append((mult, TaskSpec("divide", w, {"P": p, "A": a})))
+        for p in product:
+            cases.append((mult, TaskSpec("factor", w, {"P": p})))
+        full = {"add": (adder, {"A": 1, "B": 1, "Cin": 1}),
+                "subtract": (adder, {"S": 1, "B": 1, "Cin": 1, "Cout": 1}),
+                "reverse_carry": (adder, {"S": 1, "Cin": 1, "Cout": 1}),
+                "multiply": (mult, {"A": 1, "B": 1}),
+                "divide": (mult, {"P": 1, "A": 1}),
+                "factor": (mult, {"P": 1})}
+        for op, (model, clamps) in full.items():
+            for name in clamps:
+                cases.append((model, TaskSpec(op, w, {k: v for k, v in clamps.items()
+                                                      if k != name})))
+            other = mult if model == adder else adder
+            cases.append((other, TaskSpec(op, w, clamps)))
+            cases.append((model, TaskSpec(op, w + 1, clamps)))
+            cases.append((model, TaskSpec(op, None, clamps)))
+    for model in ("adder1", "mult1"):
+        names = public_terminals(builtin_model(model))
+        for bits in itertools.product((None, 0, 1), repeat=len(names)):
+            clamps = {n: b for n, b in zip(names, bits) if b is not None}
+            cases.append((model, TaskSpec("sat", None, clamps)))
+        cases.append((model, TaskSpec("sat", None, {"zap": 1})))
+        cases.append((model, TaskSpec("sat", None, {names[0]: 2})))
+    return cases
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, KeyError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestOperationSemanticsPinned:
+    """Clamps, answer terminals and checker verdicts of every operation,
+    against a digest computed when each operation had its own branch in
+    clamp_assignments, answer_terminals and assignment_checker."""
+
+    DIGEST = "798ff34210f1989f221fab50e033cbac088b80a5dd8d6f78e4d7fddd6218a348"
+
+    def test_every_operation_and_clamp_value(self):
+        models = {n: builtin_model(n) for n in ("adder1", "adder2", "mult1", "mult2")}
+        out = []
+        for name, task in _semantics_cases():
+            model = models[name]
+            clamp = _outcome(lambda: list(clamp_assignments(model, task).items()))
+            record = _outcome(lambda: list(answer_terminals(model, task)))
+            verdicts = None
+            if isinstance(clamp, list):
+                check = assignment_checker(model, task)
+                verdicts = "".join(
+                    str(int(check(dict(zip(record, bits)))))
+                    for bits in itertools.product((0, 1), repeat=len(record)))
+            out.append([name, task.operation, task.bit_width, sorted(task.clamps.items()),
+                        task.cout, clamp, record, verdicts])
+        assert len(out) == 1326
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == self.DIGEST
 
 
 class TestAnswerMode:
