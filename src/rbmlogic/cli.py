@@ -80,13 +80,38 @@ def save_model(model, path: Path) -> list[Path]:
     return written
 
 
+# Top-level keys of a model JSON; a netlist JSON has "components" instead.
+MODEL_KEYS = ("visible", "hidden_bias", "weights")
+
+
+def _json_object(path: Path, what: str) -> dict:
+    raw = json.loads(path.read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _model_or_netlist(path: Path) -> dict:
+    """A model or netlist file's top-level object: a netlist has
+    components, a model every one of MODEL_KEYS."""
+    raw = _json_object(path, "a model or netlist")
+    missing = [k for k in MODEL_KEYS if k not in raw]
+    if missing and "components" not in raw:
+        raise ValueError(f"{path}: neither a model nor a netlist: missing "
+                         f"{', '.join(missing)} (or a netlist's components)")
+    return raw
+
+
 def load_model(path: str):
     """Read a model JSON, upgrading to MergedModel if a sidecar exists."""
     path = Path(path)
-    rbm = Rbm.load(path)
+    raw = _model_or_netlist(path)
+    if "components" in raw:
+        raise ValueError(f"{path} is a netlist; build it into a model first")
+    rbm = Rbm.from_json_dict(raw)
     side = _sidecar(path)
     if side.exists():
-        info = json.loads(side.read_text())
+        info = _json_object(side, "a terminals sidecar")
         return MergedModel(rbm, _terminal_map(info["terminal_map"], rbm.n_visible, side),
                            _constants(info.get("constants", {}), side))
     return rbm
@@ -187,7 +212,7 @@ def cmd_build(args, argv) -> int:
     out = _out_path(args.output)
     spec = args.spec
     if spec.endswith(".json") and os.path.exists(spec) and not args.base:
-        raw = json.loads(Path(spec).read_text())
+        raw = _model_or_netlist(Path(spec))
         if "components" in raw:
             model = compose(_netlist(raw, args.sharpness))
         else:
@@ -215,7 +240,7 @@ def cmd_build(args, argv) -> int:
 
 
 def cmd_train(args, argv) -> int:
-    overrides = json.loads(Path(args.config).read_text()) if args.config else {}
+    overrides = _json_object(Path(args.config), "a train config") if args.config else {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.cap is not None:

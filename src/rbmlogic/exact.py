@@ -25,6 +25,9 @@ from .model import free_energy_batch
 
 MAX_FREE_UNITS = 24
 MAX_HIDDEN_UNITS = 30
+# exact_marginal_modes scores trained and merged units for accuracy; it
+# sums the hidden layer out, so wide layers cost only linear time.
+MAX_MODE_HIDDEN_UNITS = 2**20
 MAX_JOINT_UNITS = 20
 MAX_MATRIX_UNITS = 14
 
@@ -91,6 +94,54 @@ class ExactDistribution:
         )
 
 
+# Pass sizes of the enumerations below.  exact_visible_distribution scores
+# PASS_ROWS visible rows per pass.  exact_marginal_modes holds at most
+# PASS_ACTIVATIONS hidden activations (rows x hidden units) per pass, but
+# never fewer rows than exact_visible_distribution's pass of one clamp,
+# min(2^free, PASS_ROWS); both are powers of two, so no pass is a short
+# tail.  That keeps its scores byte-identical: BLAS rounds a row alike in
+# any pass whose length is a multiple of its kernel's row block (4 rows in
+# the OpenBLAS measured), but not in a shorter tail.
+PASS_ROWS = 1 << 16
+PASS_ACTIVATIONS = 1 << 16
+
+
+def _shared_clamp(rbm, assignments: Sequence[Mapping[str, int]],
+                  max_free: int, max_hidden: int):
+    """(clamped indices, one row of their values per assignment, free
+    indices) of resolved assignments that all fix the same units."""
+    arrays = [clamp_arrays(rbm, a) for a in assignments]
+    idx, _, free = arrays[0]
+    if any(not np.array_equal(a[0], idx) for a in arrays):
+        raise ValueError("clamps must fix the same units")
+    if free.size > max_free:
+        raise ValueError(f"{free.size} free units exceed limit {max_free}")
+    if rbm.n_hidden > max_hidden:
+        raise ValueError(f"{rbm.n_hidden} hidden units exceed limit {max_hidden}")
+    return idx, np.array([a[1] for a in arrays]).reshape(len(arrays), idx.size), free
+
+
+def _free_neg_energies(rbm, idx: np.ndarray, vals: np.ndarray, free: np.ndarray,
+                       chunk: int) -> np.ndarray:
+    """-F(v) of every free assignment under each row of clamped values.
+
+    Entry (c, k) is the state whose units ``idx`` hold ``vals[c]`` and
+    whose free unit ``free[i]`` holds bit i of k.  Each pass scores
+    ``chunk`` consecutive states of every clamp at once.
+    """
+    n_states = 2 ** int(free.size)
+    neg_f = np.empty((len(vals), n_states))
+    shifts = np.arange(free.size)[None, :]
+    for start in range(0, n_states, chunk):
+        ks = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
+        V = np.zeros((len(vals), ks.size, rbm.n_visible))
+        V[:, :, idx] = vals[:, None, :]
+        V[:, :, free] = (ks[:, None] >> shifts) & 1
+        neg_f[:, start : start + ks.size] = \
+            -free_energy_batch(rbm, V.reshape(-1, rbm.n_visible)).reshape(len(vals), ks.size)
+    return neg_f
+
+
 def exact_visible_distribution(
     model,
     clamp: Mapping[str, int] | None = None,
@@ -100,27 +151,43 @@ def exact_visible_distribution(
     """Enumerate p(v_free | clamp) by summing out the hidden layer."""
     rbm, _ = model_parts(model)
     assignments = resolve_clamp(model, clamp)
-    idx, vals, free = clamp_arrays(rbm, assignments)
-    if free.size > max_free:
-        raise ValueError(f"{free.size} free units exceed limit {max_free}")
-    if rbm.n_hidden > max_hidden:
-        raise ValueError(f"{rbm.n_hidden} hidden units exceed limit {max_hidden}")
-
-    n_states = 2 ** int(free.size)
-    neg_f = np.empty(n_states)
-    chunk = max(1, min(n_states, 1 << 16))
-    template = np.zeros(rbm.n_visible)
-    template[idx] = vals
-    for start in range(0, n_states, chunk):
-        ks = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
-        V = np.broadcast_to(template, (ks.size, rbm.n_visible)).copy()
-        V[:, free] = (ks[:, None] >> np.arange(free.size)[None, :]) & 1
-        neg_f[start : start + ks.size] = -free_energy_batch(rbm, V)
+    idx, vals, free = _shared_clamp(rbm, [assignments], max_free, max_hidden)
+    neg_f = _free_neg_energies(rbm, idx, vals, free, PASS_ROWS)[0]
     log_z = float(logsumexp(neg_f))
     probs = np.exp(neg_f - log_z)
-    support = ((np.arange(n_states)[:, None] >> np.arange(free.size)[None, :]) & 1).astype(np.uint8)
     names = tuple(rbm.visible_names[i] for i in free)
-    return ExactDistribution(names, support, probs, log_z, dict(assignments))
+    return ExactDistribution(names, _bit_grid(int(free.size)).astype(np.uint8), probs, log_z, dict(assignments))
+
+
+def exact_marginal_modes(model, clamps: Sequence[Mapping[str, int]],
+                         names: Sequence[str]) -> np.ndarray:
+    """Most probable assignment of the free terminals ``names`` under each clamp.
+
+    Row c equals the support row at the ``argmax`` of
+    ``exact_visible_distribution(model, clamps[c]).marginal(names)``,
+    computed the same way; the clamps must fix the same units.  Clamps
+    are scored together, as many per pass as ``PASS_ACTIVATIONS`` holds.
+    """
+    rbm, _ = model_parts(model)
+    idx, vals, free = _shared_clamp(rbm, [resolve_clamp(model, c) for c in clamps],
+                                    MAX_FREE_UNITS, MAX_MODE_HIDDEN_UNITS)
+    free_names = [rbm.visible_names[i] for i in free]
+    k = len(names)
+    index = (_bit_grid(int(free.size)).astype(np.uint8)[:, [free_names.index(n) for n in names]]
+             .astype(np.int64) @ (1 << np.arange(k, dtype=np.int64)))
+    n_states = 2 ** int(free.size)
+    budget = PASS_ACTIVATIONS // max(rbm.n_hidden, 1)
+    rows = max(min(n_states, PASS_ROWS), 1 << max(0, budget.bit_length() - 1))
+    per_pass = max(1, rows // n_states)  # whole clamps per pass
+    best = np.empty(len(vals), dtype=np.int64)
+    for start in range(0, len(vals), per_pass):
+        neg_f = _free_neg_energies(rbm, idx, vals[start : start + per_pass], free, rows)
+        probs = np.exp(neg_f - logsumexp(neg_f, axis=1, keepdims=True))
+        bins = index + (np.arange(len(neg_f))[:, None] << k)
+        marginals = np.bincount(bins.reshape(-1), weights=probs.reshape(-1),
+                                minlength=len(neg_f) << k).reshape(len(neg_f), 2**k)
+        best[start : start + len(neg_f)] = np.argmax(marginals, axis=1)
+    return _bit_grid(k).astype(np.uint8)[best]
 
 
 def kl_divergence(q, p) -> float:

@@ -132,9 +132,30 @@ class Rbm:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
+def _float_list(values: np.ndarray, depth: int) -> str:
+    """``json.dumps(values.tolist(), indent=1)`` for a list nested ``depth``
+    levels deep: one ``float.__repr__`` per line."""
+    if not len(values):
+        return "[]"
+    sep = "\n" + " " * depth
+    return "[" + sep + ("," + sep).join(map(float.__repr__, values.tolist())) + \
+        "\n" + " " * (depth - 1) + "]"
+
+
 def dumps_model(rbm: Rbm) -> str:
-    """Serialize to the canonical JSON layout; round-trips doubles exactly."""
-    return json.dumps(rbm.to_json_dict(), indent=1, allow_nan=False)
+    """Serialize to the canonical JSON layout; round-trips doubles exactly.
+
+    The text is ``json.dumps(rbm.to_json_dict(), indent=1, allow_nan=False)``
+    (parameters are always finite).  With ``indent`` json encodes in pure
+    Python, so only the short visible list goes through it; the weights and
+    hidden bias are joined here in the same layout.
+    """
+    visible = json.dumps([{"name": n, "bias": float(b)}
+                          for n, b in zip(rbm.visible_names, rbm.visible_bias)], indent=1)
+    rows = ",\n  ".join(_float_list(row, 3) for row in rbm.weights)
+    return ('{\n "visible": ' + visible.replace("\n", "\n ")
+            + ',\n "hidden_bias": ' + _float_list(rbm.hidden_bias, 2)
+            + ',\n "weights": [\n  ' + rows + "\n ]\n}")
 
 
 def loads_model(text: str) -> Rbm:

@@ -215,11 +215,8 @@ def operand_width(names: Iterable[str], prefix: str) -> int:
     names = set(names)
     if prefix in names:
         return 1
-    indices = sorted(
-        int(m.group(1))
-        for n in names
-        if (m := re.fullmatch(re.escape(prefix) + r"(\d+)", n))
-    )
+    pattern = re.compile(re.escape(prefix) + r"(\d+)")
+    indices = sorted(int(m.group(1)) for n in names if (m := pattern.fullmatch(n)))
     if not indices:
         raise KeyError(f"no terminals for operand {prefix!r}")
     if indices != list(range(len(indices))):

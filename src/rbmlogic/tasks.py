@@ -278,15 +278,16 @@ class SolveResult:
     chain_sweeps: int = 0  # sweeps spent over every chain and replica
 
 
-def _nontrivial_factor_mode(hist: Histogram, iface: _Interface):
+def _nontrivial_factor_mode(hist: Histogram, a_terms: Sequence[str], b_terms: Sequence[str]):
     """(A, B) pairs with both factors > 1, by falling count, then (A, B),
-    and the histogram key of the first (None when there is none)."""
+    and the histogram key of the first (None when there is none).
+    ``a_terms`` and ``b_terms`` name the bits of A and B, LSB first."""
     if not hist.counts:
         return [], None
     keys = np.array(list(hist.counts), dtype=np.uint8)
     counts = np.fromiter(hist.counts.values(), dtype=np.int64, count=len(keys))
-    a_bits = keys[:, [hist.names.index(t) for t in iface.bits("A")]]
-    b_bits = keys[:, [hist.names.index(t) for t in iface.bits("B")]]
+    a_bits = keys[:, [hist.names.index(t) for t in a_terms]]
+    b_bits = keys[:, [hist.names.index(t) for t in b_terms]]
     rows = np.flatnonzero(a_bits[:, 1:].any(axis=1) & b_bits[:, 1:].any(axis=1))
     # Last lexsort key is primary: count, then A and B, most significant bit first.
     rows = rows[np.lexsort((*b_bits[rows].T, *a_bits[rows].T, -counts[rows]))]
@@ -302,11 +303,16 @@ def _nontrivial_factor_mode(hist: Histogram, iface: _Interface):
     return pairs, tuple(keys[rows[0]].tolist()) if pairs else None
 
 
-def _answer_mode(model, task: TaskSpec, hist: Histogram):
-    """``answer_mode`` plus the nontrivial factor pairs (None unless factoring)."""
+def _answer_mode(task: TaskSpec, hist: Histogram, record: Sequence[str]):
+    """``answer_mode`` plus the nontrivial factor pairs (None unless factoring).
+
+    ``record`` is the task's ``answer_terminals``; a factor task reads A's
+    bits, then B's, which have the same width.
+    """
     if task.operation != "factor":
         return (*mode_estimate(hist), None)
-    pairs, key = _nontrivial_factor_mode(hist, model_interface(model))
+    half = len(record) // 2
+    pairs, key = _nontrivial_factor_mode(hist, record[:half], record[half:])
     if not pairs:
         return (*mode_estimate(hist), pairs)
     return key, pairs[0][1], pairs
@@ -319,7 +325,8 @@ def answer_mode(model, task: TaskSpec, hist: Histogram) -> tuple[tuple[int, ...]
     rows 1 * P and P * 1 are valid for every product, so the plain mode
     would answer them whenever P fits in one operand.
     """
-    bits, count, _ = _answer_mode(model, task, hist)
+    record = answer_terminals(model, task) if task.operation == "factor" else ()
+    bits, count, _ = _answer_mode(task, hist, record)
     return bits, count
 
 
@@ -340,7 +347,7 @@ def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> S
             n_sweeps=settings.n_sweeps, burn_in=settings.burn_in,
             thin=settings.thin, seed=settings.seed, record_terminals=record,
         )
-    bits, count, factor_pairs = _answer_mode(model, task, hist)
+    bits, count, factor_pairs = _answer_mode(task, hist, record)
     terminals = dict(zip(record, (int(b) for b in bits)))
     operands = group_operands(record, bits)
     total = hist.total

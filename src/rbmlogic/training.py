@@ -19,11 +19,23 @@ An epoch presents ``copies_per_epoch`` copies of the state space (or of
 a fresh random sample of it when the space is too large to enumerate
 and ``dataset_cap`` is set).  Small tables train full-batch, one update
 per copy; larger datasets are shuffled and sliced into minibatches.
+
+``cd_step`` and ``train`` run one kernel, ``_cd_update``, which updates
+parameter arrays in place; ``train`` keeps them in one flat buffer and
+builds an ``Rbm`` once per epoch.  Stream contract: one generator seeded
+with ``config.seed`` draws the initial weights, then for each epoch the
+permutation first (after the epoch's sampled rows when ``dataset_cap``
+is set; full-batch epochs have no permutation), then one draw per batch of
+n * (n_hidden + (k - 1) * (n_visible + n_hidden)) uniforms, used in
+order: the initial hidden sample, then (visible, hidden) for each
+intermediate step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -57,6 +69,12 @@ EXACT_MOMENTUM = 0.9
 EXACT_EVAL_WORK = 2**22
 
 
+# TrainConfig fields that are real numbers, and the integer fields that
+# may be None; every other field is an integer.
+_RATES = ("learning_rate", "weight_decay", "init_scale")
+_OPTIONAL = ("batch_size", "dataset_cap")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     k_initial: int = 2
@@ -75,6 +93,14 @@ class TrainConfig:
     eval_sweeps: int = 500
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if name in _RATES:
+                if isinstance(value, bool) or not isinstance(value, Real) \
+                        or not math.isfinite(value):
+                    raise ValueError(f"{name} must be a finite number, got {value!r}")
+            elif not (value is None and name in _OPTIONAL) and (
+                    isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k_initial < 1 or self.k_max < self.k_initial:
             raise ValueError("need 1 <= k_initial <= k_max")
         if min(self.epochs_per_stage, self.copies_per_epoch, self.patience,
@@ -130,15 +156,62 @@ def generate_dataset(task, cap: int | None = None,
     return rows, names
 
 
+def _activation(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``expit(x @ w + bias)``, computed in the product's own buffer."""
+    a = x @ w
+    a += bias
+    return expit(a, out=a)
+
+
+def _cd_update(w: np.ndarray, vb: np.ndarray, hb: np.ndarray, v0: np.ndarray,
+               u: np.ndarray, k: int, lr: float, wd: float) -> None:
+    """One CD-k update of ``w``, ``vb`` and ``hb`` in place from the rows ``v0``.
+
+    ``u`` holds the step's uniforms in draw order: the initial hidden
+    sample, then a visible and a hidden sample for each of the k - 1
+    intermediate steps.  The final step's reconstruction statistics use
+    activation probabilities on both layers instead of samples; at
+    learning rate 1 the sampled version injects enough gradient noise
+    that small tables never converge.  The in-place arithmetic does the
+    operations of ``w += lr * ((v0.T @ ph0 - pv.T @ ph_k) / n - wd * w)``
+    and ``vb += lr * (v0 - pv).mean(axis=0)`` in the same order, so the
+    bits are the same.
+    """
+    n, (nv, nh) = len(v0), w.shape
+    ph0 = _activation(v0, w, hb)
+    h = (u[: n * nh].reshape(n, nh) < ph0).astype(np.float64)
+    pv = _activation(h, w.T, vb)
+    for step in range(k - 1):
+        pos = n * (nh + step * (nv + nh))
+        v = (u[pos : pos + n * nv].reshape(n, nv) < pv).astype(np.float64)
+        ph = _activation(v, w, hb)
+        pos += n * nv
+        h = (u[pos : pos + n * nh].reshape(n, nh) < ph).astype(np.float64)
+        pv = _activation(h, w.T, vb)
+    ph_k = _activation(pv, w, hb)
+    grad = v0.T @ ph0
+    grad -= pv.T @ ph_k
+    grad /= n
+    grad -= wd * w
+    grad *= lr
+    w += grad
+    vb += lr * ((v0 - pv).sum(axis=0) / n)
+    ph0 -= ph_k
+    hb += lr * (ph0.sum(axis=0) / n)
+
+
+def _cd_uniforms(rng: np.random.Generator, n: int, k: int, nv: int, nh: int) -> np.ndarray:
+    """A CD-k step's uniforms for ``n`` rows, drawn in one call."""
+    return rng.random(n * (nh + (k - 1) * (nv + nh)))
+
+
 def cd_step(rbm: Rbm, batch: np.ndarray, config: TrainConfig,
             rng: np.random.Generator, k: int | None = None) -> Rbm:
     """One CD-k parameter update from a batch of visible rows.
 
-    Draw order per step: the initial hidden sample, then alternating
-    visible and hidden samples.  The final step's reconstruction
-    statistics use activation probabilities on both layers instead of
-    samples; at learning rate 1 the sampled version injects enough
-    gradient noise that small tables never converge.
+    Runs ``_cd_update``, the kernel ``train`` runs, on copies of the
+    parameters.  It draws all of the step's uniforms in one call: the
+    initial hidden sample, then alternating visible and hidden samples.
     """
     k = config.k_initial if k is None else k
     if k < 1:
@@ -147,22 +220,10 @@ def cd_step(rbm: Rbm, batch: np.ndarray, config: TrainConfig,
     if v0.ndim != 2 or v0.shape[1] != rbm.n_visible:
         raise ValueError(f"batch shape {v0.shape} does not match "
                          f"{rbm.n_visible} visible units")
-    n = len(v0)
-    w, vb, hb = rbm.weights, rbm.visible_bias, rbm.hidden_bias
-    ph0 = expit(v0 @ w + hb)
-    h = (rng.random(ph0.shape) < ph0).astype(np.float64)
-    for step in range(k):
-        pv = expit(h @ w.T + vb)
-        if step < k - 1:
-            v = (rng.random(pv.shape) < pv).astype(np.float64)
-            ph = expit(v @ w + hb)
-            h = (rng.random(ph.shape) < ph).astype(np.float64)
-    ph_k = expit(pv @ w + hb)
-    lr = config.learning_rate
-    new_w = w + lr * ((v0.T @ ph0 - pv.T @ ph_k) / n - config.weight_decay * w)
-    new_vb = vb + lr * (v0 - pv).mean(axis=0)
-    new_hb = hb + lr * (ph0 - ph_k).mean(axis=0)
-    return Rbm(new_w, new_vb, new_hb, rbm.visible_names)
+    w, vb, hb = (np.array(p) for p in (rbm.weights, rbm.visible_bias, rbm.hidden_bias))
+    u = _cd_uniforms(rng, len(v0), k, rbm.n_visible, rbm.n_hidden)
+    _cd_update(w, vb, hb, v0, u, k, config.learning_rate, config.weight_decay)
+    return Rbm(w, vb, hb, rbm.visible_names)
 
 
 def exact_refine(rbm: Rbm, data: np.ndarray, steps: int) -> Rbm:
@@ -197,12 +258,17 @@ def exact_refine(rbm: Rbm, data: np.ndarray, steps: int) -> Rbm:
     return Rbm(w, vb, hb, rbm.visible_names)
 
 
-def reconstruction_error(rbm: Rbm, data: np.ndarray) -> float:
-    """Mean squared error of the deterministic one-step reconstruction."""
-    v = np.asarray(data, dtype=np.float64)
+def _squared_errors(rbm: Rbm, rows: np.ndarray) -> np.ndarray:
+    """Per-entry squared error of the deterministic one-step reconstruction."""
+    v = np.asarray(rows, dtype=np.float64)
     ph = expit(v @ rbm.weights + rbm.hidden_bias)
     pv = expit(ph @ rbm.weights.T + rbm.visible_bias)
-    return float(np.mean((v - pv) ** 2))
+    return (v - pv) ** 2
+
+
+def reconstruction_error(rbm: Rbm, data: np.ndarray) -> float:
+    """Mean squared error of the deterministic one-step reconstruction."""
+    return float(np.mean(_squared_errors(rbm, data)))
 
 
 def _instances(kind: str, width: int, limit: int, seed: int) -> list[tuple[int, ...]]:
@@ -244,19 +310,18 @@ def evaluate_accuracy(model, task, n_instances: int = 64, n_chains: int = 2,
     use_exact = method == "exact" or (
         method == "auto" and _exact_eval_feasible(model, forward_task(width, instances[0]))
     )
-    correct = 0
-    for i, inputs in enumerate(instances):
-        spec = forward_task(width, inputs)
-        if use_exact:
-            record = answer_terminals(model, spec)
-            dist = exact.exact_visible_distribution(
-                model, clamp=clamp_assignments(model, spec), max_hidden=2**20,
-            ).marginal(record)
-            bits = dist.support[int(np.argmax(dist.probabilities))]
-            correct += assignment_checker(model, spec)(dict(zip(record, bits)))
-        else:
-            settings = SolveSettings(n_chains=n_chains, n_sweeps=n_sweeps, seed=seed + 1000 * i)
-            correct += solve(model, spec, settings).success
+    specs = [forward_task(width, inputs) for inputs in instances]
+    if use_exact:
+        # Forward tasks clamp the same terminals, so one enumeration scores them all.
+        record = answer_terminals(model, specs[0])
+        modes = exact.exact_marginal_modes(
+            model, [clamp_assignments(model, spec) for spec in specs], record)
+        correct = sum(assignment_checker(model, spec)(dict(zip(record, bits)))
+                      for spec, bits in zip(specs, modes))
+    else:
+        correct = sum(solve(model, spec, SolveSettings(n_chains=n_chains, n_sweeps=n_sweeps,
+                                                       seed=seed + 1000 * i)).success
+                      for i, spec in enumerate(specs))
     return correct / len(instances)
 
 
@@ -273,14 +338,22 @@ def train(task, n_hidden: int | None = None,
         np.zeros(n_hidden),
         names,
     )
-    total = dataset_size(task)
     full_rows = None
     if config.dataset_cap is None:
         full_rows, _ = generate_dataset(task)  # raises if too large to enumerate
+        full_rows = full_rows.astype(np.float64)
 
     full_batch = (full_rows is not None and config.batch_size is None
                   and len(full_rows) <= FULL_BATCH_LIMIT)
     batch_size = config.batch_size if config.batch_size is not None else 32
+
+    # One flat buffer, so one isfinite call checks every parameter.
+    params = np.concatenate([rbm.weights.ravel(), rbm.visible_bias, rbm.hidden_bias])
+    nv = len(names)
+    w = params[: nv * n_hidden].reshape(nv, n_hidden)
+    vb = params[nv * n_hidden : nv * (n_hidden + 1)]
+    hb = params[nv * (n_hidden + 1) :]
+    lr, wd = config.learning_rate, config.weight_decay
 
     metrics: list[dict] = []
     best_acc, best_rbm, stale = -1.0, rbm, 0
@@ -288,33 +361,36 @@ def train(task, n_hidden: int | None = None,
     stage = 0
     while True:
         for epoch in range(config.epochs_per_stage):
-            try:
-                if full_batch:
-                    data = full_rows
-                    for _ in range(config.copies_per_epoch):
-                        rbm = cd_step(rbm, data, config, rng, k=k)
+            # The epoch's data is table[order] (the table itself when order
+            # is None), presented in minibatches.
+            if full_batch:
+                table, order = full_rows, None
+                batches = [table] * config.copies_per_epoch
+            else:
+                if full_rows is not None:
+                    table = full_rows
+                    order = rng.permutation(config.copies_per_epoch * len(table))
+                    order %= len(table)  # tiled row i is table row i % len(table)
                 else:
-                    if full_rows is not None:
-                        data = np.tile(full_rows, (config.copies_per_epoch, 1))
-                    else:
-                        data, _ = generate_dataset(
-                            task, cap=config.dataset_cap * config.copies_per_epoch,
-                            rng=rng,
-                        )
-                    data = data[rng.permutation(len(data))]
-                    for start in range(0, len(data), batch_size):
-                        rbm = cd_step(rbm, data[start : start + batch_size],
-                                      config, rng, k=k)
-            except ValueError as exc:
-                # Rbm construction rejects non-finite parameters.
-                if "non-finite" not in str(exc):
-                    raise
-                raise FloatingPointError(
-                    f"training diverged at stage {stage} epoch {epoch} (k={k})"
-                ) from exc
+                    table, _ = generate_dataset(
+                        task, cap=config.dataset_cap * config.copies_per_epoch, rng=rng,
+                    )
+                    table = table.astype(np.float64)
+                    order = rng.permutation(len(table))
+                batches = (table[order[start : start + batch_size]]
+                           for start in range(0, len(order), batch_size))
+            for v0 in batches:
+                _cd_update(w, vb, hb, v0, _cd_uniforms(rng, len(v0), k, nv, n_hidden),
+                           k, lr, wd)
+                if not np.isfinite(params).all():
+                    raise FloatingPointError(
+                        f"training diverged at stage {stage} epoch {epoch} (k={k})")
+            rbm = Rbm(w.copy(), vb.copy(), hb.copy(), names)
+            # Each distinct row's error once, read in the epoch's order.
+            errors = _squared_errors(rbm, table)
             metrics.append({
                 "stage": stage, "k": k, "epoch": epoch,
-                "recon_error": reconstruction_error(rbm, data),
+                "recon_error": float(np.mean(errors if order is None else errors[order])),
                 "accuracy": None,
             })
         acc = evaluate_accuracy(

@@ -117,7 +117,42 @@ class TestBuild:
         assert not (tmp_path / "m.json").exists()
 
 
+    @pytest.mark.parametrize("content, message", [
+        ([1, 2], "must be a JSON object, got list"),
+        ("x", "must be a JSON object, got str"),
+        ({"foo": 1}, "missing visible, hidden_bias, weights"),
+        ({"visible": [], "weights": []}, "missing hidden_bias"),
+    ], ids=["list", "string", "unrelated_object", "partial_model"])
+    def test_json_that_is_neither_model_nor_netlist(self, tmp_path, capsys, content,
+                                                     message):
+        (tmp_path / "x.json").write_text(json.dumps(content))
+        assert main(["build", str(tmp_path / "x.json"), "-o", str(tmp_path / "m.json")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_netlist_is_not_a_model(self, tmp_path, capsys):
+        (tmp_path / "net.json").write_text(json.dumps({"components": []}))
+        assert main(["inspect", str(tmp_path / "net.json")]) == 2
+        assert "is a netlist" in capsys.readouterr().err
+
+
 class TestTrain:
+    @pytest.mark.parametrize("config, field", [
+        ({"k_initial": "2"}, "k_initial"),
+        ({"epochs_per_stage": 2.5}, "epochs_per_stage"),
+        ({"learning_rate": True}, "learning_rate"),
+        ({"batch_size": False}, "batch_size"),
+        ({"weight_decay": "0"}, "weight_decay"),
+        ([1, 2], "train config"),
+    ], ids=["k_str", "epochs_float", "rate_bool", "batch_bool", "decay_str", "not_object"])
+    def test_config_fields_are_typed(self, tmp_path, capsys, config, field):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code = main(["train", "adder1", "-o", str(tmp_path / "t.json"),
+                     "--config", str(tmp_path / "cfg.json")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_writes_model_metrics_and_manifest(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = {"epochs_per_stage": 2, "k_max": 3, "patience": 2,

@@ -22,6 +22,7 @@ from rbmlogic.exact import (
     resolve_clamp,
     tv_distance,
 )
+from rbmlogic import exact
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm
 from rbmlogic.sampler import multistart, replica_exchange, success_curve
@@ -311,3 +312,71 @@ class TestJointDistribution:
         d = exact_visible_distribution(r)
         assert np.allclose(grid.sum(axis=0), d.probabilities, atol=1e-12)
         assert log_z == approx(d.log_partition, abs=1e-10)
+
+
+class TestMarginalModes:
+    """Scoring many clamps in one enumeration gives each clamp's own result."""
+
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        rbm = random_rbm(rng, 9, 12)
+        clamped = rbm.visible_names[:3]
+        clamps = [dict(zip(clamped, bits_le(c, 3))) for c in range(8)]
+        names = [rbm.visible_names[i] for i in (7, 4, 8)]  # a free subset, reordered
+        return rbm, clamps, names
+
+    # (PASS_ROWS, PASS_ACTIVATIONS): slices of one clamp's 64 states, one
+    # clamp per pass, every clamp in one pass.
+    @pytest.mark.parametrize("rows,activations", [(16, 8), (1 << 16, 300), (1 << 16, 1 << 16)])
+    def test_modes_match_one_clamp_distributions(self, monkeypatch, rows, activations):
+        monkeypatch.setattr(exact, "PASS_ROWS", rows)
+        monkeypatch.setattr(exact, "PASS_ACTIVATIONS", activations)
+        for seed in range(5):
+            rbm, clamps, names = self.case(seed)
+            modes = exact.exact_marginal_modes(rbm, clamps, names)
+            for clamp, got in zip(clamps, modes):
+                dist = exact_visible_distribution(rbm, clamp).marginal(names)
+                assert np.array_equal(got, dist.support[np.argmax(dist.probabilities)])
+
+    def test_blocks_and_rows_score_bit_for_bit_alike(self):
+        rbm, clamps, _ = self.case(0)
+        idx, vals, free = exact._shared_clamp(
+            rbm, [resolve_clamp(rbm, c) for c in clamps], 24, 30)
+        whole = exact._free_neg_energies(rbm, idx, vals, free, 1 << 16)
+        for block in (8, 16, 64, 128):
+            assert whole.tobytes() == exact._free_neg_energies(
+                rbm, idx, vals, free, block).tobytes()
+        # The batched normalisation gives each clamp's probabilities exactly.
+        probs = np.exp(whole - exact.logsumexp(whole, axis=1, keepdims=True))
+        for c, clamp in enumerate(clamps):
+            dist = exact_visible_distribution(rbm, clamp)
+            assert probs[c].tobytes() == dist.probabilities.tobytes()
+
+    def test_wide_hidden_layer_keeps_one_clamp_scores(self, monkeypatch):
+        # 20000 hidden units leave room for 2 rows per pass in the activation
+        # budget; passes still hold each clamp's 16 states, so the scores
+        # equal exact_visible_distribution's bit for bit.
+        rng = np.random.default_rng(3)
+        rbm = random_rbm(rng, 7, 20000, scale=0.05)
+        clamped = rbm.visible_names[:3]
+        clamps = [dict(zip(clamped, bits_le(c, 3))) for c in range(8)]
+        names = rbm.visible_names[3:5]
+        scores = []
+        score = exact._free_neg_energies
+        monkeypatch.setattr(exact, "_free_neg_energies",
+                            lambda *args: scores.append(score(*args)) or scores[-1])
+        modes = exact.exact_marginal_modes(rbm, clamps, names)
+        neg_f = np.concatenate(scores)
+        probs = np.exp(neg_f - exact.logsumexp(neg_f, axis=1, keepdims=True))
+        monkeypatch.setattr(exact, "_free_neg_energies", score)
+        for c, clamp in enumerate(clamps):
+            dist = exact_visible_distribution(rbm, clamp, max_hidden=rbm.n_hidden)
+            assert probs[c].tobytes() == dist.probabilities.tobytes()
+            marginal = dist.marginal(names)
+            assert np.array_equal(modes[c], marginal.support[np.argmax(marginal.probabilities)])
+
+    def test_clamps_must_fix_the_same_units(self):
+        rbm, _, names = self.case(0)
+        with pytest.raises(ValueError, match="same units"):
+            exact.exact_marginal_modes(rbm, [{"v0": 1}, {"v1": 0}], names)

@@ -1,5 +1,6 @@
 """Core model: energies, free energies, conditionals, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rbmlogic.merge import model_parts
 from rbmlogic.model import (
     BinaryState,
     Rbm,
@@ -19,6 +21,7 @@ from rbmlogic.model import (
     loads_model,
     visible_conditional,
 )
+from rbmlogic.synthesis import builtin_model
 
 from .reference import bits_le, random_rbm, ref_energy, ref_free_energy
 
@@ -244,3 +247,30 @@ class TestSerialization:
         back = loads_model(dumps_model(rbm))
         assert back.n_hidden == 0
         assert np.array_equal(back.visible_bias, rbm.visible_bias)
+
+
+class TestDumpsLayout:
+    """``dumps_model`` writes exactly what ``json.dumps(..., indent=1)`` does."""
+
+    @staticmethod
+    def reference(rbm):
+        return json.dumps(rbm.to_json_dict(), indent=1, allow_nan=False)
+
+    @pytest.mark.parametrize("name", ["xor", "fa1", "adder4", "adder16", "mult8"])
+    def test_builtin_models(self, name):
+        rbm, _ = model_parts(builtin_model(name))
+        assert dumps_model(rbm) == self.reference(rbm)
+
+    def test_edge_values_and_escaped_names(self):
+        rbm = Rbm(np.array([[-0.0, 5e-324, 1e300], [1.0, -2.5e-310, 3.0]]),
+                  np.array([-0.0, 1e-310]), np.array([0.1, 2.0, -1e300]),
+                  ('a"b', "ü\n\\"))
+        assert dumps_model(rbm) == self.reference(rbm)
+
+    def test_zero_hidden(self):
+        rbm = Rbm(np.zeros((2, 0)), np.array([0.25, -1.5]), np.zeros(0), ("x", "y"))
+        assert dumps_model(rbm) == self.reference(rbm)
+
+    @given(small_rbm())
+    def test_random_models(self, rbm):
+        assert dumps_model(rbm) == self.reference(rbm)

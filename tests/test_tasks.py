@@ -362,6 +362,23 @@ class TestSolve:
         with pytest.raises(ValueError, match="bad sampler settings"):
             SolveSettings(burn_in=-1)
 
+    @pytest.mark.parametrize("task, calls", [
+        (TaskSpec("factor", 2, {"P": 6}), 3),
+        (TaskSpec("multiply", 2, {"A": 2, "B": 3}), 3),
+    ])
+    def test_classifies_the_model_three_times(self, monkeypatch, task, calls):
+        # clamp, answer terminals and checker; the factor mode reads A and B
+        # off the answer terminals instead of classifying the model again.
+        seen = []
+
+        def counting(model):
+            seen.append(model)
+            return model_interface(model)
+
+        monkeypatch.setattr(tasks, "model_interface", counting)
+        solve(builtin_model("mult2"), task, SolveSettings(n_chains=2, n_sweeps=20))
+        assert len(seen) == calls
+
     @pytest.mark.slow
     def test_addition_on_trained_unit(self, trained_adder1):
         model, _ = trained_adder1

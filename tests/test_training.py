@@ -55,6 +55,19 @@ class TestConfig:
         # Zero learning rate is allowed: it must yield an exact no-op.
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_initial", "2"), ("epochs_per_stage", 2.5), ("seed", True),
+        ("dataset_cap", 4.0), ("learning_rate", True), ("init_scale", "0.1"),
+        ("weight_decay", float("nan")),
+    ])
+    def test_counts_are_integers_and_rates_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_scalars_and_integer_rates_are_accepted(self):
+        cfg = TrainConfig(learning_rate=1, seed=np.int64(3), weight_decay=np.float64(0))
+        assert cfg.learning_rate == 1 and cfg.seed == 3
+
 
 class TestTaskParsing:
     def test_parse_task(self):
@@ -220,6 +233,31 @@ class TestCdStep:
                 model_term += grid[hi, vi] * np.outer(V[vi], H[hi])
         return data_term - model_term
 
+    # SHA-256 of the returned parameters' bytes plus the generator state
+    # after the step: the step draws n_hidden uniforms per row for the
+    # initial hidden sample, then n_visible and n_hidden per row for each
+    # of the k - 1 intermediate steps.
+    CD_STEP_DIGESTS = {
+        1: "7f242566a8889d08d7d72647d422e9d4fb927974b98f6f12dcc3de54bfc81c78",
+        2: "8d926aad6fd58b90690c7e3c712991d57773477f5f216128adb5163f6bd4f04b",
+        5: "f18fafa78e95bb680e53bb0b695da064ee15f965790cce185aa222c2fb601b60",
+    }
+
+    @pytest.mark.parametrize("k", sorted(CD_STEP_DIGESTS))
+    def test_step_and_stream_are_pinned(self, k):
+        rng = np.random.default_rng(5)
+        rbm = Rbm(rng.normal(0, 0.5, (6, 5)), rng.normal(0, 0.5, 6),
+                  rng.normal(0, 0.5, 5), tuple("abcdef"))
+        batch = (rng.random((7, 6)) < 0.5).astype(float)
+        gen = np.random.default_rng(11)
+        out = cd_step(rbm, batch, TrainConfig(learning_rate=0.3, weight_decay=1e-3),
+                      gen, k=k)
+        digest = hashlib.sha256()
+        for p in (out.weights, out.visible_bias, out.hidden_bias):
+            digest.update(p.tobytes())
+        digest.update(repr(gen.bit_generator.state).encode())
+        assert digest.hexdigest() == self.CD_STEP_DIGESTS[k]
+
     def test_single_row_training_concentrates_mass(self):
         cfg = TrainConfig(learning_rate=1.0, weight_decay=1e-4, k_initial=2)
         rng0 = np.random.default_rng(0)
@@ -325,7 +363,45 @@ class TestEvaluateAccuracy:
             evaluate_accuracy(builtin_model("adder1"), "adder1", method="bogus")
 
 
+# SHA-256 of the trained parameters' bytes plus repr(log), one per path
+# through the epoch loop: full batch, tiled and shuffled minibatches,
+# sampled rows (dataset_cap), a ragged last minibatch, and k_initial=1.
+TRAIN_DIGESTS = [
+    ("adder1", 6, {"seed": 0},
+     "a4f8c85600b4058a8f57fe4d0733651c2b141de2ab3d5644bbcd6254cd760ec1"),
+    ("mult4", 64, {"seed": 0, "epochs_per_stage": 2, "k_max": 3},
+     "d33827bf07b791d25df2cfaa8a356c151b6470458bd82bc780561093b3573bd3"),
+    ("adder2", 28, {"seed": 0, "dataset_cap": 40, "epochs_per_stage": 2, "k_max": 3},
+     "af3849514b367c7831c0d8d69a7c1c96da1b23da1e27a658a10cddf10f82d8c4"),
+    ("mult2", 12, {"seed": 0, "batch_size": 5, "epochs_per_stage": 2, "k_max": 3},
+     "bc0dbb3a86bfcc00e20dd3e78eee75cc3222f133f09a836f4cefa7a58e48db08"),
+    ("adder1", 6, {"seed": 2, "k_initial": 1, "k_max": 3, "epochs_per_stage": 3},
+     "7f390238803e59e85dae4faf5c407aff06cea9dfe8a84f1459a34c5f565b91d4"),
+]
+
+
 class TestTrain:
+    @pytest.mark.parametrize("task, hidden, overrides, digest", TRAIN_DIGESTS)
+    def test_training_is_pinned(self, task, hidden, overrides, digest):
+        model, log = train(task, hidden, TrainConfig(**overrides))
+        got = hashlib.sha256()
+        for p in (model.weights, model.visible_bias, model.hidden_bias):
+            got.update(np.ascontiguousarray(p).tobytes())
+        got.update(repr(log).encode())
+        assert got.hexdigest() == digest
+
+    def test_builds_one_model_per_epoch(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return Rbm(*args, **kwargs)
+
+        monkeypatch.setattr(training, "Rbm", counting)
+        _, log = train("mult4", 64, TrainConfig(seed=0, epochs_per_stage=2, k_max=3))
+        epochs = sum(row["epoch"] is not None for row in log)
+        assert len(built) <= epochs + 1
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergent_run_raises_with_location(self):
         cfg = TrainConfig(learning_rate=1e308, weight_decay=1e-4)
