@@ -108,7 +108,10 @@ def load_model(path: str):
     raw = _model_or_netlist(path)
     if "components" in raw:
         raise ValueError(f"{path} is a netlist; build it into a model first")
-    rbm = Rbm.from_json_dict(raw)
+    try:
+        rbm = Rbm.from_json_dict(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     side = _sidecar(path)
     if side.exists():
         info = _json_object(side, "a terminals sidecar")

@@ -7,9 +7,10 @@ sum of the component energies on the corresponding sub-states, so its
 distribution is the renormalized product of the component distributions
 restricted to agreeing shared units.
 
-``merge_pair`` is the two-model primitive.  ``compose`` generalizes it to
-a netlist of many components with multi-way shared terminals (a wire
-feeding several gates) via union-find over named terminals.
+``_combine`` is the one place rows are summed: ``disjoint_union``,
+``tie_terminals``, ``merge_pair`` and ``compose`` only choose each unit's
+row.  ``compose`` takes a netlist of many components with multi-way
+shared terminals (a wire feeding several gates) via union-find.
 
 A model is a plain ``Rbm`` or a ``MergedModel``.  ``model_parts`` is the
 one place that tells them apart: a plain ``Rbm`` is a model with no
@@ -28,22 +29,33 @@ import numpy as np
 from .model import Rbm
 
 
+def _combine(rbms: Sequence[Rbm], rows: Sequence[int], names: Sequence[str]) -> Rbm:
+    """The RBMs' hidden layers side by side, visible unit ``k`` of the
+    stacked inputs added into output row ``rows[k]``, named ``names``.
+
+    Units are added in input order, so a row's sum has the same order
+    whichever caller builds it.  Rows start at +0.0, so -0.0 comes out +0.0.
+    """
+    w = np.zeros((len(names), sum(rbm.n_hidden for rbm in rbms)))
+    bias = np.zeros(len(names))
+    rows, c0 = iter(rows), 0
+    for rbm in rbms:
+        # rows last: zip stops at the model's last unit without taking a row
+        for weights, b, r in zip(rbm.weights, rbm.visible_bias, rows):
+            w[r, c0:c0 + rbm.n_hidden] += weights
+            bias[r] += b
+        c0 += rbm.n_hidden
+    hidden_bias = np.concatenate([rbm.hidden_bias for rbm in rbms] or [np.zeros(0)])
+    return Rbm(w, bias, hidden_bias, names)
+
+
 def disjoint_union(a: Rbm, b: Rbm) -> Rbm:
     """Stack two RBMs side by side with no shared units."""
     collisions = set(a.visible_names) & set(b.visible_names)
     if collisions:
         raise ValueError(f"terminal name collision: {sorted(collisions)}")
-    nv_a, nh_a = a.weights.shape
-    nv_b, nh_b = b.weights.shape
-    w = np.zeros((nv_a + nv_b, nh_a + nh_b))
-    w[:nv_a, :nh_a] = a.weights
-    w[nv_a:, nh_a:] = b.weights
-    return Rbm(
-        w,
-        np.concatenate([a.visible_bias, b.visible_bias]),
-        np.concatenate([a.hidden_bias, b.hidden_bias]),
-        a.visible_names + b.visible_names,
-    )
+    names = a.visible_names + b.visible_names
+    return _combine((a, b), range(len(names)), names)
 
 
 def tie_terminals(rbm: Rbm, t1: str, t2: str) -> Rbm:
@@ -57,14 +69,10 @@ def tie_terminals(rbm: Rbm, t1: str, t2: str) -> Rbm:
         raise ValueError(f"cannot tie terminal {t1!r} to itself")
     i = rbm.terminal_index(t1)
     j = rbm.terminal_index(t2)
-    keep = [k for k in range(rbm.n_visible) if k != j]
-    w = rbm.weights[keep].copy()
-    b = rbm.visible_bias[keep].copy()
-    pos = keep.index(i)
-    w[pos] += rbm.weights[j]
-    b[pos] += rbm.visible_bias[j]
-    names = tuple(rbm.visible_names[k] for k in keep)
-    return Rbm(w, b, rbm.hidden_bias, names)
+    rows = [k - (k > j) for k in range(rbm.n_visible)]
+    rows[j] = rows[i]
+    names = rbm.visible_names[:j] + rbm.visible_names[j + 1:]
+    return _combine((rbm,), rows, names)
 
 
 def merge_pair(a: Rbm, b: Rbm, pairs: Sequence[tuple[str, str]]) -> Rbm:
@@ -92,22 +100,12 @@ def merge_pair(a: Rbm, b: Rbm, pairs: Sequence[tuple[str, str]]) -> Rbm:
             f"unmerged terminal name collision: {sorted(collisions)}; rename first"
         )
 
-    nv_a, nh_a = a.weights.shape
-    nv_b, nh_b = b.weights.shape
-    b_keep = [k for k in range(nv_b) if k not in set(bi)]
-    nv = nv_a + len(b_keep)
-    w = np.zeros((nv, nh_a + nh_b))
-    bias = np.zeros(nv)
-    w[:nv_a, :nh_a] = a.weights
-    bias[:nv_a] = a.visible_bias
-    for k, l in zip(ai, bi):
-        w[k, nh_a:] = b.weights[l]
-        bias[k] += b.visible_bias[l]
-    w[nv_a:, nh_a:] = b.weights[b_keep]
-    bias[nv_a:] = b.visible_bias[b_keep]
-    names = a.visible_names + tuple(b.visible_names[k] for k in b_keep)
-    hidden_bias = np.concatenate([a.hidden_bias, b.hidden_bias])
-    return Rbm(w, bias, hidden_bias, names)
+    names = a.visible_names + tuple(surviving_b)
+    into = dict(zip(bi, ai))
+    fresh = iter(range(a.n_visible, len(names)))
+    rows = [*range(a.n_visible),
+            *(into[k] if k in into else next(fresh) for k in range(b.n_visible))]
+    return _combine((a, b), rows, names)
 
 
 @dataclass
@@ -204,120 +202,64 @@ def clamp_arrays(rbm: Rbm, assignments: Mapping[str, int]):
     return idx, vals, free
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def compose(netlist: Netlist) -> MergedModel:
     """Build the merged model described by a netlist.
 
-    Equivalent to iterated ``merge_pair``/``tie_terminals`` over the
-    union-find classes of the connection graph, but built directly so the
-    result is independent of connection order.  Within one class the
-    lexicographically-first member name survives unless an export rename
-    applies.  Component parameters are copied, never aliased.
+    The units are the union-find classes of the connection graph, in
+    order of first appearance, so the result is independent of connection
+    order.  Within one class the lexicographically-first member name
+    survives unless an export rename applies.  Component parameters are
+    copied, never aliased.
     """
     ids = [cid for cid, _ in netlist.components]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate component ids")
 
-    prefixed: list[tuple[str, Rbm]] = []
+    rbms: list[Rbm] = []
+    all_terms: list[str] = []
     inherited_constants: dict[str, int] = {}
     for cid, comp in netlist.components:
         rbm, constants = model_parts(comp)
-        prefixed.append((cid, rbm.with_prefix(f"{cid}.")))
-        for term, bit in constants.items():
-            inherited_constants[f"{cid}.{term}"] = bit
+        rbms.append(rbm)
+        all_terms.extend(f"{cid}.{n}" for n in rbm.visible_names)
+        inherited_constants |= {f"{cid}.{t}": bit for t, bit in constants.items()}
 
-    all_terms: list[str] = []
-    for _, rbm in prefixed:
-        all_terms.extend(rbm.visible_names)
-    term_set = set(all_terms)
+    parent = {t: t for t in all_terms}  # union-find forest over terminals
 
-    uf = _UnionFind(all_terms)
+    def find(t: str) -> str:
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        return t
+
     for t1, t2 in netlist.connections:
         for t in (t1, t2):
-            if t not in term_set:
+            if t not in parent:
                 raise KeyError(f"dangling connection endpoint {t!r}")
-        uf.union(t1, t2)
+        parent[find(t2)] = find(t1)
 
     for t in netlist.exports:
-        if t not in term_set:
+        if t not in parent:
             raise KeyError(f"export of unknown terminal {t!r}")
 
     # Group terminals into classes, ordered by first appearance.
     classes: dict[str, list[str]] = {}
-    order: list[str] = []
     for t in all_terms:
-        root = uf.find(t)
-        if root not in classes:
-            classes[root] = []
-            order.append(root)
-        classes[root].append(t)
+        classes.setdefault(find(t), []).append(t)
 
-    # Resolve each class's public name: export rename wins, else the
-    # lexicographically-first member.
-    class_names: dict[str, str] = {}
-    for root in order:
-        members = classes[root]
+    # Name each class: an export rename, else its lexicographically-first member.
+    names: dict[str, int] = {}  # unit name -> row
+    terminal_map: dict[str, int] = {}
+    for members in classes.values():
         renames = sorted({netlist.exports[m] for m in members if m in netlist.exports})
         if len(renames) > 1:
             raise ValueError(f"export name collision on merged unit: {renames}")
-        class_names[root] = renames[0] if renames else min(members)
-    seen: dict[str, str] = {}
-    for root in order:
-        name = class_names[root]
-        if name in seen:
+        name = renames[0] if renames else min(members)
+        if name in names:
             raise ValueError(f"export name collision: {name!r} used twice")
-        seen[name] = root
+        terminal_map |= dict.fromkeys(members, len(names))
+        names[name] = len(names)
 
-    row_of = {}
-    for _, rbm in prefixed:
-        for i, t in enumerate(rbm.visible_names):
-            row_of[t] = (rbm, i)
-
-    nh_total = sum(rbm.n_hidden for _, rbm in prefixed)
-    nv = len(order)
-    w = np.zeros((nv, nh_total))
-    bias = np.zeros(nv)
-    terminal_map: dict[str, int] = {}
-    col_offsets = {}
-    off = 0
-    for cid, rbm in prefixed:
-        col_offsets[cid] = off
-        off += rbm.n_hidden
-
-    for vi, root in enumerate(order):
-        for member in classes[root]:
-            rbm, row = row_of[member]
-            cid = member.split(".", 1)[0]
-            c0 = col_offsets[cid]
-            w[vi, c0 : c0 + rbm.n_hidden] += rbm.weights[row]
-            bias[vi] += rbm.visible_bias[row]
-            terminal_map[member] = vi
-
-    hidden_bias = np.concatenate(
-        [rbm.hidden_bias for _, rbm in prefixed]
-        or [np.zeros(0)]
-    )
-    names = tuple(class_names[root] for root in order)
-    merged = Rbm(w, bias, hidden_bias, names)
-
-    constants = {}
-    for term, bit in inherited_constants.items():
-        constants[names[terminal_map[term]]] = bit
+    merged = _combine(rbms, [terminal_map[t] for t in all_terms], tuple(names))
+    constants = {merged.visible_names[terminal_map[term]]: bit
+                 for term, bit in inherited_constants.items()}
     return MergedModel(merged, terminal_map, constants)

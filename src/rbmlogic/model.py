@@ -116,10 +116,23 @@ class Rbm:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Rbm":
-        names = tuple(u["name"] for u in d["visible"])
-        b = np.array([u["bias"] for u in d["visible"]], dtype=np.float64)
+        """The model of a parsed model file; an entry of the wrong shape
+        raises a ValueError that names its field."""
+        visible, rows = d["visible"], d["weights"]
+        for field, shape, ok in (
+            ("visible", "a list of objects with a string name and a numeric bias",
+             isinstance(visible, list) and all(isinstance(u, dict) and isinstance(
+                 u.get("name"), str) and _numbers([u.get("bias")]) for u in visible)),
+            ("hidden_bias", "a list of numbers", _numbers(d["hidden_bias"])),
+            ("weights", "a list of equal-length rows of numbers", isinstance(rows, list)
+             and all(map(_numbers, rows)) and len(set(map(len, rows))) < 2),
+        ):
+            if not ok:
+                raise ValueError(f"model {field} must be {shape}")
+        names = tuple(u["name"] for u in visible)
+        b = np.array([u["bias"] for u in visible], dtype=np.float64)
         a = np.array(d["hidden_bias"], dtype=np.float64)
-        w = np.array(d["weights"], dtype=np.float64)
+        w = np.array(rows, dtype=np.float64)
         if w.size == 0:
             w = w.reshape(len(names), len(a))
         return cls(w, b, a, names)
@@ -130,6 +143,15 @@ class Rbm:
     @classmethod
     def load(cls, path) -> "Rbm":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def _numbers(values) -> bool:
+    """Whether a parsed JSON value is a list of numbers; bools are not
+    numbers here, and an integer must fit a float."""
+    if not isinstance(values, list):
+        return False
+    types = set(map(type, values))
+    return types <= {int, float} and (int not in types or max(map(abs, values)) < 2**1023)
 
 
 def _float_list(values: np.ndarray, depth: int) -> str:

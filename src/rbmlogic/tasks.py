@@ -268,7 +268,7 @@ class SolveSettings:
 class SolveResult:
     task: TaskSpec
     terminals: dict[str, int]  # answer terminal -> mode bit
-    operands: dict[str, int]  # decoded integers
+    operands: dict[str, int]  # decoded integers; sat: bits by terminal
     count: int
     total: int
     frequency: float
@@ -349,16 +349,18 @@ def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> S
         )
     bits, count, factor_pairs = _answer_mode(task, hist, record)
     terminals = dict(zip(record, (int(b) for b in bits)))
-    operands = group_operands(record, bits)
+    # sat reads raw terminals, which need not form whole operands
+    decode = group_operands if _OPS[task.operation].kind else (
+        lambda names, key: dict(zip(names, map(int, key))))
     total = hist.total
     return SolveResult(
         task=task,
         terminals=terminals,
-        operands=operands,
+        operands=decode(record, bits),
         count=int(count),
         total=int(total),
         frequency=count / total if total else 0.0,
-        top=[(group_operands(record, k), c) for k, c in hist.top(settings.top_k)],
+        top=[(decode(record, k), c) for k, c in hist.top(settings.top_k)],
         success=assignment_checker(model, task)(terminals),
         factor_pairs=factor_pairs,
         chain_sweeps=settings.n_chains * len(settings.betas or (1.0,)) * settings.n_sweeps,

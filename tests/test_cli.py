@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rbmlogic
 from rbmlogic.cli import load_model, main
@@ -190,6 +192,14 @@ class TestSolve:
         assert code == 0
         out = capsys.readouterr().out
         assert "mode: Cout=1, S=0" in out
+        assert "verdict: consistent" in out
+
+    def test_sat_on_a_gate_reports_each_terminal(self, model_dir, capsys):
+        code = main(["solve", str(model_dir / "xor.json"), "--op", "sat",
+                     "--clamp", "out=1", "--chains", "4", "--sweeps", "400"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "mode: in1=0, in2=1 " in out or "mode: in1=1, in2=0 " in out
         assert "verdict: consistent" in out
 
     def test_expected_sum_includes_carry(self, model_dir, capsys):
@@ -400,6 +410,62 @@ class TestInspect:
         lines = (tmp_path / "w.csv").read_text().splitlines()
         assert lines[0] == "visible,hidden,weight"
         assert len(lines) == 1 + 17 * 32
+
+
+GOOD_MODEL = {"visible": [{"name": "a", "bias": 0.5}, {"name": "b", "bias": -1}],
+              "hidden_bias": [0.25], "weights": [[1.0], [-2]]}
+_SECOND_UNIT = {"name": "b", "bias": -1}
+_NUMBER = st.integers() | st.floats() | st.booleans()
+_JSON = st.recursive(
+    st.none() | _NUMBER | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["name", "bias", "x"]), kids, max_size=3),
+    max_leaves=6)
+
+
+class TestModelEntries:
+    def test_integers_and_floats_are_numbers(self, tmp_path, capsys):
+        (tmp_path / "m.json").write_text(json.dumps(GOOD_MODEL))
+        assert main(["inspect", str(tmp_path / "m.json")]) == 0
+        assert "visible: 2  hidden: 1  parameters: 5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("change, field", [
+        ({"visible": 1}, "visible"),
+        ({"visible": ["a", "b"]}, "visible"),
+        ({"visible": [{"bias": 0.5}, _SECOND_UNIT]}, "visible"),
+        ({"visible": [{"name": 3, "bias": 0.5}, _SECOND_UNIT]}, "visible"),
+        ({"visible": [{"name": "a"}, _SECOND_UNIT]}, "visible"),
+        ({"visible": [{"name": "a", "bias": True}, _SECOND_UNIT]}, "visible"),
+        ({"visible": [{"name": "a", "bias": "0.5"}, _SECOND_UNIT]}, "visible"),
+        ({"hidden_bias": 0.25}, "hidden_bias"),
+        ({"hidden_bias": [None]}, "hidden_bias"),
+        ({"hidden_bias": [False]}, "hidden_bias"),
+        ({"weights": {"a": [1.0]}}, "weights"),
+        ({"weights": [1.0, -2]}, "weights"),
+        ({"weights": [[1.0], ["-2"]]}, "weights"),
+        ({"weights": [[1.0], [-2, 3]]}, "weights"),
+        ({"weights": [[1.0], [10**400]]}, "weights"),
+    ], ids=["visible_int", "visible_strings", "nameless", "name_int", "biasless",
+            "bias_bool", "bias_str", "hidden_number", "hidden_null", "hidden_bool",
+            "weights_object", "weights_flat", "weight_str", "weights_ragged",
+            "weight_past_float_range"])
+    def test_bad_entries_name_file_and_field(self, tmp_path, capsys, change, field):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(GOOD_MODEL | change))
+        assert main(["inspect", str(path)]) == 2
+        assert f"error: {path}: model {field} must be " in capsys.readouterr().err
+
+    @settings(max_examples=50, deadline=None)
+    @given(visible=_JSON | st.lists(st.fixed_dictionaries(
+               {"name": st.text(max_size=2) | _JSON, "bias": _NUMBER | _JSON}), max_size=3),
+           hidden_bias=_JSON | st.lists(_NUMBER, max_size=3),
+           weights=_JSON | st.lists(st.lists(_NUMBER, max_size=3), max_size=3))
+    def test_random_entries_exit_0_or_2(self, tmp_path_factory, visible, hidden_bias,
+                                        weights):
+        path = tmp_path_factory.mktemp("fuzz") / "m.json"
+        path.write_text(json.dumps(
+            {"visible": visible, "hidden_bias": hidden_bias, "weights": weights}))
+        assert main(["inspect", str(path)]) in (0, 2)
 
 
 class TestReplay:

@@ -1,11 +1,14 @@
 """Merging models by identifying visible units: unions, ties, netlists."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
 
+from rbmlogic.cli import save_model
 from rbmlogic.exact import (
     ExactDistribution,
     exact_visible_distribution,
@@ -19,8 +22,9 @@ from rbmlogic.merge import (
     merge_pair,
     tie_terminals,
 )
-from rbmlogic.model import BinaryState, Rbm, energy
+from rbmlogic.model import BinaryState, Rbm, dumps_model, energy
 from rbmlogic.synthesis import (
+    builtin_model,
     full_adder_netlist,
     full_adder_table,
     gate,
@@ -183,6 +187,16 @@ class TestTieTerminals:
                 energy(r, BinaryState(expanded, h)), abs=ADD_TOL
             )
 
+    def test_later_t1_keeps_its_name_and_position(self):
+        rng = np.random.default_rng(36)
+        r = random_rbm(rng, 4, 3, "v")
+        t = tie_terminals(r, "v3", "v1")
+        assert t.visible_names == ("v0", "v2", "v3")
+        assert np.array_equal(t.weights[:2], r.weights[[0, 2]])
+        assert np.array_equal(t.weights[2], r.weights[3] + r.weights[1])
+        assert t.visible_bias[2] == r.visible_bias[3] + r.visible_bias[1]
+        assert np.array_equal(t.visible_bias[:2], r.visible_bias[[0, 2]])
+
     def test_self_tie_raises(self):
         rng = np.random.default_rng(33)
         r = random_rbm(rng, 2, 1, "v")
@@ -289,6 +303,21 @@ class TestCompose:
                 mass += p
         return mass
 
+    def test_two_components_with_exports_equal_merge_pair(self):
+        rng = np.random.default_rng(42)
+        a = random_rbm(rng, 3, 2, "a")
+        b = random_rbm(rng, 4, 3, "b")
+        pairs = [("a0", "b2"), ("a2", "b1")]
+        tied = {tb for _, tb in pairs}
+        exports = {f"a.{n}": n for n in a.visible_names}
+        exports |= {f"b.{n}": n for n in b.visible_names if n not in tied}
+        conns = [(f"a.{ta}", f"b.{tb}") for ta, tb in pairs]
+        mm = compose(Netlist([("a", a), ("b", b)], conns, exports))
+        m = merge_pair(a, b, pairs)
+        assert mm.rbm.visible_names == m.visible_names
+        for part in ("weights", "visible_bias", "hidden_bias"):
+            assert getattr(mm.rbm, part).tobytes() == getattr(m, part).tobytes()
+
     def test_merged_distribution_is_product_of_experts(self):
         rng = np.random.default_rng(41)
         a = random_rbm(rng, 3, 2, "a")
@@ -380,3 +409,45 @@ class TestCompose:
             compose(Netlist([("g", gate("and"))], [("g.out", "h.in1")]))
         with pytest.raises(KeyError, match="unknown terminal"):
             compose(Netlist([("g", gate("and"))], exports={"h.out": "X"}))
+
+
+def _seeded_pair():
+    rng = np.random.default_rng(51)
+    return random_rbm(rng, 5, 3, "a"), random_rbm(rng, 4, 2, "b")
+
+
+class TestMergeOutputsPinned:
+    """SHA-256 of merge results, computed when each merge function
+    allocated and summed its own weight matrix."""
+
+    # cli.save_model bytes, model then sidecar, of builtins at sharpness 6.
+    BUILTIN_DIGESTS = {
+        "fa1": "9ccc43d754551869fe744f260dec75f2df120b99a16aaf04f6b24983a9b92928",
+        "adder16": "e37ee79e67d69919e3ce7b5369ef2aa4db99694cd2e7b98ce9511114e04c181e",
+        "mult4": "80b2b7b2f35a221b4e98a0c966f7b33454449a483e8a9332baa2f5ef1574f57b",
+        "mult8": "a1a5e0b99e20caf2b4615487bc5d748e49aaaef5d34568d4ff9b1fb9a0fc5407",
+    }
+
+    # dumps_model bytes; the ties chain a three-unit sum and a later t1.
+    OPERATIONS = {
+        "disjoint_union": (lambda a, b: disjoint_union(a, b),
+                           "a12f7c03602ad0657f06faf88471248d07230884f637023f8d3938a3af447e37"),
+        "tie_terminals": (lambda a, b: tie_terminals(
+            tie_terminals(disjoint_union(a, b), "a1", "a3"), "b0", "a1"),
+            "39234c709fbaadcdcf5b71658c04b3040f4af28df16d7f3a05da3da85a3aa8f6"),
+        "merge_pair": (lambda a, b: merge_pair(a, b, [("a4", "b1"), ("a0", "b3")]),
+                       "69258466ab9e5fac65b138847a6e6ffd26d7629cb0c7cee1f915ccd462fd6e73"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_DIGESTS))
+    def test_saved_builtin_bytes(self, name, tmp_path):
+        digest = hashlib.sha256()
+        for path in save_model(builtin_model(name, 6.0), tmp_path / f"{name}.json"):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.BUILTIN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(OPERATIONS))
+    def test_operation_bytes(self, name):
+        fn, expected = self.OPERATIONS[name]
+        got = hashlib.sha256(dumps_model(fn(*_seeded_pair())).encode()).hexdigest()
+        assert got == expected

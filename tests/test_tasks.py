@@ -379,6 +379,20 @@ class TestSolve:
         solve(builtin_model("mult2"), task, SolveSettings(n_chains=2, n_sweeps=20))
         assert len(seen) == calls
 
+    def test_sat_with_part_of_an_operand_clamped(self):
+        # A0 alone is clamped, so the answer holds A1 but not A0: it is read
+        # per terminal, not grouped into operands.
+        adder = builtin_model("adder2")
+        task = TaskSpec("sat", None, {"A0": 1})
+        result = solve(adder, task, SolveSettings(n_chains=4, n_sweeps=200))
+        record = answer_terminals(adder, task)
+        assert result.operands == result.terminals
+        assert list(result.terminals) == list(record)
+        assert all(list(d) == list(record) for d, _ in result.top)
+        v = result.terminals | {"A0": 1}
+        assert (v["A0"] + 2 * v["A1"] + v["B0"] + 2 * v["B1"] + v["Cin"]
+                == v["S0"] + 2 * v["S1"] + 4 * v["Cout"])
+
     @pytest.mark.slow
     def test_addition_on_trained_unit(self, trained_adder1):
         model, _ = trained_adder1
