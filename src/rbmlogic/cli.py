@@ -391,9 +391,12 @@ def cmd_inspect(args, argv) -> int:
     w = rbm.weights
     print(f"visible: {rbm.n_visible}  hidden: {rbm.n_hidden}  "
           f"parameters: {w.size + rbm.n_visible + rbm.n_hidden}")
-    print(f"weights: |w| mean {np.abs(w).mean():.4f} max {np.abs(w).max():.4f} "
-          f"zero fraction {float(np.mean(np.abs(w) < 1e-12)):.3f}")
-    print(f"hidden bias: min {rbm.hidden_bias.min():.4f} max {rbm.hidden_bias.max():.4f}")
+    if rbm.n_hidden:
+        print(f"weights: |w| mean {np.abs(w).mean():.4f} max {np.abs(w).max():.4f} "
+              f"zero fraction {float(np.mean(np.abs(w) < 1e-12)):.3f}")
+        print(f"hidden bias: min {rbm.hidden_bias.min():.4f} max {rbm.hidden_bias.max():.4f}")
+    else:
+        print("weights: none\nhidden bias: none")
     print(f"visible bias: min {rbm.visible_bias.min():.4f} max {rbm.visible_bias.max():.4f}")
     exported = public_terminals(model)
     print(f"exported terminals ({len(exported)}): {' '.join(exported)}")

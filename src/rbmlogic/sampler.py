@@ -19,9 +19,9 @@ Every update is the decision u < p for the contract probabilities
 expit(v @ W + a) and expit((h @ W.T)[:, free] + b_free), each product
 taken by BLAS over every column.  Sweeps over FILTER_MIN_ENTRIES units
 or more reach them through an exact-decision filter (_decide): fast
-probabilities come from 1 / (1 + exp(-x)), a visible product over the
-free columns only and, for weight matrices large and sparse enough
-(SPARSE_MIN_WEIGHTS, SPARSE_MAX_DENSITY), CSR products.  A per-unit
+probabilities come from 1 / (1 + exp(-x)) and from block products
+(_BlockProducts): one batched matmul per class of equally shaped
+components, the visible product over the free columns only.  A per-unit
 bound (_margins) covers both errors.  Where a uniform lies within it of
 its fast probability, the contract expression is evaluated for that
 sweep and decides the entry.  The stream contract is unchanged, and the
@@ -163,18 +163,6 @@ def _initial_visible(rbm: Rbm, gens, idx: np.ndarray, vals: np.ndarray) -> np.nd
 # below that its fixed cost per sweep (~20 us) outweighs what it saves.
 FILTER_MIN_ENTRIES = 4096
 
-# Weight matrices with at least SPARSE_MIN_WEIGHTS entries, of which at
-# most SPARSE_MAX_DENSITY are nonzero, are applied through CSR in the fast
-# products of _chain_sweeps; the others stay dense.  Either operator gives
-# the same chains.  Time per filtered sweep on one core, dense vs CSR:
-# builtin adder16 (8320 weights, 7.7% nonzero, 100 chains) 263 vs 314 us;
-# adder32 (33024, 3.9%) 654 vs 596 us; adder64 (131584, 1.9%) 1702 vs
-# 1142 us; mult8 (252032, 7.3%, 16 chains) 762 vs 602 us; dense mult4
-# (4096 weights) and 20 x 64 models ~1.6x slower through CSR.
-SPARSE_MIN_WEIGHTS = 2**15
-SPARSE_MAX_DENSITY = 1 / 8
-
-
 def _fast_sigmoid(a: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-a)): a few times cheaper than expit, within 2**-47 of it."""
     x = np.negative(a)
@@ -215,23 +203,101 @@ def _decide(u: np.ndarray, p: np.ndarray, margin: np.ndarray, exact) -> np.ndarr
     return np.where(d >= margin, on, u < exact())
 
 
-def _use_csr(w: np.ndarray) -> bool:
-    """Whether the fast products apply ``w`` through CSR (see SPARSE_MIN_WEIGHTS)."""
-    return w.size >= SPARSE_MIN_WEIGHTS and np.count_nonzero(w) <= SPARSE_MAX_DENSITY * w.size
+def _hidden_groups(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden units grouped by identical visible support.
 
-
-def _fast_products(w: np.ndarray, free: np.ndarray):
-    """Functions v -> v @ w and h -> h @ w[free].T, CSR when _use_csr(w).
-
-    scipy.sparse is imported only when CSR is used.
+    Returns the supports as the rows of a (groups, n_visible) bool array,
+    in ``np.unique`` order, and the group of every hidden unit.  A
+    composed circuit gets one group per component.
     """
-    if _use_csr(w):
-        from scipy.sparse import csr_array
+    keys, group_of = np.unique(w.T != 0, axis=0, return_inverse=True)
+    return keys, group_of.reshape(-1)
 
-        w_t, w_free = csr_array(w.T), csr_array(w[free])
-        return (lambda v: (w_t @ v.T).T), (lambda h: (w_free @ h.T).T)
-    w_free_t = np.ascontiguousarray(w[free].T)
-    return (lambda v: v @ w), (lambda h: h @ w_free_t)
+
+class _BlockProducts:
+    """The fast products v -> v @ w and h -> h @ w[free].T, block by block.
+
+    The groups of _hidden_groups, ordered by first hidden unit, fall into
+    classes of equal (support size s, hidden count n).  A class of G
+    groups keeps its supports ``units`` (G, s), its hidden columns (a
+    slice when the groups lie side by side in order, else a (G, n) index
+    array), its weight blocks (G, s, n) and their transposes (G, n, s),
+    and takes each product with one batched matmul.  The visible product
+    writes every class's (G, s) outputs into slots and sums the slots of
+    each free unit through the padded (n_free, max_degree) index
+    ``gather``; padding points at a slot that stays zero.  A dense model
+    is one block.  Either product sums the nonzero terms of each unit,
+    plus exact zeros, in some order, which _margins covers.
+    """
+
+    def __init__(self, w: np.ndarray, free: np.ndarray):
+        self.n_hidden = w.shape[1]
+        keys, group_of = _hidden_groups(w)
+        members = np.split(np.argsort(group_of, kind="stable"),
+                           np.cumsum(np.bincount(group_of, minlength=len(keys)))[:-1])
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for g in sorted(range(len(keys)), key=lambda g: members[g][0]):
+            by_shape.setdefault((int(keys[g].sum()), members[g].size), []).append(g)
+        self.classes = []
+        slot_units, n_slots = [np.zeros(0, np.intp)], 0
+        for (s, n), groups in by_shape.items():
+            units = np.array([np.flatnonzero(keys[g]) for g in groups],
+                             dtype=np.intp).reshape(len(groups), s)
+            hidden = np.array([members[g] for g in groups], dtype=np.intp)
+            blocks = w[units[:, :, None], hidden[:, None, :]]
+            first = hidden[0, 0]
+            cols = (slice(first, first + hidden.size)
+                    if np.array_equal(hidden.ravel(), np.arange(first, first + hidden.size))
+                    else hidden)
+            slots = slice(n_slots, n_slots + units.size)
+            self.classes.append((units, cols, blocks,
+                                 np.ascontiguousarray(blocks.transpose(0, 2, 1)), slots))
+            slot_units.append(units.ravel())
+            n_slots += units.size
+        self.n_slots = n_slots
+        # Slots of every free unit, padded with the zero slot n_slots
+        # (at least one column, so a unit with no slots reads zero).
+        position = np.full(w.shape[0], -1)
+        position[free] = np.arange(free.size)
+        unit_of_slot = position[np.concatenate(slot_units)]
+        slot = np.flatnonzero(unit_of_slot >= 0)
+        owner = unit_of_slot[slot]
+        degree = np.bincount(owner, minlength=free.size)
+        self.gather = np.full((free.size, degree.max(initial=1)), n_slots, dtype=np.intp)
+        order = np.argsort(owner, kind="stable")
+        rank = np.arange(slot.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        self.gather[owner[order], rank] = slot[order]
+
+    def hidden(self, v: np.ndarray) -> np.ndarray:
+        """v @ w for rows of v."""
+        out = np.empty((len(v), self.n_hidden))
+        for units, cols, blocks, _, _ in self.classes:
+            x = v[:, units].transpose(1, 0, 2)
+            if isinstance(cols, slice):
+                np.matmul(x, blocks, out=_blocks_view(out, cols, blocks.shape[2]))
+            else:
+                out[:, cols] = np.matmul(x, blocks).transpose(1, 0, 2)
+        return out
+
+    def visible(self, h: np.ndarray) -> np.ndarray:
+        """h @ w[free].T for rows of h."""
+        slots = np.empty((len(h), self.n_slots + 1))
+        slots[:, -1] = 0.0
+        for units, cols, _, blocks_t, at in self.classes:
+            if not units.shape[1]:  # groups with no visible support
+                continue
+            y = (_blocks_view(h, cols, blocks_t.shape[1]) if isinstance(cols, slice)
+                 else h[:, cols].transpose(1, 0, 2))
+            np.matmul(y, blocks_t, out=_blocks_view(slots, at, units.shape[1]))
+        out = slots[:, self.gather[:, 0]]
+        for d in range(1, self.gather.shape[1]):
+            out += slots[:, self.gather[:, d]]
+        return out
+
+
+def _blocks_view(a: np.ndarray, cols: slice, width: int) -> np.ndarray:
+    """Columns ``cols`` of a 2-D array as a (blocks, rows, width) view."""
+    return a[:, cols].reshape(len(a), -1, width).transpose(1, 0, 2)
 
 
 def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int):
@@ -254,14 +320,14 @@ def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int
         return expit((h @ w.T)[:, free] + vb_free)
 
     if len(v) * (nh + rbm.n_visible) >= FILTER_MIN_ENTRIES:
-        hidden_product, visible_product = _fast_products(w, free)
+        products = _BlockProducts(w, free)
         h_margin, v_margin = _margins(w, hb), _margins(w[free].T, vb_free)
 
         def hidden_on(u):
-            return _decide(u, _fast_sigmoid(hidden_product(v) + hb), h_margin, hidden_p)
+            return _decide(u, _fast_sigmoid(products.hidden(v) + hb), h_margin, hidden_p)
 
         def visible_on(u):
-            return _decide(u, _fast_sigmoid(visible_product(h) + vb_free), v_margin,
+            return _decide(u, _fast_sigmoid(products.visible(h) + vb_free), v_margin,
                            visible_p)
     else:
         def hidden_on(u):
@@ -506,9 +572,7 @@ class FreeEnergyTables:
     """
 
     def __init__(self, rbm: Rbm):
-        support = rbm.weights != 0
-        keys, group_of = np.unique(support.T, axis=0, return_inverse=True)
-        group_of = group_of.ravel()
+        keys, group_of = _hidden_groups(rbm.weights)
         self.visible_bias = rbm.visible_bias
         self.supports: list[np.ndarray] = []
         tables = []

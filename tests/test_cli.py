@@ -411,6 +411,17 @@ class TestInspect:
         assert lines[0] == "visible,hidden,weight"
         assert len(lines) == 1 + 17 * 32
 
+    @pytest.mark.parametrize("weights", [[], [[]]], ids=["no_rows", "empty_row"])
+    def test_model_without_hidden_units(self, tmp_path, capsys, weights):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"visible": [{"name": "a", "bias": 1}],
+                                    "hidden_bias": [], "weights": weights}))
+        assert main(["inspect", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "visible: 1  hidden: 0  parameters: 1" in captured.out
+        assert "weights: none\nhidden bias: none\nvisible bias: min 1.0000" in captured.out
+        assert captured.err == ""
+
 
 GOOD_MODEL = {"visible": [{"name": "a", "bias": 0.5}, {"name": "b", "bias": -1}],
               "hidden_bias": [0.25], "weights": [[1.0], [-2]]}
@@ -466,6 +477,82 @@ class TestModelEntries:
         path.write_text(json.dumps(
             {"visible": visible, "hidden_bias": hidden_bias, "weights": weights}))
         assert main(["inspect", str(path)]) in (0, 2)
+
+
+_ENDPOINT = st.sampled_from(["g0.out", "g0.in1", "g1.in1", "g1.in2", "g2.A", "g0.x", "g1"])
+_TERMINAL = st.sampled_from(["A", "B", "S", "Cin", "Cout", "g0.A", "A0", ""])
+
+
+def _spoiled(data, obj):
+    """``obj`` as drawn, or with one value at a drawn depth replaced by random JSON."""
+    holder = obj
+    while data.draw(st.booleans()):
+        keys = list(holder) if isinstance(holder, dict) else list(range(len(holder)))
+        if not keys:
+            break
+        key = data.draw(st.sampled_from(keys))
+        if isinstance(holder[key], (dict, list)) and data.draw(st.booleans()):
+            holder = holder[key]
+        else:
+            holder[key] = data.draw(_JSON)
+            break
+    return obj
+
+
+class TestFuzzedInputFiles:
+    """Random netlists, sidecars and train configs: exit 0 or 2, never a traceback.
+
+    Each file is drawn valid in shape, then one value at a random depth
+    may be replaced by random JSON.  A solve may also exit 1, its verdict
+    on the mode it found.
+    """
+
+    @settings(max_examples=50, deadline=None)
+    @given(net=st.fixed_dictionaries({
+               "components": st.lists(st.fixed_dictionaries({
+                   "id": st.sampled_from(["g0", "g1", "g2"]),
+                   "model": st.sampled_from(["xor", "and", "adder1", "x.json", "nope"])}),
+                   max_size=3, unique_by=lambda c: c["id"]),
+               "connections": st.lists(st.lists(_ENDPOINT, min_size=2, max_size=2),
+                                       max_size=3),
+               "exports": st.dictionaries(_ENDPOINT, _TERMINAL, max_size=3)}),
+           data=st.data())
+    def test_random_netlists_exit_0_or_2(self, tmp_path_factory, net, data):
+        path = tmp_path_factory.mktemp("fuzz") / "net.json"
+        path.write_text(json.dumps(_spoiled(data, net)))
+        assert main(["build", str(path), "-o", str(path.with_name("m.json"))]) in (0, 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sidecar=st.fixed_dictionaries(
+               {"terminal_map": st.fixed_dictionaries(
+                   dict.fromkeys(["A", "B", "S"], st.integers(0, 4)),
+                   optional=dict.fromkeys(["Cin", "Cout", "g0.A", "A0", ""], st.integers(0, 4)))},
+               optional={"constants": st.dictionaries(_TERMINAL, st.integers(0, 1),
+                                                      max_size=2),
+                         "exports": st.lists(_TERMINAL, max_size=3)}),
+           command=st.sampled_from([["inspect"], ["solve", "--op", "add", "--clamp", "A=1",
+                                                  "--clamp", "B=0", "--sweeps", "2"]]),
+           data=st.data())
+    def test_random_sidecars_exit_0_or_2(self, tmp_path_factory, sidecar, command, data):
+        path = tmp_path_factory.mktemp("fuzz") / "m.json"
+        Rbm(np.ones((5, 2)), np.zeros(5), np.zeros(2),
+            ("A", "B", "Cin", "S", "Cout")).save(path)
+        path.with_name("m.terminals.json").write_text(json.dumps(_spoiled(data, sidecar)))
+        codes = (0, 2) if command[0] == "inspect" else (0, 1, 2)
+        assert main([command[0], str(path), *command[1:]]) in codes
+
+    @settings(max_examples=50, deadline=None)
+    @given(config=st.dictionaries(
+        st.sampled_from(["k_initial", "k_max", "learning_rate", "epochs_per_stage",
+                         "batch_size", "weight_decay", "dataset_cap", "init_scale", "seed",
+                         "eval_sweeps", "x"]),
+        st.integers(-1, 3), max_size=4), data=st.data())
+    def test_random_train_configs_exit_0_or_2(self, tmp_path_factory, config, data):
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        small = {"epochs_per_stage": 1, "k_max": 2, "eval_instances": 4, "eval_sweeps": 5}
+        path.write_text(json.dumps(_spoiled(data, small | config)))
+        assert main(["train", "adder1", "-o", str(path.with_name("t.json")),
+                     "--config", str(path)]) in (0, 2)
 
 
 class TestReplay:

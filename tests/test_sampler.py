@@ -280,11 +280,18 @@ def _non_dyadic(make, seed):
     return made
 
 
-def _forced(monkeypatch, margin=None, csr=None):
-    """Run every kernel call through the filter; optionally fix the operator.
+def _one_group(w):
+    """_hidden_groups with every hidden unit in one group over every visible unit."""
+    return np.ones((min(w.shape[1], 1), w.shape[0]), dtype=bool), np.zeros(w.shape[1], int)
+
+
+def _forced(monkeypatch, margin=None, dense=False):
+    """Run every kernel call through the filter; optionally as one dense block.
 
     With a ``margin``, the fast sigmoid is also pushed up to 0.4 margin
     off expit: only the exact fallback keeps the undecided entries right.
+    ``dense`` makes the block plan one block over the whole weight
+    matrix, zeros included: the dense product.
     """
     monkeypatch.setattr(sampler, "FILTER_MIN_ENTRIES", 0)
     if margin is not None:
@@ -292,8 +299,35 @@ def _forced(monkeypatch, margin=None, csr=None):
         monkeypatch.setattr(sampler, "_margins", lambda w, bias: np.full(w.shape[1], margin))
         monkeypatch.setattr(sampler, "_fast_sigmoid",
                             lambda a: fast(a) + 0.4 * margin * np.cos(7.0 * a))
-    if csr is not None:
-        monkeypatch.setattr(sampler, "_use_csr", lambda w: csr)
+    if dense:
+        monkeypatch.setattr(sampler, "_hidden_groups", _one_group)
+
+
+def _plan_classes(w, free=None):
+    """(groups, support size, hidden count, hidden columns) of each class of the block plan."""
+    free = np.arange(w.shape[0]) if free is None else free
+    return [(units.shape[0], units.shape[1], blocks.shape[2], cols)
+            for units, cols, blocks, _, _ in sampler._BlockProducts(w, free).classes]
+
+
+def _composed_rbm(draw, nv):
+    """Components with shared terminals, empty hidden columns, hidden order shuffled."""
+    shapes = draw(st.lists(st.sampled_from([(1, 1), (2, 3), (3, 2), (2, 3), (nv, 2)]),
+                           max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for s, n in shapes:
+        units = rng.choice(nv, size=min(s, nv), replace=False)
+        block = np.zeros((nv, n))
+        block[units] = rng.choice([-1.0, 1.0], (units.size, n)) * rng.uniform(0.5, 3.0,
+                                                                             (units.size, n))
+        columns.append(block)
+    columns += [np.zeros((nv, 1))] * draw(st.integers(0, 2))
+    weights = np.hstack(columns) if columns else np.zeros((nv, 0))
+    if draw(st.booleans()):
+        weights = weights[:, rng.permutation(weights.shape[1])]
+    return Rbm(weights, rng.normal(size=nv), rng.normal(size=weights.shape[1]),
+               tuple(f"v{i}" for i in range(nv)))
 
 
 class TestDecisionFilter:
@@ -332,15 +366,43 @@ class TestDecisionFilter:
         assert trace.samples.tolist() == [list(row) for row in traces[0]]
 
     def test_operator_choice(self):
-        assert sampler._use_csr(builtin_model("mult8", 6.0).rbm.weights)
-        assert not sampler._use_csr(builtin_model("adder16", 6.0).rbm.weights)
-        assert not sampler._use_csr(random_rbm(np.random.default_rng(0), 20, 64).weights)
+        """One batched matmul per component shape; a dense model is one block."""
+        mult8 = _plan_classes(builtin_model("mult8", 6.0).rbm.weights)
+        assert [c[:3] for c in mult8] == [(4, 16, 256), (48, 5, 8)]
+        assert [c[3] for c in mult8] == [slice(0, 1024), slice(1024, 1408)]
+        adder16 = _plan_classes(builtin_model("adder16", 6.0).rbm.weights)
+        assert adder16 == [(16, 5, 8, slice(0, 128))]
+        dense = _plan_classes(random_rbm(np.random.default_rng(0), 20, 64).weights)
+        assert dense == [(1, 20, 64, slice(0, 64))]
+
+    def test_block_plan_layouts(self):
+        """Interleaved components index their hidden columns; products stay exact."""
+        rng = np.random.default_rng(4)
+        w = np.zeros((6, 9))
+        w[np.ix_([0, 1, 2], [0, 2, 4])] = rng.normal(size=(3, 3))
+        w[np.ix_([2, 3, 4], [1, 3, 5])] = rng.normal(size=(3, 3))
+        w[np.ix_([5], [6, 8])] = rng.normal(size=(1, 2))  # column 7 stays empty
+        free = np.array([0, 2, 3, 5])
+        classes = _plan_classes(w, free)
+        assert [c[:3] for c in classes] == [(2, 3, 3), (1, 1, 2), (1, 0, 1)]
+        assert classes[0][3].tolist() == [[0, 2, 4], [1, 3, 5]]
+        assert classes[1][3].tolist() == [[6, 8]]
+        assert classes[2][3] == slice(7, 8)
+        plan = sampler._BlockProducts(w, free)
+        v = (rng.random((5, 6)) < 0.5).astype(float)
+        h = (rng.random((5, 9)) < 0.5).astype(float)
+        assert np.allclose(plan.hidden(v), v @ w, rtol=0, atol=1e-12)
+        assert np.allclose(plan.visible(h), h @ w[free].T, rtol=0, atol=1e-12)
+        empty = sampler._BlockProducts(np.zeros((3, 0)), np.array([0, 2]))
+        assert empty.classes == []
+        assert empty.hidden(v[:, :3]).shape == (5, 0)
+        assert np.array_equal(empty.visible(np.zeros((5, 0))), np.zeros((5, 2)))
 
     @pytest.mark.parametrize("margin", [1.0, 0.05], ids=["all_exact", "some_exact"])
-    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "blocks"])
     @given(seed=st.integers(0, 2**32 - 1), nv=st.integers(1, 7), nh=st.integers(0, 9),
            density=st.sampled_from([0.3, 1.0]), data=st.data())
-    def test_random_models_match_reference(self, csr, margin, seed, nv, nh, density, data):
+    def test_random_models_match_reference(self, dense, margin, seed, nv, nh, density, data):
         rng = np.random.default_rng(seed)
         weights = rng.normal(scale=2.0, size=(nv, nh)) * (rng.random((nv, nh)) < density)
         rbm = Rbm(weights, rng.normal(size=nv), rng.normal(size=nh),
@@ -349,10 +411,26 @@ class TestDecisionFilter:
         clamp = {f"v{i}": int(rng.integers(2)) for i in clamped}
         by_index = {i: clamp[f"v{i}"] for i in clamped}
         with pytest.MonkeyPatch.context() as mp:
-            _forced(mp, margin, csr)
+            _forced(mp, margin, dense)
             hist = multistart(rbm, clamp, n_chains=3, n_sweeps=15, seed=seed % 1000)
             trace, _ = run_chain(rbm, clamp, n_sweeps=15, seed=seed % 1000)
         traces, ref_hist = ref_block_gibbs(rbm, by_index, [seed % 1000 + c for c in range(3)], 15)
+        assert hist.counts == ref_hist
+        assert trace.samples.tolist() == [list(row) for row in traces[0]]
+
+    @pytest.mark.parametrize("margin", [None, 0.05], ids=["bound", "some_exact"])
+    @given(nv=st.integers(1, 8), data=st.data())
+    def test_composed_models_match_reference(self, margin, nv, data):
+        """Several classes, interleaved and empty hidden columns, shared terminals, no hidden."""
+        rbm = _composed_rbm(data.draw, nv)
+        clamped = data.draw(st.lists(st.integers(0, nv - 1), unique=True, max_size=nv))
+        clamp = {f"v{i}": i % 2 for i in clamped}
+        with pytest.MonkeyPatch.context() as mp:
+            _forced(mp, margin)
+            hist = multistart(rbm, clamp, n_chains=3, n_sweeps=15, seed=nv)
+            trace, _ = run_chain(rbm, clamp, n_sweeps=15, seed=nv)
+        traces, ref_hist = ref_block_gibbs(rbm, {i: i % 2 for i in clamped},
+                                           [nv + c for c in range(3)], 15)
         assert hist.counts == ref_hist
         assert trace.samples.tolist() == [list(row) for row in traces[0]]
 
