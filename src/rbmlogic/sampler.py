@@ -11,9 +11,9 @@ SWEEP_BLOCK_BYTES); PCG64 gives the same numbers for one draw of k * n
 uniforms as for k draws of n, so blocking changes no result.
 
 _chain_sweeps is the one block Gibbs loop (run_chain, multistart,
-success_curve and gibbs_sweep run on it) and _Recorder the one sample
-recorder: recorded columns are kept as uint8 rows and counted with
-np.unique, so a key tuple is built once per distinct row.
+success_curve and gibbs_sweep run on it), _Recorder the one sample
+recorder and _hidden_groups the one component finder (for the block
+products and the free-energy tables); both scan rows with _distinct_rows.
 
 Every update is the decision u < p for the contract probabilities
 expit(v @ W + a) and expit((h @ W.T)[:, free] + b_free), each product
@@ -203,15 +203,30 @@ def _decide(u: np.ndarray, p: np.ndarray, margin: np.ndarray, exact) -> np.ndarr
     return np.where(d >= margin, on, u < exact())
 
 
-def _hidden_groups(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(rows: np.ndarray, **unique_args):
+    """The distinct rows of a 2-D array of bytes, as uint8, in bytewise order.
+
+    ``unique_args`` go to ``np.unique``, which sees each row as one
+    opaque (void) value: that sorts like the row, and is about 20x faster
+    than comparing column by column (``axis=0``).
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    keys, *rest = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                            **unique_args)
+    return keys.view(np.uint8).reshape(len(keys), rows.shape[1]), *rest
+
+
+def _hidden_groups(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hidden units grouped by identical visible support.
 
-    Returns the supports as the rows of a (groups, n_visible) bool array,
-    in ``np.unique`` order, and the group of every hidden unit.  A
-    composed circuit gets one group per component.
+    Returns one (support, hidden units) pair of increasing index arrays
+    per group, in ``np.unique`` order of the supports.  A composed
+    circuit gets one group per component.
     """
-    keys, group_of = np.unique(w.T != 0, axis=0, return_inverse=True)
-    return keys, group_of.reshape(-1)
+    keys, group_of, sizes = _distinct_rows(w.T != 0, return_inverse=True,
+                                           return_counts=True)
+    members = np.split(np.argsort(group_of, kind="stable"), np.cumsum(sizes)[:-1])
+    return [(np.flatnonzero(key), hidden) for key, hidden in zip(keys, members)]
 
 
 class _BlockProducts:
@@ -232,18 +247,13 @@ class _BlockProducts:
 
     def __init__(self, w: np.ndarray, free: np.ndarray):
         self.n_hidden = w.shape[1]
-        keys, group_of = _hidden_groups(w)
-        members = np.split(np.argsort(group_of, kind="stable"),
-                           np.cumsum(np.bincount(group_of, minlength=len(keys)))[:-1])
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for g in sorted(range(len(keys)), key=lambda g: members[g][0]):
-            by_shape.setdefault((int(keys[g].sum()), members[g].size), []).append(g)
+        by_shape: dict[tuple[int, int], list] = {}
+        for support, members in sorted(_hidden_groups(w), key=lambda g: g[1][0]):
+            by_shape.setdefault((support.size, members.size), []).append((support, members))
         self.classes = []
         slot_units, n_slots = [np.zeros(0, np.intp)], 0
-        for (s, n), groups in by_shape.items():
-            units = np.array([np.flatnonzero(keys[g]) for g in groups],
-                             dtype=np.intp).reshape(len(groups), s)
-            hidden = np.array([members[g] for g in groups], dtype=np.intp)
+        for groups in by_shape.values():
+            units, hidden = (np.array(arrays, dtype=np.intp) for arrays in zip(*groups))
             blocks = w[units[:, :, None], hidden[:, None, :]]
             first = hidden[0, 0]
             cols = (slice(first, first + hidden.size)
@@ -370,30 +380,25 @@ def _n_recorded(n_sweeps: int, burn_in: int, thin: int) -> int:
     return (n_sweeps - burn_in + thin - 1) // thin
 
 
-def _record_indices(rbm: Rbm, record_terminals) -> tuple[np.ndarray, tuple[str, ...]]:
-    if record_terminals is None:
-        return np.arange(rbm.n_visible, dtype=np.intp), rbm.visible_names
-    idx = np.array([rbm.terminal_index(n) for n in record_terminals], dtype=np.intp)
-    return idx, tuple(record_terminals)
-
-
 class _Recorder:
-    """The recorded columns of chain states, kept as uint8 rows.
+    """The recorded terminals of chain states, kept as uint8 rows.
 
+    ``record_terminals`` None records every visible unit.
     ``histogram()`` folds the rows held so far into one Histogram, and a
     full buffer is folded before it takes more rows.  Folding counts
-    each distinct row with ``np.unique`` over the rows viewed as one
-    opaque (void) value each, which sorts like the row, bytewise
-    (``np.unique(axis=0)`` compares column by column and is about 20x
-    slower), and builds its key tuple once.
+    each distinct row with _distinct_rows and builds its key tuple once.
     """
 
-    def __init__(self, names: tuple[str, ...], cols: np.ndarray, n_chains: int,
-                 n_rows: int):
+    def __init__(self, rbm: Rbm, record_terminals: Sequence[str] | None, n_chains: int,
+                 n_records: int):
+        if record_terminals is None:
+            names, self.cols = rbm.visible_names, np.arange(rbm.n_visible)
+        else:
+            names = tuple(record_terminals)
+            self.cols = np.array([rbm.terminal_index(n) for n in names], dtype=np.intp)
         self.hist = Histogram(names)
-        self.cols = cols
-        size = max(n_chains, RECORD_BLOCK_BYTES // max(len(cols), 1))
-        self.rows = np.empty((min(n_rows, size), len(cols)), dtype=np.uint8)
+        size = max(n_chains, RECORD_BLOCK_BYTES // max(len(self.cols), 1))
+        self.rows = np.empty((min(n_chains * n_records, size), len(self.cols)), dtype=np.uint8)
         self.n = 0
 
     def add(self, v: np.ndarray) -> None:
@@ -408,9 +413,7 @@ class _Recorder:
             if len(rows):
                 self.hist.add((), len(rows))
             return self.hist
-        keys, counts = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
-                                 return_counts=True)
-        keys = keys.view(np.uint8).reshape(len(keys), rows.shape[1])
+        keys, counts = _distinct_rows(rows, return_counts=True)
         for key, n in zip(keys.tolist(), counts.tolist()):
             self.hist.add(tuple(key), n)
         return self.hist
@@ -428,9 +431,8 @@ def run_chain(
     """Run one chain; record every ``thin``-th sweep after ``burn_in``."""
     rbm, _ = model_parts(model)
     states = _recorded_states(model, clamp, [seed], n_sweeps, burn_in, thin)
-    rec_idx, rec_names = _record_indices(rbm, record_terminals)
     samples = np.empty((_n_recorded(n_sweeps, burn_in, thin), rbm.n_visible), dtype=np.uint8)
-    recorder = _Recorder(rec_names, rec_idx, 1, len(samples))
+    recorder = _Recorder(rbm, record_terminals, 1, len(samples))
     for r, v in enumerate(states):
         samples[r] = v[0]
         recorder.add(v)
@@ -476,9 +478,7 @@ def multistart(
     elif len(seeds) != n_chains:
         raise ValueError("seeds length must equal n_chains")
     states = _recorded_states(model, clamp, seeds, n_sweeps, burn_in, thin)
-    rec_idx, rec_names = _record_indices(rbm, record_terminals)
-    recorder = _Recorder(rec_names, rec_idx, n_chains,
-                         n_chains * _n_recorded(n_sweeps, burn_in, thin))
+    recorder = _Recorder(rbm, record_terminals, n_chains, _n_recorded(n_sweeps, burn_in, thin))
     for v in states:
         recorder.add(v)
     return recorder.histogram()
@@ -538,15 +538,14 @@ def success_curve(
         seeds = [seed + i * n_chains + c for c in range(n_chains)]
         states = _recorded_states(model, clamp_assignments(model, task), seeds,
                                   burn_in + marks[-1], burn_in, 1)
-        rec_idx, rec_names = _record_indices(rbm, answer_terminals(model, task))
         check = assignment_checker(model, task)
-        recorder = _Recorder(rec_names, rec_idx, n_chains, n_chains * marks[-1])
+        recorder = _Recorder(rbm, answer_terminals(model, task), n_chains, marks[-1])
         next_mark = 0
         for r, v in enumerate(states, start=1):
             recorder.add(v)
             while next_mark < len(marks) and r == marks[next_mark]:
                 bits, _ = answer_mode(model, task, recorder.histogram())
-                if check(dict(zip(rec_names, bits))):
+                if check(dict(zip(recorder.hist.names, bits))):
                     successes[next_mark] += 1.0
                 next_mark += 1
     return [(c, float(s) / len(tasks)) for c, s in zip(checkpoints, successes)]
@@ -562,41 +561,43 @@ TABLE_HIDDEN_BLOCK = 64
 
 
 class FreeEnergyTables:
-    """F(v) = -b.v + sum_g T_g[index_g(v)], one table per hidden group.
+    """F(v) = -b.v + sum_g T_g[index_g(v)], one table per distinct hidden group.
 
-    Hidden units that touch the same visible units form a group, so a
-    composed circuit gets one group per component.  Group g's table
-    holds -sum_j softplus(a_j + W_j . x) for every assignment x of its
-    visible support; ``index_g(v)`` packs those bits little-endian.
-    The sum is exact because the hidden layer factorizes given v.
+    The groups are those of _hidden_groups, so a composed circuit gets
+    one group per component.  Group g's table holds
+    -sum_j softplus(a_j + W_j . x) for every assignment x of its visible
+    support; ``index_g(v)`` packs those bits little-endian, and T_g
+    starts at ``offsets[g]`` in the flat ``table``.  The sum is exact
+    because the hidden layer factorizes given v.  Groups with the same
+    local weight block (shape and bytes) and hidden biases, such as the
+    copies of one unit in a composition, share one table.
     """
 
     def __init__(self, rbm: Rbm):
-        keys, group_of = _hidden_groups(rbm.weights)
         self.visible_bias = rbm.visible_bias
         self.supports: list[np.ndarray] = []
-        tables = []
-        for g, key in enumerate(keys):
-            units = np.flatnonzero(key)
+        self.groups_of = [[] for _ in range(rbm.n_visible)]  # (group, bit mask)
+        tables, offsets, offset_of = [], [], {}
+        for units, hidden in _hidden_groups(rbm.weights):
             if units.size > MAX_TABLE_UNITS:
                 raise ValueError(
                     f"a hidden group touches {units.size} visible units; "
                     f"tables are limited to {MAX_TABLE_UNITS}")
-            hidden = np.flatnonzero(group_of == g)
-            grid = _bit_grid(units.size)
-            table = np.zeros(len(grid))
-            for start in range(0, hidden.size, TABLE_HIDDEN_BLOCK):
-                cols = hidden[start:start + TABLE_HIDDEN_BLOCK]
-                act = grid @ rbm.weights[np.ix_(units, cols)] + rbm.hidden_bias[cols]
-                table -= np.logaddexp(0.0, act).sum(axis=1)
-            tables.append(table)
-            self.supports.append(units)
-        self.offsets = np.cumsum([0] + [t.size for t in tables])[:-1]
-        self.table = np.concatenate(tables) if tables else np.zeros(0)
-        self.groups_of = [[] for _ in range(rbm.n_visible)]  # (group, bit mask)
-        for g, units in enumerate(self.supports):
+            local, bias = rbm.weights[np.ix_(units, hidden)], rbm.hidden_bias[hidden]
+            key = (local.shape, local.tobytes(), bias.tobytes())
+            if key not in offset_of:
+                offset_of[key] = sum(t.size for t in tables)
+                grid = _bit_grid(units.size)
+                tables.append(np.zeros(len(grid)))
+                for start in range(0, hidden.size, TABLE_HIDDEN_BLOCK):
+                    cols = slice(start, start + TABLE_HIDDEN_BLOCK)
+                    tables[-1] -= np.logaddexp(0.0, grid @ local[:, cols] + bias[cols]).sum(axis=1)
+            offsets.append(offset_of[key])
             for pos, i in enumerate(units):
-                self.groups_of[i].append((g, 1 << pos))
+                self.groups_of[i].append((len(self.supports), 1 << pos))
+            self.supports.append(units)
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.table = np.concatenate(tables) if tables else np.zeros(0)
 
     def indices(self, v: np.ndarray) -> np.ndarray:
         """(rows, groups) table index of every group for rows of v."""
@@ -669,7 +670,7 @@ def replica_exchange(
             or (np.diff(betas) <= 0).any()):
         raise ValueError("betas must be positive, increasing and end at 1.0")
     idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
-    rec_idx, rec_names = _record_indices(rbm, record_terminals)
+    recorder = _Recorder(rbm, record_terminals, n_ladders, _n_recorded(n_sweeps, burn_in, thin))
     tables = FreeEnergyTables(rbm)
     classes = tables.color_classes(free)
     n_rungs = betas.size
@@ -681,8 +682,6 @@ def replica_exchange(
     index = tables.indices(v)
     table, offsets, vb = tables.table, tables.offsets, tables.visible_bias
     top = np.arange(n_ladders) * n_rungs + n_rungs - 1
-    recorder = _Recorder(rec_names, rec_idx, n_ladders,
-                         n_ladders * _n_recorded(n_sweeps, burn_in, thin))
     for t, u in enumerate(_sweep_uniforms(gens, rbm.n_visible, n_sweeps)):
         for units, slot, group, mask, spread in classes:
             cur = index[:, group]

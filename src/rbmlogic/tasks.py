@@ -9,7 +9,7 @@ one integer:
 * add: clamp A, B, Cin; read S, Cout (one integer, S + 2^n Cout).
 * subtract: clamp S, B, Cin and (by default) Cout = 0; read A.  Clamping
   Cout to 0 makes borrowing infeasible, so S >= B + Cin is required
-  unless cout="free" (or 1) is requested.
+  unless cout="free" (or a Cout of 1) is requested.
 * reverse_carry: clamp S, Cin, Cout; read any consistent (A, B).
 * multiply: clamp A, B; read P.
 * divide: clamp P, A; read B.  A must be > 0.
@@ -81,9 +81,10 @@ class TaskSpec:
 
     ``clamps`` maps operand names (A, B, S, P, Cin, Cout) to integers;
     for the sat operation it maps individual terminal names to bits.
-    ``cout`` only affects subtraction: None clamps Cout to 0, "free"
-    leaves it unclamped, 0/1 clamp it explicitly.  ``expected`` is only
-    meaningful for operations whose answer reads as one integer.
+    ``cout`` only affects subtraction: None clamps Cout to 0 (or to a
+    Cout clamp), "free" leaves it unclamped, 0/1 clamp it explicitly.
+    ``expected`` is only meaningful for operations whose answer reads as
+    one integer.
     """
 
     operation: str
@@ -135,11 +136,21 @@ def model_interface(model) -> _Interface:
 
 
 def _clamped_operands(task: TaskSpec) -> dict[str, int]:
-    """Value of each operand the task clamps, in clamp order."""
-    values = {"Cin": 0} | task.clamps
-    if task.operation == "subtract":  # Cout follows task.cout ("free": unclamped)
-        values["Cout"] = 0 if task.cout is None else task.cout
+    """Value of each operand the task clamps, in clamp order.
+
+    A clamp the operation does not read is an error.  A subtract Cout
+    comes from a Cout clamp or from ``task.cout`` ("free": unclamped),
+    which must agree, and is 0 when neither gives it.
+    """
     clamped = _OPS[task.operation].clamps
+    unread = [o for o in task.clamps if o not in clamped]
+    if unread:
+        raise ValueError(f"operation {task.operation!r} does not read clamps {unread}")
+    values = {"Cin": 0} | task.clamps
+    if task.operation == "subtract":
+        cout = values.setdefault("Cout", 0 if task.cout is None else task.cout)
+        if task.cout is not None and cout != task.cout:
+            raise ValueError(f"cout={task.cout!r} contradicts clamp Cout={cout}")
     missing = [o for o in clamped if o not in values]
     if missing:
         raise ValueError(f"operation {task.operation!r} needs clamps for {missing}")

@@ -240,6 +240,25 @@ class TestSolve:
         assert f"operation {op!r} has no single-integer answer" in captured.err
         assert "mode:" not in captured.out
 
+    def test_subtract_applies_a_cout_clamp(self, tmp_path, capsys):
+        assert main(["build", "adder2", "-o", str(tmp_path / "adder2.json")]) == 0
+        code = main(["solve", str(tmp_path / "adder2.json"), "--op", "subtract",
+                     "--clamp", "S=0", "--clamp", "B=1", "--clamp", "Cout=1",
+                     "--chains", "4", "--sweeps", "400"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "mode: A=3 " in out  # 0 + 4 * 1 - 1
+        assert "verdict: consistent" in out
+
+    def test_clamp_the_operation_does_not_read_exits_2(self, tmp_path, capsys):
+        assert main(["build", "adder2", "-o", str(tmp_path / "adder2.json")]) == 0
+        code = main(["solve", str(tmp_path / "adder2.json"), "--op", "add",
+                     "--clamp", "A=1", "--clamp", "B=2", "--clamp", "S=3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "operation 'add' does not read clamps ['S']" in captured.err
+        assert "mode:" not in captured.out
+
     def test_histogram_outputs_and_manifest(self, tmp_path, monkeypatch, model_dir):
         monkeypatch.chdir(tmp_path)
         argv = ["solve", str(model_dir / "adder1.json"), "--op", "add",

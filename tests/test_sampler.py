@@ -282,7 +282,7 @@ def _non_dyadic(make, seed):
 
 def _one_group(w):
     """_hidden_groups with every hidden unit in one group over every visible unit."""
-    return np.ones((min(w.shape[1], 1), w.shape[0]), dtype=bool), np.zeros(w.shape[1], int)
+    return [(np.arange(w.shape[0]), np.arange(w.shape[1]))] if w.shape[1] else []
 
 
 def _forced(monkeypatch, margin=None, dense=False):
@@ -328,6 +328,38 @@ def _composed_rbm(draw, nv):
         weights = weights[:, rng.permutation(weights.shape[1])]
     return Rbm(weights, rng.normal(size=nv), rng.normal(size=weights.shape[1]),
                tuple(f"v{i}" for i in range(nv)))
+
+
+def _reference_groups(w):
+    """The groups as found before _hidden_groups scanned byte rows: np.unique(axis=0)."""
+    keys, group_of = np.unique(w.T != 0, axis=0, return_inverse=True)
+    group_of = group_of.reshape(-1)
+    return [(np.flatnonzero(key), np.flatnonzero(group_of == g)) for g, key in enumerate(keys)]
+
+
+class TestHiddenGroups:
+    """_hidden_groups finds the supports, members and order of np.unique(axis=0)."""
+
+    @pytest.mark.parametrize("case", ["adder16", "mult8", "dense", "empty_columns",
+                                      "no_hidden"])
+    def test_matches_column_by_column_unique(self, case):
+        rng = np.random.default_rng(8)
+        if case in ("adder16", "mult8"):
+            w = builtin_model(case, 6.0).rbm.weights
+        elif case == "dense":
+            w = random_rbm(rng, 20, 64).weights
+        elif case == "empty_columns":
+            w = rng.normal(size=(6, 9)) * (rng.random((6, 9)) < 0.4)
+            w[:, [0, 4, 8]] = 0.0
+        else:
+            w = np.zeros((5, 0))
+        got, want = sampler._hidden_groups(w), _reference_groups(w)
+        assert len(got) == len(want)
+        for (support, members), (ref_support, ref_members) in zip(got, want):
+            assert support.tolist() == ref_support.tolist()
+            assert members.tolist() == ref_members.tolist()
+        if case == "empty_columns":
+            assert got[0][0].size == 0 and got[0][1].tolist() == [0, 4, 8]
 
 
 class TestDecisionFilter:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,24 @@ class TestClampAssignments:
             adder, TaskSpec("subtract", 2, {"S": 3, "B": 1}, cout=1)
         )
         assert pinned["Cout"] == 1
+        for cout in (None, 1):
+            clamped = clamp_assignments(
+                adder, TaskSpec("subtract", 2, {"S": 0, "B": 1, "Cout": 1}, cout=cout))
+            assert clamped["Cout"] == 1
+        for cout in (0, "free"):
+            with pytest.raises(ValueError, match="contradicts clamp Cout=1"):
+                clamp_assignments(
+                    adder, TaskSpec("subtract", 2, {"S": 0, "B": 1, "Cout": 1}, cout=cout))
+
+    @pytest.mark.parametrize("model, task, unread", [
+        ("adder2", TaskSpec("add", 2, {"A": 1, "B": 2, "S": 3}), ["S"]),
+        ("adder2", TaskSpec("reverse_carry", 2, {"S": 1, "Cout": 1, "A": 0}), ["A"]),
+        ("mult2", TaskSpec("multiply", 2, {"A": 1, "B": 2, "Cin": 0}), ["Cin"]),
+        ("mult2", TaskSpec("factor", 2, {"P": 6, "Q": 1}), ["Q"]),
+    ])
+    def test_clamps_the_operation_does_not_read_are_rejected(self, model, task, unread):
+        with pytest.raises(ValueError, match=re.escape(f"does not read clamps {unread}")):
+            clamp_assignments(builtin_model(model), task)
 
     def test_reverse_carry(self):
         adder = builtin_model("adder2")
@@ -301,10 +320,13 @@ def _outcome(fn):
 
 class TestOperationSemanticsPinned:
     """Clamps, answer terminals and checker verdicts of every operation,
-    against a digest computed when each operation had its own branch in
-    clamp_assignments, answer_terminals and assignment_checker."""
+    against a digest first computed when each operation had its own
+    branch in clamp_assignments, answer_terminals and assignment_checker.
+    It was recomputed when subtract began to apply a Cout clamp instead
+    of clamping Cout to 0, which changed exactly the four subtract cases
+    that clamp Cout=1 with ``cout`` None."""
 
-    DIGEST = "798ff34210f1989f221fab50e033cbac088b80a5dd8d6f78e4d7fddd6218a348"
+    DIGEST = "119dad722d36da95ff003e3932cf8e259c4bb51c6be21ab1156d00dc64f6c7ea"
 
     def test_every_operation_and_clamp_value(self):
         models = {n: builtin_model(n) for n in ("adder1", "adder2", "mult1", "mult2")}

@@ -161,6 +161,31 @@ class TestFreeEnergyTables:
             assert np.allclose(tables.free_energy(v, tables.indices(v)),
                                free_energy_batch(rbm, v), atol=1e-9)
 
+    def test_one_table_per_distinct_component(self):
+        """The 52 groups of sharpness-12 mult8 share 7 tables: 2 of 2^16 and 5 of 2^5 entries."""
+        tables = FreeEnergyTables(builtin_model("mult8", 12.0).rbm)
+        assert len(tables.supports) == 52
+        assert len(set(tables.offsets.tolist())) == 7
+        assert tables.table.size == 131_232
+
+    def test_equal_support_sizes_with_different_weights_get_separate_tables(self):
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(2, 3))
+        weights = np.zeros((8, 12))
+        weights[0:2, 0:3] = weights[2:4, 3:6] = block  # two copies of one component
+        weights[4:6, 6:9] = block + 0.5  # same shape, other weights
+        weights[6:8, 9:12] = block  # same weights, other hidden biases
+        bias = np.tile(rng.normal(size=3), 4)
+        bias[9:12] += 1.0
+        rbm = Rbm(weights, rng.normal(size=8), bias, tuple(f"v{i}" for i in range(8)))
+        tables = FreeEnergyTables(rbm)
+        assert tables.table.size == 3 * 4
+        assert [s.tolist() for s in tables.supports] == [[6, 7], [4, 5], [2, 3], [0, 1]]
+        assert tables.offsets.tolist() == [0, 4, 8, 8]
+        v = (rng.random((20, 8)) < 0.5).astype(float)
+        assert np.allclose(tables.free_energy(v, tables.indices(v)),
+                           free_energy_batch(rbm, v), atol=1e-9)
+
     def test_color_classes_partition_free_units_without_shared_groups(self):
         model = builtin_model("adder4", 6.0)
         tables = FreeEnergyTables(model.rbm)
