@@ -298,18 +298,35 @@ def cmd_solve(args, argv) -> int:
     return 0 if result.success else 1
 
 
+def _bench_config(path: Path) -> dict:
+    """A bench config with its defaults filled in; a bad field is an error naming it."""
+    cfg = {"count": 10, "chains": 4, "seed": 0, "burn_in": 0,
+           "checkpoints": [100, 1000, 10000]} | _json_object(path, "a bench config")
+    if not isinstance(cfg.get("model"), str):
+        raise ValueError(f"{path}: model must be a builtin name or a model path, "
+                         f"got {cfg.get('model')!r}")
+    if cfg.get("operation") not in OPERATIONS:
+        raise ValueError(f"{path}: operation must be one of {', '.join(OPERATIONS)}, "
+                         f"got {cfg.get('operation')!r}")
+    if not isinstance(cfg["checkpoints"], list) or not cfg["checkpoints"]:
+        raise ValueError(f"{path}: checkpoints must be a nonempty list")
+    checks = [(n, cfg[n], 1) for n in ("count", "chains")] + \
+        [(n, cfg[n], 0) for n in ("seed", "burn_in")] + \
+        [("checkpoints entry", c, 1) for c in cfg["checkpoints"]]
+    for name, value, low in checks:
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"{path}: {name} must be an integer >= {low}, got {value!r}")
+    return cfg
+
+
 def cmd_bench(args, argv) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = _bench_config(Path(args.config))
     model = _resolve_component(cfg["model"], cfg.get("sharpness", DEFAULT_SHARPNESS))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(cfg["seed"])
     width = model_interface(model).width
-    tasks = [random_task(cfg["operation"], width, rng)
-             for _ in range(int(cfg.get("count", 10)))]
-    checkpoints = [int(c) for c in cfg.get("checkpoints", [100, 1000, 10000])]
-    curve = success_curve(model, tasks, checkpoints,
-                          n_chains=int(cfg.get("chains", 4)),
-                          seed=int(cfg.get("seed", 0)),
-                          burn_in=int(cfg.get("burn_in", 0)))
+    tasks = [random_task(cfg["operation"], width, rng) for _ in range(cfg["count"])]
+    curve = success_curve(model, tasks, cfg["checkpoints"], n_chains=cfg["chains"],
+                          seed=cfg["seed"], burn_in=cfg["burn_in"])
     outdir = _out_path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     curve_path = outdir / "success_curve.csv"

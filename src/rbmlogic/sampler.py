@@ -10,23 +10,26 @@ a block of sweeps are drawn with one call per chain (see
 SWEEP_BLOCK_BYTES); PCG64 gives the same numbers for one draw of k * n
 uniforms as for k draws of n, so blocking changes no result.
 
-_chain_sweeps is the one block Gibbs loop (run_chain, multistart,
-success_curve and gibbs_sweep run on it), _Recorder the one sample
-recorder and _hidden_groups the one component finder (for the block
-products and the free-energy tables); both scan rows with _distinct_rows.
+_recorded_states is the one run driver: it checks the schedule, resolves
+the clamp, seeds one generator per row, draws the start state and picks
+the recorded sweeps, for block Gibbs (_chain_sweeps, under run_chain,
+multistart and success_curve) and for replica_exchange's tempered sweep.
+_Recorder is the one sample recorder and _hidden_groups the one
+component finder (for the block products and the free-energy tables);
+both scan rows with _distinct_rows.
 
 Every update is the decision u < p for the contract probabilities
 expit(v @ W + a) and expit((h @ W.T)[:, free] + b_free), each product
 taken by BLAS over every column.  Sweeps over FILTER_MIN_ENTRIES units
 or more reach them through an exact-decision filter (_decide): fast
 probabilities come from 1 / (1 + exp(-x)) and from block products
-(_BlockProducts): one batched matmul per class of equally shaped
-components, the visible product over the free columns only.  A per-unit
-bound (_margins) covers both errors.  Where a uniform lies within it of
-its fast probability, the contract expression is evaluated for that
-sweep and decides the entry.  The stream contract is unchanged, and the
-decisions, so the chains and histograms, are bit for bit those of the
-contract expression.
+(_BlockProducts): one batched matmul per column slice of equally shaped
+component blocks, the visible product over the free columns only.  One
+bound per layer (_margins) covers both errors.  If a uniform lies
+within it of its fast probability, the contract expression decides the
+whole sweep.  The stream contract is unchanged, and the decisions, so
+the chains and histograms, are bit for bit those of the contract
+expression.
 
 multistart with seeds [s, s+1, ...] pools exactly the histograms that
 run_chain would produce for each seed individually.
@@ -149,15 +152,6 @@ def _sweep_uniforms(gens, width: int, n_sweeps: int):
             yield buf[:, s]
 
 
-def _initial_visible(rbm: Rbm, gens, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Uniform random start, one row per generator, then the clamps."""
-    v = np.empty((len(gens), rbm.n_visible))
-    for c, gen in enumerate(gens):
-        v[c] = gen.random(rbm.n_visible) < 0.5
-    v[:, idx] = vals
-    return v
-
-
 # Sweeps over at least FILTER_MIN_ENTRIES units (chains x (n_hidden +
 # n_visible)) take their decisions through the exact-decision filter;
 # below that its fixed cost per sweep (~20 us) outweighs what it saves.
@@ -172,35 +166,33 @@ def _fast_sigmoid(a: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
-def _margins(w: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Per-unit bound on |fast probability - contract probability|.
+def _margins(w: np.ndarray, bias: np.ndarray) -> float:
+    """Bound on |fast probability - contract probability| over all units.
 
     Unit j's activation sums the k_j nonzero terms of column j (binary
     inputs make every product exact) and its bias.  Any summation order
     is within k_j 2**-53 S_j of the exact sum, S_j = sum |w_ij| + |b_j|,
     so two orders differ by at most 2 k_j 2**-53 S_j, and the sigmoid
-    (slope <= 1/4) shrinks that fourfold.  The margin is 8x that term,
-    plus 2**-47 for the two sigmoid implementations (a few ulps each).
+    (slope <= 1/4) shrinks that fourfold.  The margin is 8x the largest
+    such term, plus 2**-47 for the two sigmoid implementations (a few
+    ulps each).
     """
     k = np.count_nonzero(w, axis=0)
     scale = np.abs(w).sum(axis=0) + np.abs(bias)
-    return (k + 2) * 2.0**-51 * scale + 2.0**-47
+    return float(((k + 2) * scale).max(initial=0.0)) * 2.0**-51 + 2.0**-47
 
 
-def _decide(u: np.ndarray, p: np.ndarray, margin: np.ndarray, exact) -> np.ndarray:
+def _decide(u: np.ndarray, p: np.ndarray, margin: float, exact) -> np.ndarray:
     """The decisions u < p_contract, from p within ``margin`` of p_contract.
 
-    An entry is decided by u < p when u lies ``margin`` or more away
-    from ``p``.  If any entry does not (a NaN ``p`` never does),
-    ``exact()`` evaluates the contract probabilities once and decides
-    those entries.
+    When every u lies ``margin`` or more away from its ``p``, u < p
+    decides every entry.  Otherwise (a NaN ``p`` counts as too close)
+    ``exact()`` evaluates the contract probabilities of the whole sweep
+    and decides every entry.
     """
     d = u - p
-    on = d < 0  # the sign of a rounded difference is exact
     np.abs(d, out=d)
-    if not d.size or d.min() >= margin.max():
-        return on
-    return np.where(d >= margin, on, u < exact())
+    return u < (p if d.min(initial=np.inf) >= margin else exact())
 
 
 def _distinct_rows(rows: np.ndarray, **unique_args):
@@ -232,36 +224,34 @@ def _hidden_groups(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 class _BlockProducts:
     """The fast products v -> v @ w and h -> h @ w[free].T, block by block.
 
-    The groups of _hidden_groups, ordered by first hidden unit, fall into
-    classes of equal (support size s, hidden count n).  A class of G
-    groups keeps its supports ``units`` (G, s), its hidden columns (a
-    slice when the groups lie side by side in order, else a (G, n) index
-    array), its weight blocks (G, s, n) and their transposes (G, n, s),
-    and takes each product with one batched matmul.  The visible product
-    writes every class's (G, s) outputs into slots and sums the slots of
-    each free unit through the padded (n_free, max_degree) index
-    ``gather``; padding points at a slot that stays zero.  A dense model
-    is one block.  Either product sums the nonzero terms of each unit,
-    plus exact zeros, in some order, which _margins covers.
+    Each group of _hidden_groups is cut into blocks, runs of adjacent
+    hidden columns, and the blocks are ordered by column.  A class is a
+    maximal run of neighbouring blocks of equal (support size s, hidden
+    count n), so its G blocks fill one column slice.  It keeps their
+    supports ``units`` (G, s), that slice, its weight blocks (G, s, n)
+    and their transposes (G, n, s), and takes each product with one
+    batched matmul.  The visible product writes every class's (G, s)
+    outputs into slots and sums the slots of each free unit through the
+    padded (n_free, max_degree) index ``gather``; padding points at a
+    slot that stays zero.  A dense model is one block.  Either product
+    sums the nonzero terms of each unit, plus exact zeros, in some order,
+    which _margins covers.
     """
 
     def __init__(self, w: np.ndarray, free: np.ndarray):
         self.n_hidden = w.shape[1]
-        by_shape: dict[tuple[int, int], list] = {}
-        for support, members in sorted(_hidden_groups(w), key=lambda g: g[1][0]):
-            by_shape.setdefault((support.size, members.size), []).append((support, members))
+        blocks = sorted(((support, run) for support, hidden in _hidden_groups(w)
+                         for run in np.split(hidden, np.flatnonzero(np.diff(hidden) > 1) + 1)),
+                        key=lambda block: block[1][0])
         self.classes = []
         slot_units, n_slots = [np.zeros(0, np.intp)], 0
-        for groups in by_shape.values():
-            units, hidden = (np.array(arrays, dtype=np.intp) for arrays in zip(*groups))
-            blocks = w[units[:, :, None], hidden[:, None, :]]
-            first = hidden[0, 0]
-            cols = (slice(first, first + hidden.size)
-                    if np.array_equal(hidden.ravel(), np.arange(first, first + hidden.size))
-                    else hidden)
+        for _, same in itertools.groupby(blocks, key=lambda b: (b[0].size, b[1].size)):
+            units, hidden = (np.array(arrays, dtype=np.intp) for arrays in zip(*same))
+            weights = w[units[:, :, None], hidden[:, None, :]]
+            cols = slice(int(hidden[0, 0]), int(hidden[-1, -1]) + 1)
             slots = slice(n_slots, n_slots + units.size)
-            self.classes.append((units, cols, blocks,
-                                 np.ascontiguousarray(blocks.transpose(0, 2, 1)), slots))
+            self.classes.append((units, cols, weights,
+                                 np.ascontiguousarray(weights.transpose(0, 2, 1)), slots))
             slot_units.append(units.ravel())
             n_slots += units.size
         self.n_slots = n_slots
@@ -282,11 +272,8 @@ class _BlockProducts:
         """v @ w for rows of v."""
         out = np.empty((len(v), self.n_hidden))
         for units, cols, blocks, _, _ in self.classes:
-            x = v[:, units].transpose(1, 0, 2)
-            if isinstance(cols, slice):
-                np.matmul(x, blocks, out=_blocks_view(out, cols, blocks.shape[2]))
-            else:
-                out[:, cols] = np.matmul(x, blocks).transpose(1, 0, 2)
+            np.matmul(v[:, units].transpose(1, 0, 2), blocks,
+                      out=_blocks_view(out, cols, blocks.shape[2]))
         return out
 
     def visible(self, h: np.ndarray) -> np.ndarray:
@@ -296,9 +283,8 @@ class _BlockProducts:
         for units, cols, _, blocks_t, at in self.classes:
             if not units.shape[1]:  # groups with no visible support
                 continue
-            y = (_blocks_view(h, cols, blocks_t.shape[1]) if isinstance(cols, slice)
-                 else h[:, cols].transpose(1, 0, 2))
-            np.matmul(y, blocks_t, out=_blocks_view(slots, at, units.shape[1]))
+            np.matmul(_blocks_view(h, cols, blocks_t.shape[1]), blocks_t,
+                      out=_blocks_view(slots, at, units.shape[1]))
         out = slots[:, self.gather[:, 0]]
         for d in range(1, self.gather.shape[1]):
             out += slots[:, self.gather[:, d]]
@@ -353,27 +339,30 @@ def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int
         yield v, h
 
 
-def _check_schedule(n_sweeps: int, burn_in: int, thin: int) -> None:
-    if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps:
-        raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1")
-
-
 def _recorded_states(model, clamp, seeds: Sequence[int], n_sweeps: int, burn_in: int,
-                     thin: int):
+                     thin: int, sweeps=_chain_sweeps):
     """Start one chain per seed; iterate the visible matrix after each recorded sweep.
 
-    Sweep t (from 0) is recorded when t >= burn_in and (t - burn_in) is a
-    multiple of ``thin``.
+    Row c starts from n_visible uniforms of generator ``seeds[c]`` (a
+    unit is on below 0.5), then the clamps.  ``sweeps(rbm, free, gens, v,
+    n_sweeps)`` runs the rows of v in place and yields (v, state) after
+    every sweep: block Gibbs (_chain_sweeps) unless given.  Sweep t (from
+    0) is recorded when t >= burn_in and (t - burn_in) is a multiple of
+    ``thin``.
     """
-    _check_schedule(n_sweeps, burn_in, thin)
+    if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps:
+        raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1")
     if not len(seeds):
         raise ValueError("need at least one chain")
     rbm, _ = model_parts(model)
     idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
     gens = [np.random.default_rng(int(s)) for s in seeds]
-    v = _initial_visible(rbm, gens, idx, vals)
-    sweeps = _chain_sweeps(rbm, free, gens, v, n_sweeps)
-    return (v for v, _ in itertools.islice(sweeps, burn_in, None, thin))
+    v = np.empty((len(gens), rbm.n_visible))
+    for c, gen in enumerate(gens):
+        v[c] = gen.random(rbm.n_visible) < 0.5
+    v[:, idx] = vals
+    return (v for v, _ in itertools.islice(sweeps(rbm, free, gens, v, n_sweeps),
+                                           burn_in, None, thin))
 
 
 def _n_recorded(n_sweeps: int, burn_in: int, thin: int) -> int:
@@ -530,6 +519,8 @@ def success_curve(
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive sample counts")
+    if n_chains < 1 or not len(tasks):
+        raise ValueError("need n_chains >= 1 and at least one task")
     rbm, _ = model_parts(model)
     # Sweeps recorded when each checkpoint's pooled sample count is reached.
     marks = [(c + n_chains - 1) // n_chains for c in checkpoints]
@@ -661,47 +652,49 @@ def replica_exchange(
     n_ladders * len(betas) * n_sweeps chain-sweeps.  See the module
     docstring for the stream contract.
     """
-    rbm, _ = model_parts(model)
-    _check_schedule(n_sweeps, burn_in, thin)
     if n_ladders < 1:
         raise ValueError("need n_ladders >= 1")
     betas = np.asarray(betas, dtype=np.float64)
     if (betas.ndim != 1 or not betas.size or betas[-1] != 1.0 or (betas <= 0).any()
             or (np.diff(betas) <= 0).any()):
         raise ValueError("betas must be positive, increasing and end at 1.0")
-    idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
-    recorder = _Recorder(rbm, record_terminals, n_ladders, _n_recorded(n_sweeps, burn_in, thin))
-    tables = FreeEnergyTables(rbm)
-    classes = tables.color_classes(free)
     n_rungs = betas.size
     n_rows = n_ladders * n_rungs
     beta = np.tile(betas, n_ladders)[:, None]
-    gens = [np.random.default_rng(seed + r) for r in range(n_rows)]
-    swap_gen = np.random.default_rng(seed + n_rows)
-    v = _initial_visible(rbm, gens, idx, vals)
-    index = tables.indices(v)
-    table, offsets, vb = tables.table, tables.offsets, tables.visible_bias
+
+    def tempered_sweeps(rbm, free, gens, v, n_sweeps):
+        tables = FreeEnergyTables(rbm)
+        classes = tables.color_classes(free)
+        swap_gen = np.random.default_rng(seed + n_rows)
+        index = tables.indices(v)
+        table, offsets, vb = tables.table, tables.offsets, tables.visible_bias
+        for t, u in enumerate(_sweep_uniforms(gens, rbm.n_visible, n_sweeps)):
+            for units, slot, group, mask, spread in classes:
+                cur = index[:, group]
+                on, off = cur | mask, cur & ~mask
+                d_free = (table[offsets[group] + on] - table[offsets[group] + off]) @ spread
+                d_free -= vb[units]  # F(v_i = 1) - F(v_i = 0), per unit
+                p_on = expit(-beta * d_free)
+                new = u[:, units] < p_on
+                v[:, units] = new
+                index[:, group] = np.where(new[:, slot], on, off)
+            if n_rungs > 1:
+                energy = tables.free_energy(v, index)
+                lower = np.arange(t % 2, n_rungs - 1, 2)
+                i = (np.arange(n_ladders)[:, None] * n_rungs + lower).ravel()
+                j = i + 1
+                accept = np.log(swap_gen.random(i.size)) < (
+                    (beta[i, 0] - beta[j, 0]) * (energy[i] - energy[j]))
+                a, b = i[accept], j[accept]
+                v[np.r_[a, b]] = v[np.r_[b, a]]
+                index[np.r_[a, b]] = index[np.r_[b, a]]
+            yield v, index
+
+    rbm, _ = model_parts(model)
+    states = _recorded_states(model, clamp, range(seed, seed + n_rows), n_sweeps, burn_in,
+                              thin, tempered_sweeps)
+    recorder = _Recorder(rbm, record_terminals, n_ladders, _n_recorded(n_sweeps, burn_in, thin))
     top = np.arange(n_ladders) * n_rungs + n_rungs - 1
-    for t, u in enumerate(_sweep_uniforms(gens, rbm.n_visible, n_sweeps)):
-        for units, slot, group, mask, spread in classes:
-            cur = index[:, group]
-            on, off = cur | mask, cur & ~mask
-            d_free = (table[offsets[group] + on] - table[offsets[group] + off]) @ spread
-            d_free -= vb[units]  # F(v_i = 1) - F(v_i = 0), per unit
-            p_on = expit(-beta * d_free)
-            new = u[:, units] < p_on
-            v[:, units] = new
-            index[:, group] = np.where(new[:, slot], on, off)
-        if n_rungs > 1:
-            energy = tables.free_energy(v, index)
-            lower = np.arange(t % 2, n_rungs - 1, 2)
-            i = (np.arange(n_ladders)[:, None] * n_rungs + lower).ravel()
-            j = i + 1
-            accept = np.log(swap_gen.random(i.size)) < (
-                (beta[i, 0] - beta[j, 0]) * (energy[i] - energy[j]))
-            a, b = i[accept], j[accept]
-            v[np.r_[a, b]] = v[np.r_[b, a]]
-            index[np.r_[a, b]] = index[np.r_[b, a]]
-        if t >= burn_in and (t - burn_in) % thin == 0:
-            recorder.add(v[top])
+    for v in states:
+        recorder.add(v[top])
     return recorder.histogram()

@@ -224,21 +224,35 @@ def operand_width(names: Iterable[str], prefix: str) -> int:
     return len(indices)
 
 
-def _slice_name(prefix: str, j: int, width: int) -> str:
-    return prefix if width == 1 else f"{prefix}{j}"
+@dataclass(frozen=True)
+class _Interface:
+    """Operand widths a model exposes."""
+
+    kind: str  # "adder" or "multiplier"
+    width: int
+    names: tuple[str, ...]
+
+    def bits(self, operand: str) -> list[str]:
+        widths = {"A": self.width, "B": self.width, "S": self.width,
+                  "P": 2 * self.width, "Cin": 1, "Cout": 1}
+        return bit_names(operand, widths[operand])
 
 
-def adder_slice_width(base) -> int:
-    """Operand width of an adder slice; validates its terminal interface."""
-    names = public_terminals(_as_component(base))
-    w = operand_width(names, "A")
-    for prefix in ("B", "S"):
-        if operand_width(names, prefix) != w:
-            raise ValueError(f"adder slice operands A/{prefix} have mismatched widths")
-    for t in ("Cin", "Cout"):
-        if t not in names:
-            raise KeyError(f"adder slice missing terminal {t!r}")
-    return w
+def model_interface(model) -> _Interface:
+    """Classify a model as an adder or a multiplier from its terminals."""
+    names = public_terminals(model)
+    width = operand_width(names, "A")
+    if operand_width(names, "B") != width:
+        raise ValueError("operands A and B have different widths")
+    if "Cin" in names:
+        if operand_width(names, "S") != width:
+            raise ValueError("adder sum width must match input width")
+        if "Cout" not in names:
+            raise KeyError("adder is missing terminal 'Cout'")
+        return _Interface("adder", width, tuple(names))
+    if operand_width(names, "P") != 2 * width:
+        raise ValueError("multiplier product width must be twice the input width")
+    return _Interface("multiplier", width, tuple(names))
 
 
 def build_adder(n_bits: int, base) -> MergedModel:
@@ -249,7 +263,10 @@ def build_adder(n_bits: int, base) -> MergedModel:
     inter-slice carries remain internal.
     """
     comp = _as_component(base)
-    w = adder_slice_width(comp)
+    iface = model_interface(comp)
+    if iface.kind != "adder":
+        raise KeyError("adder slice missing terminal 'Cin'")
+    w = iface.width
     if n_bits < 1 or n_bits % w != 0:
         raise ValueError(f"slice width {w} does not divide {n_bits}")
     k = n_bits // w
@@ -259,18 +276,8 @@ def build_adder(n_bits: int, base) -> MergedModel:
     for i in range(k):
         for j in range(w):
             for prefix in ("A", "B", "S"):
-                exports[f"fa{i}.{_slice_name(prefix, j, w)}"] = f"{prefix}{i * w + j}"
+                exports[f"fa{i}.{iface.bits(prefix)[j]}"] = f"{prefix}{i * w + j}"
     return compose(Netlist(components, connections, exports))
-
-
-def multiplier_width(base) -> int:
-    names = public_terminals(_as_component(base))
-    w = operand_width(names, "A")
-    if operand_width(names, "B") != w:
-        raise ValueError("multiplier operands A/B have mismatched widths")
-    if operand_width(names, "P") != 2 * w:
-        raise ValueError("multiplier product must be twice the input width")
-    return w
 
 
 def build_multiplier(n_bits: int, base_mult, base_adder) -> MergedModel:
@@ -286,17 +293,16 @@ def build_multiplier(n_bits: int, base_mult, base_adder) -> MergedModel:
         raise ValueError("n_bits must be even and >= 2")
     m = n_bits // 2
     mult = _as_component(base_mult)
-    if multiplier_width(mult) != m:
-        raise ValueError(f"base multiplier width {multiplier_width(mult)} != {m}")
+    mult_iface = model_interface(mult)
+    if mult_iface.kind != "multiplier":
+        raise KeyError("base multiplier is an adder (it has a Cin terminal)")
+    if mult_iface.width != m:
+        raise ValueError(f"base multiplier width {mult_iface.width} != {m}")
 
     adder = _as_component(base_adder)
-    aw = adder_slice_width(adder)
-    if aw == 2 * n_bits:
-        adder2n = adder
-    elif 2 * n_bits % aw == 0:
-        adder2n = build_adder(2 * n_bits, adder)
-    else:
-        raise ValueError(f"adder width {aw} incompatible with {2 * n_bits}-bit sums")
+    adder_iface = model_interface(adder)
+    adder2n = adder if (adder_iface.kind, adder_iface.width) == ("adder", 2 * n_bits) else \
+        build_adder(2 * n_bits, adder)
 
     n, nn = n_bits, 2 * n_bits
     components = [
@@ -305,8 +311,7 @@ def build_multiplier(n_bits: int, base_mult, base_adder) -> MergedModel:
     ]
 
     def mt(cid, prefix, j):  # multiplier-local terminal
-        width = m if prefix in ("A", "B") else 2 * m
-        return f"{cid}.{_slice_name(prefix, j, width)}"
+        return f"{cid}.{mult_iface.bits(prefix)[j]}"
 
     connections = []
     for j in range(m):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .merge import public_terminals
 from .sampler import Histogram, mode_estimate, multistart, replica_exchange
-from .synthesis import bit_names, operand_width
+from .synthesis import model_interface
 
 
 class _Op(NamedTuple):
@@ -81,7 +81,7 @@ class TaskSpec:
 
     ``clamps`` maps operand names (A, B, S, P, Cin, Cout) to integers;
     for the sat operation it maps individual terminal names to bits.
-    ``cout`` only affects subtraction: None clamps Cout to 0 (or to a
+    ``cout`` is for subtraction only: None clamps Cout to 0 (or to a
     Cout clamp), "free" leaves it unclamped, 0/1 clamp it explicitly.
     ``expected`` is only meaningful for operations whose answer reads as
     one integer.
@@ -98,41 +98,14 @@ class TaskSpec:
             raise ValueError(f"unknown operation {self.operation!r}")
         if self.cout not in (None, "free", 0, 1):
             raise ValueError("cout must be None, 'free', 0 or 1")
+        if self.cout is not None and self.operation != "subtract":
+            raise ValueError(f"cout applies to subtract only, not to {self.operation!r}")
         for name, value in self.clamps.items():
             if int(value) < 0:
                 raise ValueError(f"clamp {name}={value} is negative")
         if self.expected is not None and not _OPS[self.operation].integer:
             raise ValueError(f"operation {self.operation!r} has no single-integer "
                              f"answer to compare with expected={self.expected}")
-
-
-@dataclass(frozen=True)
-class _Interface:
-    """Operand widths a model exposes."""
-
-    kind: str  # "adder" or "multiplier"
-    width: int
-    names: tuple[str, ...]
-
-    def bits(self, operand: str) -> list[str]:
-        widths = {"A": self.width, "B": self.width, "S": self.width,
-                  "P": 2 * self.width, "Cin": 1, "Cout": 1}
-        return bit_names(operand, widths[operand])
-
-
-def model_interface(model) -> _Interface:
-    """Classify a model as an adder or a multiplier from its terminals."""
-    names = public_terminals(model)
-    width = operand_width(names, "A")
-    if operand_width(names, "B") != width:
-        raise ValueError("operands A and B have different widths")
-    if "Cin" in names:
-        if operand_width(names, "S") != width:
-            raise ValueError("adder sum width must match input width")
-        return _Interface("adder", width, tuple(names))
-    if operand_width(names, "P") != 2 * width:
-        raise ValueError("multiplier product width must be twice the input width")
-    return _Interface("multiplier", width, tuple(names))
 
 
 def _clamped_operands(task: TaskSpec) -> dict[str, int]:

@@ -250,6 +250,15 @@ class TestSolve:
         assert "mode: A=3 " in out  # 0 + 4 * 1 - 1
         assert "verdict: consistent" in out
 
+    def test_cout_on_an_operation_other_than_subtract_exits_2(self, tmp_path, capsys):
+        assert main(["build", "adder2", "-o", str(tmp_path / "adder2.json")]) == 0
+        code = main(["solve", str(tmp_path / "adder2.json"), "--op", "add",
+                     "--clamp", "A=1", "--clamp", "B=2", "--cout", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "cout applies to subtract only, not to 'add'" in captured.err
+        assert "mode:" not in captured.out
+
     def test_clamp_the_operation_does_not_read_exits_2(self, tmp_path, capsys):
         assert main(["build", "adder2", "-o", str(tmp_path / "adder2.json")]) == 0
         code = main(["solve", str(tmp_path / "adder2.json"), "--op", "add",
@@ -338,6 +347,27 @@ class TestBench:
         assert len(tasks) == 3
         assert all(t["operation"] == "factor" for t in tasks)
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({"model": 5, "operation": "add"}, "model"),
+        ({"model": "adder2", "operation": "modexp"}, "operation"),
+        ({"model": "adder2", "operation": "add", "chains": 0}, "chains"),
+        ({"model": "adder2", "operation": "add", "count": 0}, "count"),
+        ({"model": "adder2", "operation": "add", "count": 2.5}, "count"),
+        ({"model": "adder2", "operation": "add", "chains": True}, "chains"),
+        ({"model": "adder2", "operation": "add", "checkpoints": []}, "checkpoints"),
+        ({"model": "adder2", "operation": "add", "checkpoints": 100}, "checkpoints"),
+        ({"model": "adder2", "operation": "add", "checkpoints": [100, 0]}, "checkpoints entry"),
+        ({"model": "adder2", "operation": "add", "seed": -1}, "seed"),
+        ({"model": "adder2", "operation": "add", "burn_in": "10"}, "burn_in"),
+        ([1, 2], "a bench config"),
+    ])
+    def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, cfg, field):
+        (tmp_path / "bench.json").write_text(json.dumps(cfg))
+        code = main(["bench", str(tmp_path / "bench.json"), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_without_model_fails(self, tmp_path, capsys):
         (tmp_path / "bench.json").write_text(json.dumps({"operation": "factor"}))

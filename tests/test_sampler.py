@@ -296,7 +296,7 @@ def _forced(monkeypatch, margin=None, dense=False):
     monkeypatch.setattr(sampler, "FILTER_MIN_ENTRIES", 0)
     if margin is not None:
         fast = sampler._fast_sigmoid
-        monkeypatch.setattr(sampler, "_margins", lambda w, bias: np.full(w.shape[1], margin))
+        monkeypatch.setattr(sampler, "_margins", lambda w, bias: margin)
         monkeypatch.setattr(sampler, "_fast_sigmoid",
                             lambda a: fast(a) + 0.4 * margin * np.cos(7.0 * a))
     if dense:
@@ -408,7 +408,7 @@ class TestDecisionFilter:
         assert dense == [(1, 20, 64, slice(0, 64))]
 
     def test_block_plan_layouts(self):
-        """Interleaved components index their hidden columns; products stay exact."""
+        """Interleaved components split into slice classes; products stay exact."""
         rng = np.random.default_rng(4)
         w = np.zeros((6, 9))
         w[np.ix_([0, 1, 2], [0, 2, 4])] = rng.normal(size=(3, 3))
@@ -416,10 +416,8 @@ class TestDecisionFilter:
         w[np.ix_([5], [6, 8])] = rng.normal(size=(1, 2))  # column 7 stays empty
         free = np.array([0, 2, 3, 5])
         classes = _plan_classes(w, free)
-        assert [c[:3] for c in classes] == [(2, 3, 3), (1, 1, 2), (1, 0, 1)]
-        assert classes[0][3].tolist() == [[0, 2, 4], [1, 3, 5]]
-        assert classes[1][3].tolist() == [[6, 8]]
-        assert classes[2][3] == slice(7, 8)
+        assert classes == [(6, 3, 1, slice(0, 6)), (1, 1, 1, slice(6, 7)),
+                           (1, 0, 1, slice(7, 8)), (1, 1, 1, slice(8, 9))]
         plan = sampler._BlockProducts(w, free)
         v = (rng.random((5, 6)) < 0.5).astype(float)
         h = (rng.random((5, 9)) < 0.5).astype(float)
@@ -429,6 +427,21 @@ class TestDecisionFilter:
         assert empty.classes == []
         assert empty.hidden(v[:, :3]).shape == (5, 0)
         assert np.array_equal(empty.visible(np.zeros((5, 0))), np.zeros((5, 2)))
+
+    def test_mult16_plan_is_eight_slice_classes(self):
+        w = builtin_model("mult16", 6.0).rbm.weights
+        free = np.arange(0, w.shape[0], 3)
+        classes = _plan_classes(w, free)
+        assert len(classes) == 8
+        assert [c[3].start for c in classes] == \
+            [0] + [c[3].stop for c in classes[:-1]]
+        assert classes[-1][3].stop == w.shape[1]
+        plan = sampler._BlockProducts(w, free)
+        rng = np.random.default_rng(16)
+        v = (rng.random((3, w.shape[0])) < 0.5).astype(float)
+        h = (rng.random((3, w.shape[1])) < 0.5).astype(float)
+        assert np.allclose(plan.hidden(v), v @ w, rtol=0, atol=1e-9)
+        assert np.allclose(plan.visible(h), h @ w[free].T, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("margin", [1.0, 0.05], ids=["all_exact", "some_exact"])
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "blocks"])
@@ -466,27 +479,31 @@ class TestDecisionFilter:
         assert hist.counts == ref_hist
         assert trace.samples.tolist() == [list(row) for row in traces[0]]
 
-    def test_decide_uses_exact_values_only_where_undecided(self):
+    def test_decide_falls_back_for_the_whole_sweep(self):
         u = np.array([[0.1, 0.5, 0.9, 0.3]])
         p = np.array([[0.5, 0.52, 0.5, np.nan]])
-        margin = np.full(4, 0.05)
 
         def exact():
-            # Disagrees with p everywhere; only the entries within the
-            # margin (0.5 vs 0.52) or with a NaN p may use it.
+            # Disagrees with p everywhere, so every decision shows its source.
             return np.array([[0.0, 0.4, 1.0, 0.4]])
-        assert sampler._decide(u, p, margin, exact).tolist() == [[True, False, False, True]]
+        from_exact = [[False, False, True, True]]
+        # One entry within the margin (0.5 vs 0.52), or one NaN p, sends
+        # every entry to exact().
+        assert sampler._decide(u, p, 0.05, exact).tolist() == from_exact
+        assert sampler._decide(u[:, [0, 2, 3]], p[:, [0, 2, 3]], 0.05,
+                               lambda: exact()[:, [0, 2, 3]]).tolist() == [[False, True, True]]
 
         def unused():
-            raise AssertionError("exact values evaluated for decided entries")
-        assert sampler._decide(u[:, :3:2], p[:, :3:2], margin[:2], unused).tolist() == \
+            raise AssertionError("exact values evaluated for a decided sweep")
+        assert sampler._decide(u[:, :3:2], p[:, :3:2], 0.05, unused).tolist() == \
             [[True, False]]
+        assert sampler._decide(u[:, :0], p[:, :0], 0.05, unused).shape == (1, 0)
 
     def test_fast_sigmoid_within_margin_sigmoid_term(self):
         rng = np.random.default_rng(0)
         a = np.concatenate([rng.uniform(-750, 750, 500_000), rng.uniform(-40, 40, 500_000)])
         err = np.abs(sampler._fast_sigmoid(a) - expit(a))
-        margin_term = sampler._margins(np.zeros((1, 1)), np.zeros(1))[0]
+        margin_term = sampler._margins(np.zeros((1, 1)), np.zeros(1))
         assert margin_term == 2.0**-47
         assert err.max() <= margin_term
         assert np.array_equal(sampler._fast_sigmoid(np.array([-800.0, 0.0, 800.0])),
@@ -565,6 +582,10 @@ class TestSuccessCurve:
             success_curve(m2, [TaskSpec("factor", 2, {"P": 4})], [])
         with pytest.raises(ValueError, match="checkpoints"):
             success_curve(m2, [TaskSpec("factor", 2, {"P": 4})], [0])
+        with pytest.raises(ValueError, match="n_chains >= 1"):
+            success_curve(m2, [TaskSpec("factor", 2, {"P": 4})], [10], n_chains=0)
+        with pytest.raises(ValueError, match="at least one task"):
+            success_curve(m2, [], [10])
 
     def test_direct_multiplier_factors_everything(self):
         m2 = builtin_model("mult2")

@@ -12,7 +12,6 @@ from rbmlogic.model import Rbm
 from rbmlogic.synthesis import (
     DEFAULT_SHARPNESS,
     TruthTable,
-    adder_slice_width,
     adder_table,
     bit_names,
     build_adder,
@@ -23,7 +22,7 @@ from rbmlogic.synthesis import (
     gate,
     gate_table,
     multiplier_table,
-    multiplier_width,
+    model_interface,
     operand_width,
     rbm_from_truth_table,
 )
@@ -196,20 +195,33 @@ class TestOperandWidths:
         with pytest.raises(ValueError, match="gaps"):
             operand_width(["A0", "A2"], "A")
 
-    def test_adder_slice_width(self):
-        assert adder_slice_width(rbm_from_truth_table(full_adder_table())) == 1
-        assert adder_slice_width(rbm_from_truth_table(adder_table(2))) == 2
-        assert adder_slice_width(compose(full_adder_netlist())) == 1
-        with pytest.raises(KeyError, match="no terminals"):
-            adder_slice_width(gate("and"))
-        carryless = Rbm(np.zeros((3, 1)), np.zeros(3), np.zeros(1), ("A", "B", "S"))
-        with pytest.raises(KeyError, match="missing terminal"):
-            adder_slice_width(carryless)
+    def test_model_interface_reads_slice_widths(self):
+        fa = rbm_from_truth_table(full_adder_table())
+        assert (model_interface(fa).kind, model_interface(fa).width) == ("adder", 1)
+        assert model_interface(rbm_from_truth_table(adder_table(2))).width == 2
+        assert model_interface(compose(full_adder_netlist())).width == 1
+        mult = model_interface(rbm_from_truth_table(multiplier_table(2)))
+        assert (mult.kind, mult.width) == ("multiplier", 2)
+        coutless = Rbm(np.zeros((4, 1)), np.zeros(4), np.zeros(1), ("A", "B", "S", "Cin"))
+        with pytest.raises(KeyError, match="missing terminal 'Cout'"):
+            model_interface(coutless)
 
-    def test_multiplier_width(self):
-        assert multiplier_width(rbm_from_truth_table(multiplier_table(2))) == 2
+    def test_builders_validate_their_bases(self):
+        fa = rbm_from_truth_table(full_adder_table())
+        mult2 = rbm_from_truth_table(multiplier_table(2))
+        with pytest.raises(KeyError, match="no terminals"):
+            build_adder(2, gate("and"))
+        carryless = Rbm(np.zeros((3, 1)), np.zeros(3), np.zeros(1), ("A", "B", "S"))
         with pytest.raises(KeyError):
-            multiplier_width(rbm_from_truth_table(full_adder_table()))
+            build_adder(2, carryless)
+        with pytest.raises(KeyError, match="missing terminal 'Cin'"):
+            build_adder(4, mult2)
+        with pytest.raises(KeyError, match="is an adder"):
+            build_multiplier(2, fa, fa)
+        with pytest.raises(ValueError, match="base multiplier width 2 != 1"):
+            build_multiplier(2, mult2, fa)
+        with pytest.raises(KeyError, match="missing terminal 'Cin'"):
+            build_multiplier(4, mult2, rbm_from_truth_table(multiplier_table(4)))
 
 
 class TestCircuits:

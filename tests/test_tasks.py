@@ -67,6 +67,13 @@ class TestTaskSpec:
         spec = TaskSpec("add", 2, {"A": 1, "B": 2})
         assert spec.cout is None and spec.expected is None
 
+    @pytest.mark.parametrize("operation", ["add", "reverse_carry", "multiply", "factor", "sat"])
+    def test_cout_is_for_subtract_only(self, operation):
+        for cout in (0, 1, "free"):
+            with pytest.raises(ValueError, match="cout applies to subtract only"):
+                TaskSpec(operation, 2, {}, cout=cout)
+        assert TaskSpec("subtract", 2, {"S": 1, "B": 1}, cout=1).cout == 1
+
 
 class TestModelInterface:
     def test_classification(self):
