@@ -16,7 +16,11 @@ the recorded sweeps, for block Gibbs (_chain_sweeps, under run_chain,
 multistart and success_curve) and for replica_exchange's tempered sweep.
 _Recorder is the one sample recorder and _hidden_groups the one
 component finder (for the block products and the free-energy tables);
-both scan rows with _distinct_rows.
+both scan rows with _distinct_rows.  A Histogram is arrays end to end:
+sorted distinct uint8 keys and their int64 counts.  Recording, pooling
+and marginals all re-tally concatenated keys with their weights
+(_tally).  Keys stay sorted, so the first largest count is the mode and
+a stable sort of the counts orders the top keys, ties to the least.
 
 Every update is the decision u < p for the contract probabilities
 expit(v @ W + a) and expit((h @ W.T)[:, free] + b_free), each product
@@ -52,9 +56,9 @@ each on its own seeds under the same contract.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,49 +69,90 @@ from .merge import ClampMask, clamp_arrays, model_parts, resolve_clamp
 from .model import BinaryState, Rbm, free_energy_batch
 
 
-@dataclass
 class Histogram:
-    """Counts of recorded assignments of ``names``."""
+    """Counts of recorded assignments of ``names``.
 
-    names: tuple[str, ...]
-    counts: dict[tuple[int, ...], int] = field(default_factory=dict)
+    One representation: ``keys``, the distinct assignments as (K,
+    len(names)) uint8 rows in bytewise order, which is the lexicographic
+    order of the key tuples, and ``key_counts``, their int64 counts.
+    Every change re-tallies the concatenated rows with their weights
+    (_fold).  ``counts`` is a dict {key tuple: count} built on each read.
+    """
+
+    def __init__(self, names: Sequence[str], counts: Mapping[tuple[int, ...], int] | None = None):
+        self.names = tuple(names)
+        self.keys = np.zeros((0, len(self.names)), dtype=np.uint8)
+        self.key_counts = np.zeros(0, dtype=np.int64)
+        if counts:
+            self._fold(self._key_rows(counts), np.fromiter(counts.values(), np.int64, len(counts)))
+
+    def _key_rows(self, keys) -> np.ndarray:
+        rows = np.array(list(keys), dtype=np.int64)
+        if rows.shape != (len(keys), len(self.names)) or ((rows < 0) | (rows > 255)).any():
+            raise ValueError(f"keys must be {len(self.names)} values in 0..255")
+        return rows.astype(np.uint8)
+
+    def _fold(self, rows: np.ndarray, weights: np.ndarray) -> None:
+        """Add uint8 ``rows``, which may repeat, with int64 ``weights``."""
+        self.keys, self.key_counts = _tally(np.concatenate([self.keys, rows]),
+                                            np.concatenate([self.key_counts, weights]))
+
+    @property
+    def counts(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(map(tuple, self.keys.tolist()), self.key_counts.tolist()))
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.key_counts.sum())
 
     def add(self, key: tuple[int, ...], weight: int = 1) -> None:
-        self.counts[key] = self.counts.get(key, 0) + weight
+        self._fold(self._key_rows([key]), np.array([weight], dtype=np.int64))
 
     def __add__(self, other: "Histogram") -> "Histogram":
         if self.names != other.names:
             raise ValueError("histograms cover different terminals")
-        merged = dict(self.counts)
-        for key, n in other.counts.items():
-            merged[key] = merged.get(key, 0) + n
-        return Histogram(self.names, merged)
+        out = Histogram(self.names)
+        out._fold(np.concatenate([self.keys, other.keys]),
+                  np.concatenate([self.key_counts, other.key_counts]))
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Histogram):
+            return NotImplemented
+        return (self.names == other.names and np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.key_counts, other.key_counts))
+
+    def __repr__(self) -> str:
+        return f"Histogram({self.names!r}, {self.counts!r})"
 
     def frequency(self, key: tuple[int, ...]) -> float:
-        total = self.total
-        return self.counts.get(tuple(key), 0) / total if total else 0.0
+        total, row = self.total, np.asarray(key)
+        if not total or row.shape != (len(self.names),):
+            return 0.0
+        return float(self.key_counts[(self.keys == row).all(axis=1)].sum()) / total
 
     def marginal(self, names: Sequence[str]) -> "Histogram":
-        cols = [self.names.index(n) for n in names]
-        out = Histogram(tuple(names))
-        for key, n in self.counts.items():
-            out.add(tuple(key[c] for c in cols), n)
+        out = Histogram(names)
+        out._fold(self.keys[:, [self.names.index(n) for n in names]], self.key_counts)
         return out
 
     def top(self, k: int) -> list[tuple[tuple[int, ...], int]]:
-        return heapq.nsmallest(k, self.counts.items(), key=lambda item: (-item[1], item[0]))
+        """The k most frequent assignments; ties break to the lexicographically least.
+
+        A stable sort on falling count keeps tied keys in their sorted
+        order, so it orders by (-count, key).
+        """
+        order = np.argsort(-self.key_counts, kind="stable")[:max(k, 0)]
+        return [(tuple(key), n) for key, n in
+                zip(self.keys[order].tolist(), self.key_counts[order].tolist())]
 
 
 def mode_estimate(histogram: Histogram) -> tuple[tuple[int, ...], int]:
     """Most frequent assignment; ties break to the lexicographically least."""
-    if not histogram.counts:
+    if not len(histogram.keys):
         raise ValueError("empty histogram has no mode")
-    best = min(histogram.counts, key=lambda key: (-histogram.counts[key], key))
-    return best, histogram.counts[best]
+    i = int(np.argmax(histogram.key_counts))  # the first maximum has the least key
+    return tuple(histogram.keys[i].tolist()), int(histogram.key_counts[i])
 
 
 @dataclass(frozen=True)
@@ -206,6 +251,18 @@ def _distinct_rows(rows: np.ndarray, **unique_args):
     keys, *rest = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
                             **unique_args)
     return keys.view(np.uint8).reshape(len(keys), rows.shape[1]), *rest
+
+
+def _tally(rows: np.ndarray, weights: np.ndarray):
+    """The distinct rows of a 2-D uint8 array, in bytewise order, and the
+    summed int64 ``weights`` of each."""
+    if not rows.shape[1]:  # every row is the empty key ()
+        n = min(len(rows), 1)
+        return rows[:n], np.full(n, weights.sum(), np.int64)
+    keys, inverse = _distinct_rows(rows, return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse, weights)
+    return keys, counts
 
 
 def _hidden_groups(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -374,8 +431,8 @@ class _Recorder:
 
     ``record_terminals`` None records every visible unit.
     ``histogram()`` folds the rows held so far into one Histogram, and a
-    full buffer is folded before it takes more rows.  Folding counts
-    each distinct row with _distinct_rows and builds its key tuple once.
+    full buffer is folded before it takes more rows: its rows are tallied
+    with the histogram's keys (Histogram._fold), no key tuple is built.
     """
 
     def __init__(self, rbm: Rbm, record_terminals: Sequence[str] | None, n_chains: int,
@@ -398,13 +455,8 @@ class _Recorder:
 
     def histogram(self) -> Histogram:
         rows, self.n = self.rows[:self.n], 0
-        if not rows.size:  # no rows, or every row is the empty key ()
-            if len(rows):
-                self.hist.add((), len(rows))
-            return self.hist
-        keys, counts = _distinct_rows(rows, return_counts=True)
-        for key, n in zip(keys.tolist(), counts.tolist()):
-            self.hist.add(tuple(key), n)
+        if len(rows):
+            self.hist._fold(rows, np.ones(len(rows), dtype=np.int64))
         return self.hist
 
 
@@ -630,6 +682,20 @@ class FreeEnergyTables:
         return out
 
 
+# FreeEnergyTables by id of their Rbm, dropped when that Rbm is
+# collected.  An Rbm's arrays are read-only, so its tables never go stale.
+_TABLES: dict[int, FreeEnergyTables] = {}
+
+
+def _tables_of(rbm: Rbm) -> FreeEnergyTables:
+    """FreeEnergyTables(rbm), built once per model."""
+    tables = _TABLES.get(id(rbm))
+    if tables is None:
+        tables = _TABLES[id(rbm)] = FreeEnergyTables(rbm)
+        weakref.finalize(rbm, _TABLES.pop, id(rbm), None)
+    return tables
+
+
 def replica_exchange(
     model,
     clamp: Mapping[str, int] | ClampMask | None = None,
@@ -646,8 +712,8 @@ def replica_exchange(
     Each of ``n_ladders`` independent ladders holds one replica per entry
     of ``betas`` (increasing, last entry 1.0).  A sweep updates every free
     visible unit once by heat bath on p_beta(v) ∝ exp(-beta F(v)) with
-    the hidden layer summed out (tabulated by FreeEnergyTables); then
-    neighbouring rungs swap states with probability
+    the hidden layer summed out (tabulated by FreeEnergyTables, built
+    once per model); then neighbouring rungs swap states with probability
     min(1, exp((beta_i - beta_j) (F(v_i) - F(v_j)))).  The run costs
     n_ladders * len(betas) * n_sweeps chain-sweeps.  See the module
     docstring for the stream contract.
@@ -663,7 +729,7 @@ def replica_exchange(
     beta = np.tile(betas, n_ladders)[:, None]
 
     def tempered_sweeps(rbm, free, gens, v, n_sweeps):
-        tables = FreeEnergyTables(rbm)
+        tables = _tables_of(rbm)
         classes = tables.color_classes(free)
         swap_gen = np.random.default_rng(seed + n_rows)
         index = tables.indices(v)

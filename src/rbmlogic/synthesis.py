@@ -250,7 +250,11 @@ def model_interface(model) -> _Interface:
         if "Cout" not in names:
             raise KeyError("adder is missing terminal 'Cout'")
         return _Interface("adder", width, tuple(names))
-    if operand_width(names, "P") != 2 * width:
+    try:
+        product_width = operand_width(names, "P")
+    except KeyError:
+        raise KeyError("model is neither an adder (Cin) nor a multiplier (P)") from None
+    if product_width != 2 * width:
         raise ValueError("multiplier product width must be twice the input width")
     return _Interface("multiplier", width, tuple(names))
 

@@ -266,25 +266,21 @@ def _nontrivial_factor_mode(hist: Histogram, a_terms: Sequence[str], b_terms: Se
     """(A, B) pairs with both factors > 1, by falling count, then (A, B),
     and the histogram key of the first (None when there is none).
     ``a_terms`` and ``b_terms`` name the bits of A and B, LSB first."""
-    if not hist.counts:
-        return [], None
-    keys = np.array(list(hist.counts), dtype=np.uint8)
-    counts = np.fromiter(hist.counts.values(), dtype=np.int64, count=len(keys))
-    a_bits = keys[:, [hist.names.index(t) for t in a_terms]]
-    b_bits = keys[:, [hist.names.index(t) for t in b_terms]]
+    a_bits = hist.keys[:, [hist.names.index(t) for t in a_terms]]
+    b_bits = hist.keys[:, [hist.names.index(t) for t in b_terms]]
     rows = np.flatnonzero(a_bits[:, 1:].any(axis=1) & b_bits[:, 1:].any(axis=1))
-    # Last lexsort key is primary: count, then A and B, most significant bit first.
-    rows = rows[np.lexsort((*b_bits[rows].T, *a_bits[rows].T, -counts[rows]))]
+    a, b, counts = _ints(a_bits[rows]), _ints(b_bits[rows]), hist.key_counts[rows]
+    order = np.lexsort((b, a, -counts))  # the last key is primary
+    pairs = list(zip(zip(a[order].tolist(), b[order].tolist()), counts[order].tolist()))
+    return pairs, tuple(hist.keys[rows[order[0]]].tolist()) if pairs else None
 
-    def decoded(bits: np.ndarray) -> list[int]:
-        # Python ints past 62 bits, where int64 would overflow.
-        place = np.array([1 << j for j in range(bits.shape[1])],
-                         dtype=np.int64 if bits.shape[1] < 63 else object)
-        return (bits[rows].astype(place.dtype) @ place).tolist()
 
-    pairs = [((a, b), n) for a, b, n in
-             zip(decoded(a_bits), decoded(b_bits), counts[rows].tolist())]
-    return pairs, tuple(keys[rows[0]].tolist()) if pairs else None
+def _ints(bits: np.ndarray) -> np.ndarray:
+    """The integers whose little-endian bits are the rows of ``bits``:
+    int64, or Python ints past 62 bits, where int64 would overflow."""
+    place = np.array([1 << j for j in range(bits.shape[1])],
+                     dtype=np.int64 if bits.shape[1] < 63 else object)
+    return bits.astype(place.dtype) @ place
 
 
 def _answer_mode(task: TaskSpec, hist: Histogram, record: Sequence[str]):

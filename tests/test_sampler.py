@@ -1,5 +1,7 @@
 """Clamped block Gibbs sampling: chains, pooling, diagnostics, success curves."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -74,6 +76,80 @@ class TestHistogram:
         assert mode_estimate(h) == ((0, 1), 5)
         with pytest.raises(ValueError, match="empty"):
             mode_estimate(Histogram(("a",)))
+
+
+def _dict_counts(items):
+    """Plain dict counting of (key, weight) pairs: the reference histogram."""
+    counts = {}
+    for key, n in items:
+        counts[key] = counts.get(key, 0) + n
+    return counts
+
+
+def _dict_top(counts, k):
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def _bit_keys(width):
+    return st.tuples(*[st.integers(0, 1)] * width)
+
+
+class TestHistogramMatchesDict:
+    """The array histogram against dict counting.  Bit keys and weights
+    1..4 make ties common; width 0 has only the empty key ()."""
+
+    def _check(self, hist, ref, names, marginal_cols):
+        assert hist.names == names
+        assert hist.counts == ref
+        assert hist.total == sum(ref.values())
+        for key in itertools.product((0, 1), repeat=len(names)):
+            assert hist.frequency(key) == (ref.get(key, 0) / hist.total if hist.total else 0.0)
+        assert hist.frequency((0,) * (len(names) + 1)) == 0.0
+        for k in range(len(ref) + 2):
+            assert hist.top(k) == _dict_top(ref, k)
+        if ref:
+            assert mode_estimate(hist) == _dict_top(ref, 1)[0]
+        else:
+            with pytest.raises(ValueError, match="empty"):
+                mode_estimate(hist)
+        sub = tuple(names[c] for c in marginal_cols)
+        assert hist.marginal(sub).counts == _dict_counts(
+            (tuple(key[c] for c in marginal_cols), n) for key, n in ref.items())
+
+    @given(width=st.integers(0, 3), data=st.data())
+    def test_built_added_and_pooled(self, width, data):
+        items = data.draw(st.lists(st.tuples(_bit_keys(width), st.integers(1, 4)), max_size=12))
+        cols = data.draw(st.lists(st.integers(0, max(width - 1, 0)), unique=True,
+                                  max_size=width))
+        names = tuple(f"t{i}" for i in range(width))
+        ref = _dict_counts(items)
+        added = Histogram(names)
+        for key, n in items:
+            added.add(key, n)
+        half = len(items) // 2
+        pooled = (Histogram(names, _dict_counts(items[:half]))
+                  + Histogram(names, _dict_counts(items[half:])))
+        for hist in (added, Histogram(names, ref), pooled):
+            self._check(hist, ref, names, cols)
+        assert added == pooled
+
+    @given(width=st.integers(0, 3), n_chains=st.integers(1, 3), data=st.data())
+    def test_recorder_folding_every_sweep(self, width, n_chains, data):
+        sweeps = data.draw(st.lists(st.lists(_bit_keys(width), min_size=n_chains,
+                                             max_size=n_chains), min_size=1, max_size=8))
+        rbm = zero_rbm(max(width, 1), 1)
+        names = rbm.visible_names[:width]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "RECORD_BLOCK_BYTES", 1)  # a buffer of one sweep
+            recorder = sampler._Recorder(rbm, names, n_chains, len(sweeps))
+            for t, rows in enumerate(sweeps, start=1):
+                v = np.array(rows, dtype=np.float64).reshape(n_chains, width)
+                recorder.add(np.hstack([v, np.zeros((n_chains, 1))]))
+                if t == len(sweeps) // 2:  # a checkpoint read, as success_curve does
+                    ref = _dict_counts((key, 1) for rows in sweeps[:t] for key in rows)
+                    self._check(recorder.histogram(), ref, names, [])
+            ref = _dict_counts((key, 1) for rows in sweeps for key in rows)
+            self._check(recorder.histogram(), ref, names, list(range(width))[::-1])
 
 
 class TestClampMask:

@@ -212,7 +212,7 @@ class TestOperandWidths:
         with pytest.raises(KeyError, match="no terminals"):
             build_adder(2, gate("and"))
         carryless = Rbm(np.zeros((3, 1)), np.zeros(3), np.zeros(1), ("A", "B", "S"))
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"neither an adder \(Cin\) nor a multiplier \(P\)"):
             build_adder(2, carryless)
         with pytest.raises(KeyError, match="missing terminal 'Cin'"):
             build_adder(4, mult2)

@@ -385,6 +385,16 @@ class TestAnswerMode:
 
 
 class TestSolve:
+    def test_factor_solve_reads_histogram_arrays_only(self, monkeypatch):
+        def refuse(hist):
+            raise AssertionError("solve built the counts dict")
+
+        monkeypatch.setattr(Histogram, "counts", property(refuse))
+        r = solve(builtin_model("mult2"), TaskSpec("factor", 2, {"P": 6}),
+                  SolveSettings(n_chains=4, n_sweeps=200, seed=0))
+        assert r.total == 4 * 200
+        assert r.factor_pairs
+
     def test_settings_validation(self):
         with pytest.raises(ValueError, match="bad sampler settings"):
             SolveSettings(n_chains=0)

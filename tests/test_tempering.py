@@ -10,12 +10,13 @@ a composed multiplier with constants and 91 visible units.
 """
 
 import functools
-
+import gc
 import hashlib
 
 import numpy as np
 import pytest
 
+from rbmlogic import sampler
 from rbmlogic.exact import exact_visible_distribution, tv_distance
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm, free_energy_batch
@@ -185,6 +186,26 @@ class TestFreeEnergyTables:
         v = (rng.random((20, 8)) < 0.5).astype(float)
         assert np.allclose(tables.free_energy(v, tables.indices(v)),
                            free_energy_batch(rbm, v), atol=1e-9)
+
+    def test_solves_on_one_model_build_its_tables_once(self, monkeypatch):
+        built = []
+
+        class Counting(sampler.FreeEnergyTables):
+            def __init__(self, rbm):
+                built.append(rbm.n_visible)
+                super().__init__(rbm)
+
+        monkeypatch.setattr(sampler, "FreeEnergyTables", Counting)
+        model = builtin_model("mult2", 6.0)
+        settings = SolveSettings(n_chains=2, n_sweeps=50, seed=1, betas=(0.5, 1.0))
+        for p in (6, 4):
+            solve(model, TaskSpec("factor", 2, {"P": p}), settings)
+        assert built == [model.n_visible]
+        key = id(model)
+        assert key in sampler._TABLES
+        del model
+        gc.collect()
+        assert key not in sampler._TABLES  # dropped with its model
 
     def test_color_classes_partition_free_units_without_shared_groups(self):
         model = builtin_model("adder4", 6.0)
