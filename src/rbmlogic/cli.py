@@ -28,13 +28,13 @@ import numpy as np
 
 from . import __version__
 from .exact import (
+    _propagated,
     convergence_bound,
     delta_bound,
     delta_exact,
     exact_joint_distribution,
     exact_visible_distribution,
     l1_distance,
-    propagate_distribution,
     tv_distance,
 )
 from .merge import MergedModel, Netlist, compose, model_parts, resolve_clamp
@@ -343,6 +343,10 @@ def cmd_bench(args, argv) -> int:
 
 
 def cmd_diagnose(args, argv) -> int:
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    if args.sample_sweeps < 2:
+        raise ValueError(f"--sample-sweeps must be >= 2, got {args.sample_sweeps}")
     model = load_model(args.model)
     clamp = _parse_clamp_items(args.clamp)
     rbm, _ = model_parts(model)
@@ -361,15 +365,12 @@ def cmd_diagnose(args, argv) -> int:
         report["delta_exact"] = delta
         pi, _ = exact_joint_distribution(model, clamp, max_joint=args.max_joint)
         pi = pi.reshape(-1)
-        mu = np.zeros_like(pi)
-        mu[0] = 1.0
-        initial_l1 = l1_distance(mu, pi)
-        rows = []
-        for n in range(args.steps + 1):
-            rows.append([n, tv_distance(mu, pi),
-                         convergence_bound(delta, initial_l1, n)])
-            mu = propagate_distribution(model, mu, 1, clamp,
-                                        max_joint=args.max_joint)
+        mu0 = np.zeros_like(pi)
+        mu0[0] = 1.0
+        initial_l1 = l1_distance(mu0, pi)
+        sweeps = _propagated(model, mu0, clamp, args.max_joint)
+        rows = [[n, tv_distance(mu, pi), convergence_bound(delta, initial_l1, n)]
+                for n, mu in zip(range(args.steps + 1), sweeps)]
         bound_path = outdir / "bound.csv"
         _write_csv(bound_path, ["sweep", "tv_observed", "tv_bound"], rows)
         outputs.append(bound_path)
@@ -385,8 +386,12 @@ def cmd_diagnose(args, argv) -> int:
                           f"--max-joint {args.max_joint}; exact curves skipped")
 
     trace, _ = run_chain(model, clamp, n_sweeps=args.sample_sweeps, seed=args.seed)
-    tau = integrated_autocorrelation_time(trace.free_energy)
-    report["free_energy_iact"] = tau
+    if np.ptp(trace.free_energy):
+        report["free_energy_iact"] = integrated_autocorrelation_time(trace.free_energy)
+    else:
+        report["free_energy_iact"] = None
+        report["free_energy_note"] = (f"free energy constant over {args.sample_sweeps} "
+                                      "sweeps; autocorrelation undefined")
     fe_path = outdir / "free_energy.csv"
     _write_csv(fe_path, ["sweep", "free_energy"],
                [[t, float(f)] for t, f in enumerate(trace.free_energy)])
@@ -396,7 +401,8 @@ def cmd_diagnose(args, argv) -> int:
     report_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     outputs.append(report_path)
     _write_manifest("diagnose", argv, outputs, outdir)
-    for key in ("delta_exact", "delta_bound", "free_energy_iact", "tv_after_steps", "note"):
+    for key in ("delta_exact", "delta_bound", "free_energy_iact", "free_energy_note",
+                "tv_after_steps", "note"):
         if key in report:
             print(f"{key}: {report[key]}")
     return 0

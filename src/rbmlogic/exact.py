@@ -223,8 +223,8 @@ def l1_distance(p, q) -> float:
     return float(np.abs(p - q).sum())
 
 
-def _joint_log_weights(model, clamp: Mapping[str, int] | None, max_joint: int):
-    """Log e^{-E} over (hidden, free-visible) grids, hidden as rows."""
+def _joint_grids(model, clamp: Mapping[str, int] | None, max_joint: int):
+    """(rbm, V, H, free): every clamped visible row V and every hidden row H."""
     rbm, _ = model_parts(model)
     idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
     if free.size + rbm.n_hidden > max_joint:
@@ -234,17 +234,22 @@ def _joint_log_weights(model, clamp: Mapping[str, int] | None, max_joint: int):
     V = np.zeros((2 ** int(free.size), rbm.n_visible))
     V[:, idx] = vals
     V[:, free] = _bit_grid(int(free.size))
-    H = _bit_grid(rbm.n_hidden)
+    return rbm, V, _bit_grid(rbm.n_hidden), free
+
+
+def _joint_log_weights(model, clamp: Mapping[str, int] | None, max_joint: int):
+    """Log e^{-E} over (hidden, free-visible) grids, hidden as rows."""
+    rbm, V, H, _ = _joint_grids(model, clamp, max_joint)
     # -E(v,h) = b.v + a.h + v W h
     log_w = (V @ rbm.weights) @ H.T + (V @ rbm.visible_bias)[:, None]
     log_w += (H @ rbm.hidden_bias)[None, :]
-    return log_w.T, V, H, free  # (2^nh, 2^nf)
+    return log_w.T  # (2^nh, 2^nf)
 
 
 def exact_joint_distribution(model, clamp: Mapping[str, int] | None = None,
                              max_joint: int = MAX_JOINT_UNITS):
     """Joint p(h, v_free) grid and log partition function."""
-    log_w, _, _, _ = _joint_log_weights(model, clamp, max_joint)
+    log_w = _joint_log_weights(model, clamp, max_joint)
     log_z = float(logsumexp(log_w))
     return np.exp(log_w - log_z), log_z
 
@@ -252,7 +257,7 @@ def exact_joint_distribution(model, clamp: Mapping[str, int] | None = None,
 def delta_exact(model, clamp: Mapping[str, int] | None = None,
                 max_joint: int = MAX_JOINT_UNITS) -> float:
     """Exact energy range max E - min E over all joint states."""
-    log_w, _, _, _ = _joint_log_weights(model, clamp, max_joint)
+    log_w = _joint_log_weights(model, clamp, max_joint)
     return float(log_w.max() - log_w.min())
 
 
@@ -287,8 +292,7 @@ def convergence_bound(delta: float, initial_l1: float, n_sweeps) -> np.ndarray |
 
 def _conditional_tables(model, clamp: Mapping[str, int] | None, max_units: int):
     """Per-state conditionals p(h'|v) and p(v_free'|h) for all states."""
-    rbm, _ = model_parts(model)
-    _, V, H, free = _joint_log_weights(model, clamp, max_units)
+    rbm, V, H, free = _joint_grids(model, clamp, max_units)
     act_h = V @ rbm.weights + rbm.hidden_bias  # (2^nf, nh)
     log_ph = act_h @ H.T - np.logaddexp(0.0, act_h).sum(axis=1, keepdims=True)
     act_v = (H @ rbm.weights.T + rbm.visible_bias)[:, free]  # (2^nh, nf)
@@ -325,12 +329,20 @@ def propagate_distribution(model, mu0: np.ndarray, n_sweeps: int,
     as gibbs_transition_matrix; returns the flat distribution after
     ``n_sweeps`` full sweeps.
     """
+    sweeps = _propagated(model, mu0, clamp, max_joint)
+    for _ in range(int(n_sweeps)):
+        next(sweeps)
+    return next(sweeps)
+
+
+def _propagated(model, mu0: np.ndarray, clamp: Mapping[str, int] | None, max_joint: int):
+    """Yield mu0, mu0 P, mu0 P^2, ... flat, from conditional tables built once."""
     ph_tab, pv_tab = _conditional_tables(model, clamp, max_joint)
     nf_states, nh_states = ph_tab.shape
     mu = np.asarray(mu0, dtype=np.float64).reshape(nh_states, nf_states).copy()
-    for _ in range(int(n_sweeps)):
+    while True:
+        yield mu.reshape(-1)
         over_v = mu.sum(axis=0)  # collapse h: p(v)
         mu = (ph_tab * over_v[:, None]).T  # resample h from v
         over_h = mu.sum(axis=1)  # collapse v: p(h)
         mu = over_h[:, None] * pv_tab  # resample v_free from h
-    return mu.reshape(-1)

@@ -22,18 +22,16 @@ and marginals all re-tally concatenated keys with their weights
 (_tally).  Keys stay sorted, so the first largest count is the mode and
 a stable sort of the counts orders the top keys, ties to the least.
 
-Every update is the decision u < p for the contract probabilities
-expit(v @ W + a) and expit((h @ W.T)[:, free] + b_free), each product
-taken by BLAS over every column.  Sweeps over FILTER_MIN_ENTRIES units
-or more reach them through an exact-decision filter (_decide): fast
-probabilities come from 1 / (1 + exp(-x)) and from block products
-(_BlockProducts): one batched matmul per column slice of equally shaped
-component blocks, the visible product over the free columns only.  One
-bound per layer (_margins) covers both errors.  If a uniform lies
-within it of its fast probability, the contract expression decides the
-whole sweep.  The stream contract is unchanged, and the decisions, so
-the chains and histograms, are bit for bit those of the contract
-expression.
+Every update is the decision u < p.  Sweeps below BLOCK_MIN_ENTRIES
+units take the contract probabilities expit(v @ W + a) and
+expit((h @ W.T)[:, free] + b_free), each product taken by BLAS over
+every column.  Larger sweeps take p = _fast_sigmoid(block product +
+bias) (_BlockProducts: one batched matmul per column slice of equally
+shaped component blocks, the visible product over the free columns
+only), which lies within 2**-47 plus the summation-order bound of the
+contract probability.  So a decision can differ from the contract's
+only where its uniform lies that close to p.  The stream contract is
+the same on both paths.
 
 multistart with seeds [s, s+1, ...] pools exactly the histograms that
 run_chain would produce for each seed individually.
@@ -197,10 +195,12 @@ def _sweep_uniforms(gens, width: int, n_sweeps: int):
             yield buf[:, s]
 
 
-# Sweeps over at least FILTER_MIN_ENTRIES units (chains x (n_hidden +
-# n_visible)) take their decisions through the exact-decision filter;
-# below that its fixed cost per sweep (~20 us) outweighs what it saves.
-FILTER_MIN_ENTRIES = 4096
+# Sweeps over at least BLOCK_MIN_ENTRIES units (chains x (n_hidden +
+# n_visible)) decide on the fast sigmoid of block products.  Below it the
+# dense product and expit are faster: 1.5-2x on xor, full-adder and
+# adder8 sweeps, with the crossover near 3k entries on adder16 and mult4.
+BLOCK_MIN_ENTRIES = 4096
+
 
 def _fast_sigmoid(a: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-a)): a few times cheaper than expit, within 2**-47 of it."""
@@ -209,35 +209,6 @@ def _fast_sigmoid(a: np.ndarray) -> np.ndarray:
         np.exp(x, out=x)
     x += 1.0
     return np.divide(1.0, x, out=x)
-
-
-def _margins(w: np.ndarray, bias: np.ndarray) -> float:
-    """Bound on |fast probability - contract probability| over all units.
-
-    Unit j's activation sums the k_j nonzero terms of column j (binary
-    inputs make every product exact) and its bias.  Any summation order
-    is within k_j 2**-53 S_j of the exact sum, S_j = sum |w_ij| + |b_j|,
-    so two orders differ by at most 2 k_j 2**-53 S_j, and the sigmoid
-    (slope <= 1/4) shrinks that fourfold.  The margin is 8x the largest
-    such term, plus 2**-47 for the two sigmoid implementations (a few
-    ulps each).
-    """
-    k = np.count_nonzero(w, axis=0)
-    scale = np.abs(w).sum(axis=0) + np.abs(bias)
-    return float(((k + 2) * scale).max(initial=0.0)) * 2.0**-51 + 2.0**-47
-
-
-def _decide(u: np.ndarray, p: np.ndarray, margin: float, exact) -> np.ndarray:
-    """The decisions u < p_contract, from p within ``margin`` of p_contract.
-
-    When every u lies ``margin`` or more away from its ``p``, u < p
-    decides every entry.  Otherwise (a NaN ``p`` counts as too close)
-    ``exact()`` evaluates the contract probabilities of the whole sweep
-    and decides every entry.
-    """
-    d = u - p
-    np.abs(d, out=d)
-    return u < (p if d.min(initial=np.inf) >= margin else exact())
 
 
 def _distinct_rows(rows: np.ndarray, **unique_args):
@@ -291,8 +262,9 @@ class _BlockProducts:
     outputs into slots and sums the slots of each free unit through the
     padded (n_free, max_degree) index ``gather``; padding points at a
     slot that stays zero.  A dense model is one block.  Either product
-    sums the nonzero terms of each unit, plus exact zeros, in some order,
-    which _margins covers.
+    sums a unit's k nonzero terms (exact, as inputs are binary) in some
+    order: within 2 k 2**-53 S of any other order, S = sum |w| + |bias|
+    over the unit, and a quarter of that after the sigmoid.
     """
 
     def __init__(self, w: np.ndarray, free: np.ndarray):
@@ -358,41 +330,31 @@ def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int
 
     Row c draws from ``gens[c]``: n_hidden then n_visible uniforms per
     sweep.  Only the ``free`` visible units change; the uniforms of
-    clamped units are drawn and left unused.  Sweeps over at least
-    FILTER_MIN_ENTRIES units decide through _decide (see the module
-    docstring); smaller ones evaluate the contract expression directly.
+    clamped units are drawn and left unused.  The size of the sweep
+    picks the path to the probabilities (see the module docstring).
     """
     nh = rbm.n_hidden
     w, hb = rbm.weights, rbm.hidden_bias
     vb_free, u_free = rbm.visible_bias[free], nh + free
-
-    def hidden_p():
-        return expit(v @ w + hb)
-
-    def visible_p():
-        return expit((h @ w.T)[:, free] + vb_free)
-
-    if len(v) * (nh + rbm.n_visible) >= FILTER_MIN_ENTRIES:
+    if len(v) * (nh + rbm.n_visible) >= BLOCK_MIN_ENTRIES:
         products = _BlockProducts(w, free)
-        h_margin, v_margin = _margins(w, hb), _margins(w[free].T, vb_free)
 
-        def hidden_on(u):
-            return _decide(u, _fast_sigmoid(products.hidden(v) + hb), h_margin, hidden_p)
+        def hidden_p():
+            return _fast_sigmoid(products.hidden(v) + hb)
 
-        def visible_on(u):
-            return _decide(u, _fast_sigmoid(products.visible(h) + vb_free), v_margin,
-                           visible_p)
+        def visible_p():
+            return _fast_sigmoid(products.visible(h) + vb_free)
     else:
-        def hidden_on(u):
-            return u < hidden_p()
+        def hidden_p():
+            return expit(v @ w + hb)
 
-        def visible_on(u):
-            return u < visible_p()
+        def visible_p():
+            return expit((h @ w.T)[:, free] + vb_free)
 
     for u in _sweep_uniforms(gens, nh + rbm.n_visible, n_sweeps):
-        h = hidden_on(u[:, :nh]).astype(np.float64)
+        h = (u[:, :nh] < hidden_p()).astype(np.float64)
         if free.size:
-            v[:, free] = visible_on(u[:, u_free])
+            v[:, free] = u[:, u_free] < visible_p()
         yield v, h
 
 

@@ -421,6 +421,35 @@ class TestDiagnose:
         assert not (diag / "distribution.csv").exists()
         assert (diag / "free_energy.csv").exists()
 
+    def test_fully_clamped_model_reports_no_iact(self, tmp_path, monkeypatch, model_dir,
+                                                 capsys):
+        """A constant free-energy series has no autocorrelation time; the run still reports."""
+        monkeypatch.chdir(tmp_path)
+        code = main(["diagnose", str(model_dir / "xor.json"), "-o", "diag", "--clamp", "in1=1",
+                     "--clamp", "in2=1", "--clamp", "out=0", "--steps", "0",
+                     "--sample-sweeps", "2"])
+        assert code == 0
+        assert "free_energy_iact: None" in capsys.readouterr().out
+        diag = tmp_path / "diag"
+        report = json.loads((diag / "diagnose.json").read_text())
+        assert report["free_energy_iact"] is None
+        assert report["free_energy_note"] == ("free energy constant over 2 sweeps; "
+                                              "autocorrelation undefined")
+        assert sorted(p.name for p in diag.iterdir()) == [
+            "bound.csv", "diagnose.json", "distribution.csv", "free_energy.csv",
+            "manifest.json"]
+        assert len((diag / "bound.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--steps", "-1"), ("--sample-sweeps", "1")],
+                             ids=["negative_steps", "one_sample_sweep"])
+    def test_bad_counts_fail_before_any_file(self, tmp_path, model_dir, capsys, flag, value):
+        code = main(["diagnose", str(model_dir / "xor.json"), "-o", str(tmp_path / "out"),
+                     flag, value])
+        assert code == 2
+        low = 0 if flag == "--steps" else 2
+        assert f"{flag} must be >= {low}, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_sidecar_constant_is_an_input_error(self, tmp_path, capsys):
         rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
         rbm.save(tmp_path / "m.json")

@@ -54,7 +54,7 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
 
 
 def _used_names(tree: ast.Module) -> set[str]:
-    """Names a module loads, reads as attributes (``sampler._margins``) or
+    """Names a module loads, reads as attributes (``sampler._hidden_groups``) or
     imports; a recursive call counts as a use."""
     used = _referenced_names(tree)
     for node in ast.walk(tree):

@@ -361,20 +361,13 @@ def _one_group(w):
     return [(np.arange(w.shape[0]), np.arange(w.shape[1]))] if w.shape[1] else []
 
 
-def _forced(monkeypatch, margin=None, dense=False):
-    """Run every kernel call through the filter; optionally as one dense block.
+def _forced(monkeypatch, dense=False):
+    """Run every kernel call through the block path; optionally as one dense block.
 
-    With a ``margin``, the fast sigmoid is also pushed up to 0.4 margin
-    off expit: only the exact fallback keeps the undecided entries right.
     ``dense`` makes the block plan one block over the whole weight
     matrix, zeros included: the dense product.
     """
-    monkeypatch.setattr(sampler, "FILTER_MIN_ENTRIES", 0)
-    if margin is not None:
-        fast = sampler._fast_sigmoid
-        monkeypatch.setattr(sampler, "_margins", lambda w, bias: margin)
-        monkeypatch.setattr(sampler, "_fast_sigmoid",
-                            lambda a: fast(a) + 0.4 * margin * np.cos(7.0 * a))
+    monkeypatch.setattr(sampler, "BLOCK_MIN_ENTRIES", 0)
     if dense:
         monkeypatch.setattr(sampler, "_hidden_groups", _one_group)
 
@@ -439,13 +432,13 @@ class TestHiddenGroups:
 
 
 class TestDecisionFilter:
-    """Fast probabilities with an exact fallback decide exactly as the contract does.
+    """Block-path decisions, u < _fast_sigmoid(block product + bias), against the contract.
 
-    Every case runs through the filter (FILTER_MIN_ENTRIES = 0, so
-    run_chain's single chain is filtered too) and is checked against the
-    per-sweep reference sampler.  A margin of 0.01, with fast
-    probabilities up to 0.004 off, sends nearly every sweep to the exact
-    fallback.
+    Every case runs through the block path (BLOCK_MIN_ENTRIES = 0, so
+    run_chain's single chain takes it too) and is checked against the
+    per-sweep reference sampler, which decides on expit of the dense
+    product.  No uniform of these runs lies within the module
+    docstring's bound of its probability, so every decision agrees.
     """
 
     CASES = {
@@ -457,13 +450,12 @@ class TestDecisionFilter:
                                  {"v1": 1, "v5": 0}), 16),
     }
 
-    @pytest.mark.parametrize("margin", [None, 0.01], ids=["bound", "margin_0.01"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_reference(self, case, margin, monkeypatch):
+    def test_matches_reference(self, case, monkeypatch):
         make, n_chains = self.CASES[case]
         model, clamp = make()
         rbm, _ = model_parts(model)
-        _forced(monkeypatch, margin)
+        _forced(monkeypatch)
         idx, vals, _ = clamp_arrays(rbm, resolve_clamp(model, clamp))  # with the constants
         by_index = dict(zip(idx.tolist(), vals.astype(int).tolist()))
         seeds = [3 + c for c in range(n_chains)]
@@ -519,11 +511,10 @@ class TestDecisionFilter:
         assert np.allclose(plan.hidden(v), v @ w, rtol=0, atol=1e-9)
         assert np.allclose(plan.visible(h), h @ w[free].T, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("margin", [1.0, 0.05], ids=["all_exact", "some_exact"])
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "blocks"])
     @given(seed=st.integers(0, 2**32 - 1), nv=st.integers(1, 7), nh=st.integers(0, 9),
            density=st.sampled_from([0.3, 1.0]), data=st.data())
-    def test_random_models_match_reference(self, dense, margin, seed, nv, nh, density, data):
+    def test_random_models_match_reference(self, dense, seed, nv, nh, density, data):
         rng = np.random.default_rng(seed)
         weights = rng.normal(scale=2.0, size=(nv, nh)) * (rng.random((nv, nh)) < density)
         rbm = Rbm(weights, rng.normal(size=nv), rng.normal(size=nh),
@@ -532,22 +523,21 @@ class TestDecisionFilter:
         clamp = {f"v{i}": int(rng.integers(2)) for i in clamped}
         by_index = {i: clamp[f"v{i}"] for i in clamped}
         with pytest.MonkeyPatch.context() as mp:
-            _forced(mp, margin, dense)
+            _forced(mp, dense)
             hist = multistart(rbm, clamp, n_chains=3, n_sweeps=15, seed=seed % 1000)
             trace, _ = run_chain(rbm, clamp, n_sweeps=15, seed=seed % 1000)
         traces, ref_hist = ref_block_gibbs(rbm, by_index, [seed % 1000 + c for c in range(3)], 15)
         assert hist.counts == ref_hist
         assert trace.samples.tolist() == [list(row) for row in traces[0]]
 
-    @pytest.mark.parametrize("margin", [None, 0.05], ids=["bound", "some_exact"])
     @given(nv=st.integers(1, 8), data=st.data())
-    def test_composed_models_match_reference(self, margin, nv, data):
+    def test_composed_models_match_reference(self, nv, data):
         """Several classes, interleaved and empty hidden columns, shared terminals, no hidden."""
         rbm = _composed_rbm(data.draw, nv)
         clamped = data.draw(st.lists(st.integers(0, nv - 1), unique=True, max_size=nv))
         clamp = {f"v{i}": i % 2 for i in clamped}
         with pytest.MonkeyPatch.context() as mp:
-            _forced(mp, margin)
+            _forced(mp)
             hist = multistart(rbm, clamp, n_chains=3, n_sweeps=15, seed=nv)
             trace, _ = run_chain(rbm, clamp, n_sweeps=15, seed=nv)
         traces, ref_hist = ref_block_gibbs(rbm, {i: i % 2 for i in clamped},
@@ -555,33 +545,11 @@ class TestDecisionFilter:
         assert hist.counts == ref_hist
         assert trace.samples.tolist() == [list(row) for row in traces[0]]
 
-    def test_decide_falls_back_for_the_whole_sweep(self):
-        u = np.array([[0.1, 0.5, 0.9, 0.3]])
-        p = np.array([[0.5, 0.52, 0.5, np.nan]])
-
-        def exact():
-            # Disagrees with p everywhere, so every decision shows its source.
-            return np.array([[0.0, 0.4, 1.0, 0.4]])
-        from_exact = [[False, False, True, True]]
-        # One entry within the margin (0.5 vs 0.52), or one NaN p, sends
-        # every entry to exact().
-        assert sampler._decide(u, p, 0.05, exact).tolist() == from_exact
-        assert sampler._decide(u[:, [0, 2, 3]], p[:, [0, 2, 3]], 0.05,
-                               lambda: exact()[:, [0, 2, 3]]).tolist() == [[False, True, True]]
-
-        def unused():
-            raise AssertionError("exact values evaluated for a decided sweep")
-        assert sampler._decide(u[:, :3:2], p[:, :3:2], 0.05, unused).tolist() == \
-            [[True, False]]
-        assert sampler._decide(u[:, :0], p[:, :0], 0.05, unused).shape == (1, 0)
-
     def test_fast_sigmoid_within_margin_sigmoid_term(self):
         rng = np.random.default_rng(0)
         a = np.concatenate([rng.uniform(-750, 750, 500_000), rng.uniform(-40, 40, 500_000)])
         err = np.abs(sampler._fast_sigmoid(a) - expit(a))
-        margin_term = sampler._margins(np.zeros((1, 1)), np.zeros(1))
-        assert margin_term == 2.0**-47
-        assert err.max() <= margin_term
+        assert err.max() <= 2.0**-47
         assert np.array_equal(sampler._fast_sigmoid(np.array([-800.0, 0.0, 800.0])),
                               [0.0, 0.5, 1.0])
 
