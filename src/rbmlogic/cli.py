@@ -25,14 +25,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import logsumexp
 
 from . import __version__
 from .exact import (
+    _joint_log_weights,
     _propagated,
     convergence_bound,
     delta_bound,
-    delta_exact,
-    exact_joint_distribution,
     exact_visible_distribution,
     l1_distance,
     tv_distance,
@@ -361,10 +361,9 @@ def cmd_diagnose(args, argv) -> int:
 
     exact_ok = n_free + rbm.n_hidden <= args.max_joint
     if exact_ok:
-        delta = delta_exact(model, clamp, max_joint=args.max_joint)
-        report["delta_exact"] = delta
-        pi, _ = exact_joint_distribution(model, clamp, max_joint=args.max_joint)
-        pi = pi.reshape(-1)
+        log_w = _joint_log_weights(model, clamp, args.max_joint)
+        delta = report["delta_exact"] = float(log_w.max() - log_w.min())
+        pi = np.exp(log_w - logsumexp(log_w)).reshape(-1)
         mu0 = np.zeros_like(pi)
         mu0[0] = 1.0
         initial_l1 = l1_distance(mu0, pi)

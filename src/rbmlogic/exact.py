@@ -15,6 +15,7 @@ the model.  The returned value is in total-variation units (half L1), so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,10 +25,6 @@ from .merge import clamp_arrays, model_parts, resolve_clamp
 from .model import free_energy_batch
 
 MAX_FREE_UNITS = 24
-MAX_HIDDEN_UNITS = 30
-# exact_marginal_modes scores trained and merged units for accuracy; it
-# sums the hidden layer out, so wide layers cost only linear time.
-MAX_MODE_HIDDEN_UNITS = 2**20
 MAX_JOINT_UNITS = 20
 MAX_MATRIX_UNITS = 14
 
@@ -94,30 +91,28 @@ class ExactDistribution:
         )
 
 
-# Pass sizes of the enumerations below.  exact_visible_distribution scores
-# PASS_ROWS visible rows per pass.  exact_marginal_modes holds at most
-# PASS_ACTIVATIONS hidden activations (rows x hidden units) per pass, but
-# never fewer rows than exact_visible_distribution's pass of one clamp,
-# min(2^free, PASS_ROWS); both are powers of two, so no pass is a short
-# tail.  That keeps its scores byte-identical: BLAS rounds a row alike in
-# any pass whose length is a multiple of its kernel's row block (4 rows in
-# the OpenBLAS measured), but not in a shorter tail.
+# Pass sizes of the one free-energy enumeration (_scores), under exact
+# distributions, marginal modes and replica-exchange tables.  A pass scores
+# min(2^free, PASS_ROWS) rows and packs whole clamps up to PASS_ACTIVATIONS
+# hidden activations (rows x hidden units); only a layer too wide for
+# MAX_PASS_ACTIVATIONS takes fewer rows, a power of two of at least 4.  No
+# pass is a short tail, which keeps scores byte-identical: BLAS rounds a row
+# alike in any pass whose length is a multiple of its kernel's row block (4
+# rows in the OpenBLAS measured), but not in a shorter tail.
 PASS_ROWS = 1 << 16
 PASS_ACTIVATIONS = 1 << 16
+MAX_PASS_ACTIVATIONS = 1 << 22
 
 
-def _shared_clamp(rbm, assignments: Sequence[Mapping[str, int]],
-                  max_free: int, max_hidden: int):
+def _shared_clamp(rbm, assignments: Sequence[Mapping[str, int]]):
     """(clamped indices, one row of their values per assignment, free
     indices) of resolved assignments that all fix the same units."""
     arrays = [clamp_arrays(rbm, a) for a in assignments]
     idx, _, free = arrays[0]
     if any(not np.array_equal(a[0], idx) for a in arrays):
         raise ValueError("clamps must fix the same units")
-    if free.size > max_free:
-        raise ValueError(f"{free.size} free units exceed limit {max_free}")
-    if rbm.n_hidden > max_hidden:
-        raise ValueError(f"{rbm.n_hidden} hidden units exceed limit {max_hidden}")
+    if free.size > MAX_FREE_UNITS:
+        raise ValueError(f"{free.size} free units exceed limit {MAX_FREE_UNITS}")
     return idx, np.array([a[1] for a in arrays]).reshape(len(arrays), idx.size), free
 
 
@@ -137,22 +132,39 @@ def _free_neg_energies(rbm, idx: np.ndarray, vals: np.ndarray, free: np.ndarray,
         V = np.zeros((len(vals), ks.size, rbm.n_visible))
         V[:, :, idx] = vals[:, None, :]
         V[:, :, free] = (ks[:, None] >> shifts) & 1
-        neg_f[:, start : start + ks.size] = \
-            -free_energy_batch(rbm, V.reshape(-1, rbm.n_visible)).reshape(len(vals), ks.size)
+        neg_f[:, start : start + ks.size] = -free_energy_batch(
+            rbm, V.reshape(len(vals) * ks.size, rbm.n_visible)).reshape(len(vals), ks.size)
     return neg_f
 
 
-def exact_visible_distribution(
-    model,
-    clamp: Mapping[str, int] | None = None,
-    max_free: int = MAX_FREE_UNITS,
-    max_hidden: int = MAX_HIDDEN_UNITS,
-) -> ExactDistribution:
+def _scores(rbm, idx: np.ndarray, vals: np.ndarray, free: np.ndarray):
+    """Yield _free_neg_energies of consecutive slices of the clamps ``vals``,
+    in passes of the one rule above."""
+    n_states, n_hidden = 2 ** int(free.size), max(rbm.n_hidden, 1)
+    rows = min(n_states, PASS_ROWS)
+    if rows * n_hidden > MAX_PASS_ACTIVATIONS:
+        rows = 1 << max(2, (MAX_PASS_ACTIVATIONS // n_hidden).bit_length() - 1)
+    rows = max(rows, 1 << max(0, (PASS_ACTIVATIONS // n_hidden).bit_length() - 1))
+    per_pass = max(1, rows // n_states)  # whole clamps per pass
+    for start in range(0, len(vals), per_pass):
+        yield _free_neg_energies(rbm, idx, vals[start : start + per_pass], free, rows)
+
+
+def _free_energy_table(weights: np.ndarray, hidden_bias: np.ndarray) -> np.ndarray:
+    """F(x) of every assignment x of the rows of ``weights`` (index k sets
+    row i to bit i of k), the sub-model they span with zero visible bias."""
+    n = len(weights)
+    part = SimpleNamespace(weights=weights, visible_bias=np.zeros(n), hidden_bias=hidden_bias,
+                           n_visible=n, n_hidden=len(hidden_bias))
+    return -next(_scores(part, np.zeros(0, dtype=np.intp), np.zeros((1, 0)), np.arange(n)))[0]
+
+
+def exact_visible_distribution(model, clamp: Mapping[str, int] | None = None) -> ExactDistribution:
     """Enumerate p(v_free | clamp) by summing out the hidden layer."""
     rbm, _ = model_parts(model)
     assignments = resolve_clamp(model, clamp)
-    idx, vals, free = _shared_clamp(rbm, [assignments], max_free, max_hidden)
-    neg_f = _free_neg_energies(rbm, idx, vals, free, PASS_ROWS)[0]
+    idx, vals, free = _shared_clamp(rbm, [assignments])
+    neg_f = next(_scores(rbm, idx, vals, free))[0]
     log_z = float(logsumexp(neg_f))
     probs = np.exp(neg_f - log_z)
     names = tuple(rbm.visible_names[i] for i in free)
@@ -169,25 +181,19 @@ def exact_marginal_modes(model, clamps: Sequence[Mapping[str, int]],
     are scored together, as many per pass as ``PASS_ACTIVATIONS`` holds.
     """
     rbm, _ = model_parts(model)
-    idx, vals, free = _shared_clamp(rbm, [resolve_clamp(model, c) for c in clamps],
-                                    MAX_FREE_UNITS, MAX_MODE_HIDDEN_UNITS)
+    idx, vals, free = _shared_clamp(rbm, [resolve_clamp(model, c) for c in clamps])
     free_names = [rbm.visible_names[i] for i in free]
     k = len(names)
     index = (_bit_grid(int(free.size)).astype(np.uint8)[:, [free_names.index(n) for n in names]]
              .astype(np.int64) @ (1 << np.arange(k, dtype=np.int64)))
-    n_states = 2 ** int(free.size)
-    budget = PASS_ACTIVATIONS // max(rbm.n_hidden, 1)
-    rows = max(min(n_states, PASS_ROWS), 1 << max(0, budget.bit_length() - 1))
-    per_pass = max(1, rows // n_states)  # whole clamps per pass
-    best = np.empty(len(vals), dtype=np.int64)
-    for start in range(0, len(vals), per_pass):
-        neg_f = _free_neg_energies(rbm, idx, vals[start : start + per_pass], free, rows)
+    best = []
+    for neg_f in _scores(rbm, idx, vals, free):
         probs = np.exp(neg_f - logsumexp(neg_f, axis=1, keepdims=True))
         bins = index + (np.arange(len(neg_f))[:, None] << k)
         marginals = np.bincount(bins.reshape(-1), weights=probs.reshape(-1),
                                 minlength=len(neg_f) << k).reshape(len(neg_f), 2**k)
-        best[start : start + len(neg_f)] = np.argmax(marginals, axis=1)
-    return _bit_grid(k).astype(np.uint8)[best]
+        best.append(np.argmax(marginals, axis=1))
+    return _bit_grid(k).astype(np.uint8)[np.concatenate(best)]
 
 
 def kl_divergence(q, p) -> float:
@@ -290,9 +296,9 @@ def convergence_bound(delta: float, initial_l1: float, n_sweeps) -> np.ndarray |
     return float(out) if out.ndim == 0 else out
 
 
-def _conditional_tables(model, clamp: Mapping[str, int] | None, max_units: int):
+def _conditional_tables(model, clamp: Mapping[str, int] | None, max_joint: int):
     """Per-state conditionals p(h'|v) and p(v_free'|h) for all states."""
-    rbm, V, H, free = _joint_grids(model, clamp, max_units)
+    rbm, V, H, free = _joint_grids(model, clamp, max_joint)
     act_h = V @ rbm.weights + rbm.hidden_bias  # (2^nf, nh)
     log_ph = act_h @ H.T - np.logaddexp(0.0, act_h).sum(axis=1, keepdims=True)
     act_v = (H @ rbm.weights.T + rbm.visible_bias)[:, free]  # (2^nh, nf)
@@ -301,23 +307,24 @@ def _conditional_tables(model, clamp: Mapping[str, int] | None, max_units: int):
     return np.exp(log_ph), np.exp(log_pv)  # (2^nf, 2^nh), (2^nh, 2^nf)
 
 
-def gibbs_transition_matrix(model, clamp: Mapping[str, int] | None = None,
-                            max_units: int = MAX_MATRIX_UNITS) -> np.ndarray:
+def _sweep(mu: np.ndarray, ph_tab: np.ndarray, pv_tab: np.ndarray) -> np.ndarray:
+    """One sweep of distributions ``mu`` (..., 2^nh, 2^nf) over joint states."""
+    over_v = mu.sum(axis=-2)  # collapse h: p(v)
+    over_h = (ph_tab * over_v[..., :, None]).sum(axis=-2)  # resample h from v; p(h)
+    return over_h[..., :, None] * pv_tab  # resample v_free from h
+
+
+def gibbs_transition_matrix(model, clamp: Mapping[str, int] | None = None) -> np.ndarray:
     """Dense transition matrix of one sweep: hidden update then visible.
 
-    State ``v_index + (h_index << n_free)`` indexes rows and columns.
-    Rows sum to 1; the exact joint distribution is stationary.
+    State ``v_index + (h_index << n_free)`` indexes rows and columns; row
+    s is one sweep of the point mass on s.  Rows sum to 1; the exact
+    joint distribution is stationary.
     """
-    ph_tab, pv_tab = _conditional_tables(model, clamp, max_units)
+    ph_tab, pv_tab = _conditional_tables(model, clamp, MAX_MATRIX_UNITS)
     nf_states, nh_states = ph_tab.shape
-    p_h = np.zeros((nh_states, nf_states, nh_states, nf_states))
-    for v in range(nf_states):
-        p_h[:, v, :, v] = ph_tab[v][None, :]
-    p_v = np.zeros_like(p_h)
-    for h in range(nh_states):
-        p_v[h, :, h, :] = pv_tab[h][None, :]
     n = nh_states * nf_states
-    return p_h.reshape(n, n) @ p_v.reshape(n, n)
+    return _sweep(np.eye(n).reshape(n, nh_states, nf_states), ph_tab, pv_tab).reshape(n, n)
 
 
 def propagate_distribution(model, mu0: np.ndarray, n_sweeps: int,
@@ -342,7 +349,4 @@ def _propagated(model, mu0: np.ndarray, clamp: Mapping[str, int] | None, max_joi
     mu = np.asarray(mu0, dtype=np.float64).reshape(nh_states, nf_states).copy()
     while True:
         yield mu.reshape(-1)
-        over_v = mu.sum(axis=0)  # collapse h: p(v)
-        mu = (ph_tab * over_v[:, None]).T  # resample h from v
-        over_h = mu.sum(axis=1)  # collapse v: p(h)
-        mu = over_h[:, None] * pv_tab  # resample v_free from h
+        mu = _sweep(mu, ph_tab, pv_tab)

@@ -62,7 +62,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .exact import _bit_grid
+from .exact import _free_energy_table
 from .merge import ClampMask, clamp_arrays, model_parts, resolve_clamp
 from .model import BinaryState, Rbm, free_energy_batch
 
@@ -492,9 +492,9 @@ def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1 or len(x) <= max_lag or max_lag < 1:
         raise ValueError("need a 1-d series longer than max_lag >= 1")
-    x = x - x.mean()
-    if not x.any():
+    if not np.ptp(x):
         raise ValueError("series is constant; autocorrelation undefined")
+    x = x - x.mean()
     n = len(x)
     padded = np.fft.rfft(x, 2 * n)
     acov = np.fft.irfft(padded * np.conj(padded))[: max_lag + 1] / n
@@ -560,10 +560,6 @@ def success_curve(
 # replica_exchange to tabulate its free-energy term (2^n entries).
 MAX_TABLE_UNITS = 20
 
-# Hidden units tabulated per pass, which bounds the (2^n, block)
-# activation buffer a table is built from.
-TABLE_HIDDEN_BLOCK = 64
-
 
 class FreeEnergyTables:
     """F(v) = -b.v + sum_g T_g[index_g(v)], one table per distinct hidden group.
@@ -573,9 +569,10 @@ class FreeEnergyTables:
     -sum_j softplus(a_j + W_j . x) for every assignment x of its visible
     support; ``index_g(v)`` packs those bits little-endian, and T_g
     starts at ``offsets[g]`` in the flat ``table``.  The sum is exact
-    because the hidden layer factorizes given v.  Groups with the same
-    local weight block (shape and bytes) and hidden biases, such as the
-    copies of one unit in a composition, share one table.
+    because the hidden layer factorizes given v; exact scores it as the
+    free energy of the group's sub-model with zero visible bias.  Groups
+    with the same local weight block (shape and bytes) and hidden biases,
+    such as the copies of one unit in a composition, share one table.
     """
 
     def __init__(self, rbm: Rbm):
@@ -592,11 +589,7 @@ class FreeEnergyTables:
             key = (local.shape, local.tobytes(), bias.tobytes())
             if key not in offset_of:
                 offset_of[key] = sum(t.size for t in tables)
-                grid = _bit_grid(units.size)
-                tables.append(np.zeros(len(grid)))
-                for start in range(0, hidden.size, TABLE_HIDDEN_BLOCK):
-                    cols = slice(start, start + TABLE_HIDDEN_BLOCK)
-                    tables[-1] -= np.logaddexp(0.0, grid @ local[:, cols] + bias[cols]).sum(axis=1)
+                tables.append(_free_energy_table(local, bias))
             offsets.append(offset_of[key])
             for pos, i in enumerate(units):
                 self.groups_of[i].append((len(self.supports), 1 << pos))

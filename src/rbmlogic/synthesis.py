@@ -344,15 +344,11 @@ def build_multiplier(n_bits: int, base_mult, base_adder) -> MergedModel:
     for j in range(nn):
         exports[f"add3.S{j}"] = f"P{j}"
 
-    zero_pads = (
-        [f"add1.A{j}" for j in range(n, nn)]
-        + [f"add1.B{j}" for j in range(m)]
-        + [f"add1.B{j}" for j in range(m + n, nn)]
-        + [f"add2.B{j}" for j in range(m)]
-        + [f"add2.B{j}" for j in range(m + n, nn)]
-        + [f"add3.B{j}" for j in range(n)]
-        + [f"{cid}.{t}" for cid in ("add1", "add2", "add3") for t in ("Cin", "Cout")]
-    )
+    # Pads: the adders' inputs, then their carries, that no connection names.
+    named = {t for pair in connections for t in pair}
+    inputs = [f"{p}{j}" for p in "AB" for j in range(nn)]
+    zero_pads = [f"{cid}.{t}" for ts in (inputs, ["Cin", "Cout"]) for cid in ("add1", "add2", "add3")
+                 for t in ts if f"{cid}.{t}" not in named]
 
     merged = compose(Netlist(components, connections, exports))
     constants = dict(merged.constants)

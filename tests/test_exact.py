@@ -1,6 +1,7 @@
 """Exact enumeration: distributions, divergences, bounds, transition matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from rbmlogic import exact
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm
 from rbmlogic.sampler import multistart, replica_exchange, success_curve
-from rbmlogic.synthesis import gate
+from rbmlogic.synthesis import builtin_model, gate
 from rbmlogic.tasks import TaskSpec
 
 from .reference import bits_le, random_rbm, ref_delta, ref_visible_marginal
@@ -141,10 +142,25 @@ class TestVisibleDistribution:
     def test_size_limits(self):
         with pytest.raises(ValueError, match="free units exceed"):
             exact_visible_distribution(zero_rbm(25, 1))
-        with pytest.raises(ValueError, match="hidden units exceed"):
-            exact_visible_distribution(zero_rbm(2, 31))
-        d = exact_visible_distribution(zero_rbm(2, 31), max_hidden=31)
+        d = exact_visible_distribution(zero_rbm(2, 31))
         assert np.allclose(d.probabilities, 0.25, atol=1e-12)
+
+    def test_wide_unit_enumerates_in_bounded_memory(self):
+        # The builtin mult4 (16 visible, 256 hidden): 2^16 rows of 256
+        # activations would take 128 MiB per array; passes of 2^14 rows
+        # keep the whole enumeration well under that.
+        model = builtin_model("mult4")
+        tracemalloc.start()
+        try:
+            dist = exact_visible_distribution(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        top = dict(zip(dist.names, dist.support[np.argmax(dist.probabilities)]))
+        a, b, p = (sum(int(top[f"{x}{j}"]) << j for j in range(n))
+                   for x, n in (("A", 4), ("B", 4), ("P", 8)))
+        assert a * b == p
 
 
 class TestDivergences:
@@ -341,8 +357,7 @@ class TestMarginalModes:
 
     def test_blocks_and_rows_score_bit_for_bit_alike(self):
         rbm, clamps, _ = self.case(0)
-        idx, vals, free = exact._shared_clamp(
-            rbm, [resolve_clamp(rbm, c) for c in clamps], 24, 30)
+        idx, vals, free = exact._shared_clamp(rbm, [resolve_clamp(rbm, c) for c in clamps])
         whole = exact._free_neg_energies(rbm, idx, vals, free, 1 << 16)
         for block in (8, 16, 64, 128):
             assert whole.tobytes() == exact._free_neg_energies(
@@ -354,27 +369,36 @@ class TestMarginalModes:
             assert probs[c].tobytes() == dist.probabilities.tobytes()
 
     def test_wide_hidden_layer_keeps_one_clamp_scores(self, monkeypatch):
-        # 20000 hidden units leave room for 2 rows per pass in the activation
-        # budget; passes still hold each clamp's 16 states, so the scores
-        # equal exact_visible_distribution's bit for bit.
-        rng = np.random.default_rng(3)
-        rbm = random_rbm(rng, 7, 20000, scale=0.05)
-        clamped = rbm.visible_names[:3]
-        clamps = [dict(zip(clamped, bits_le(c, 3))) for c in range(8)]
-        names = rbm.visible_names[3:5]
-        scores = []
+        # 20000 hidden units leave room for 2 rows per pass in the packing
+        # budget, so each pass holds one clamp: all 16 states of 4 free
+        # units, or, as 256 x 20000 exceeds MAX_PASS_ACTIVATIONS, 128-row
+        # halves of 8 free units' 256.  Either way the scores equal
+        # exact_visible_distribution's bit for bit.
         score = exact._free_neg_energies
-        monkeypatch.setattr(exact, "_free_neg_energies",
-                            lambda *args: scores.append(score(*args)) or scores[-1])
-        modes = exact.exact_marginal_modes(rbm, clamps, names)
-        neg_f = np.concatenate(scores)
-        probs = np.exp(neg_f - exact.logsumexp(neg_f, axis=1, keepdims=True))
-        monkeypatch.setattr(exact, "_free_neg_energies", score)
-        for c, clamp in enumerate(clamps):
-            dist = exact_visible_distribution(rbm, clamp, max_hidden=rbm.n_hidden)
-            assert probs[c].tobytes() == dist.probabilities.tobytes()
-            marginal = dist.marginal(names)
-            assert np.array_equal(modes[c], marginal.support[np.argmax(marginal.probabilities)])
+        for n_free in (4, 8):
+            rng = np.random.default_rng(3)
+            rbm = random_rbm(rng, 3 + n_free, 20000, scale=0.05)
+            clamped = rbm.visible_names[:3]
+            clamps = [dict(zip(clamped, bits_le(c, 3))) for c in range(8)]
+            names = rbm.visible_names[3:5]
+            scores, rows = [], set()
+
+            def recorded(*args):
+                rows.add(args[4])
+                scores.append(score(*args))
+                return scores[-1]
+
+            monkeypatch.setattr(exact, "_free_neg_energies", recorded)
+            modes = exact.exact_marginal_modes(rbm, clamps, names)
+            assert rows == {min(2**n_free, 128)}
+            neg_f = np.concatenate(scores)
+            probs = np.exp(neg_f - exact.logsumexp(neg_f, axis=1, keepdims=True))
+            monkeypatch.setattr(exact, "_free_neg_energies", score)
+            for c, clamp in enumerate(clamps):
+                dist = exact_visible_distribution(rbm, clamp)
+                assert probs[c].tobytes() == dist.probabilities.tobytes()
+                marginal = dist.marginal(names)
+                assert np.array_equal(modes[c], marginal.support[np.argmax(marginal.probabilities)])
 
     def test_clamps_must_fix_the_same_units(self):
         rbm, _, names = self.case(0)

@@ -355,7 +355,7 @@ class TestCompose:
         comps = [(f"g{k}", gate("xor")) for k in range(length)]
         conns = [(f"g{k}.out", f"g{k + 1}.in1") for k in range(length - 1)]
         mm = compose(Netlist(comps, conns))
-        dist = exact_visible_distribution(mm.rbm, max_hidden=40)
+        dist = exact_visible_distribution(mm.rbm)
         names = dist.names
         first = names.index("g0.in1")
         others = [names.index(f"g{k}.in2") for k in range(length)]

@@ -28,10 +28,11 @@ from .reference import bits_le, random_rbm, ref_energy, ref_free_energy
 finite = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
 
 
-def small_rbm(max_visible=4, max_hidden=4, min_hidden=0):
-    """Strategy for small finite models."""
-    return st.integers(1, max_visible).flatmap(
-        lambda nv: st.integers(min_hidden, max_hidden).flatmap(
+def small_rbm(n_visible=4, n_hidden=(0, 4)):
+    """Strategy for small finite models: 1..n_visible visible units and a
+    hidden count in the closed range n_hidden."""
+    return st.integers(1, n_visible).flatmap(
+        lambda nv: st.integers(*n_hidden).flatmap(
             lambda nh: st.tuples(
                 arrays(np.float64, (nv, nh), elements=finite),
                 arrays(np.float64, (nv,), elements=finite),
@@ -73,7 +74,7 @@ class TestEnergy:
                                   bits_le(vk, rbm.n_visible), bits_le(hk, rbm.n_hidden))
                 assert got == pytest.approx(want, abs=1e-12)
 
-    @given(small_rbm(min_hidden=1), st.data())
+    @given(small_rbm(n_hidden=(1, 4)), st.data())
     def test_single_visible_flip_changes_energy_by_activation(self, rbm, data):
         i = data.draw(st.integers(0, rbm.n_visible - 1))
         hk = data.draw(st.integers(0, 2**rbm.n_hidden - 1))
@@ -141,7 +142,7 @@ class TestConditionals:
         rbm = Rbm(np.zeros((1, 1)), np.array([-50.0]), np.zeros(1), ("x",))
         assert visible_conditional(rbm, [0])[0] == pytest.approx(0.0, abs=1e-15)
 
-    @given(small_rbm(max_visible=3, max_hidden=3, min_hidden=1))
+    @given(small_rbm(n_visible=3, n_hidden=(1, 3)))
     def test_hidden_matches_joint_enumeration(self, rbm):
         nh = rbm.n_hidden
         for vk in range(2**rbm.n_visible):
@@ -157,7 +158,7 @@ class TestConditionals:
                 marg = math.fsum(w for hk, w in weights.items() if (hk >> j) & 1) / z
                 assert probs[j] == pytest.approx(marg, rel=1e-10)
 
-    @given(small_rbm(max_visible=3, max_hidden=3, min_hidden=1))
+    @given(small_rbm(n_visible=3, n_hidden=(1, 3)))
     def test_joint_hidden_conditional_factorizes(self, rbm):
         nh = rbm.n_hidden
         for vk in range(2**rbm.n_visible):

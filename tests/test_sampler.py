@@ -607,6 +607,8 @@ class TestAutocorrelation:
     def test_constant_series_raises(self):
         with pytest.raises(ValueError, match="constant"):
             autocorrelation(np.ones(100), 5)
+        with pytest.raises(ValueError, match="constant"):  # its mean rounds off -3.3
+            autocorrelation(np.full(400, -3.3), 5)
         with pytest.raises(ValueError, match="max_lag"):
             autocorrelation(np.arange(10.0), 10)
 

@@ -272,7 +272,7 @@ class TestCircuits:
         for j in range(4):
             clamp[f"A{j}"] = (9 >> j) & 1
             clamp[f"B{j}"] = (8 >> j) & 1
-        d = exact_visible_distribution(add.rbm, clamp=clamp, max_hidden=256)
+        d = exact_visible_distribution(add.rbm, clamp=clamp)
         best = int(np.argmax(d.probabilities))
         row = d.support[best]
         s = decode(row, d.names, "S", 4)

@@ -239,7 +239,7 @@ class TestReplicaExchange:
         clamp = {"A0": 1, "B0": 1, "A1": 0, "B1": 1}
         hist = replica_exchange(model, clamp, betas=(0.5, 1.0), n_ladders=4,
                                 n_sweeps=5100, burn_in=100, seed=5)
-        exact = exact_visible_distribution(model, clamp=clamp, max_hidden=64)
+        exact = exact_visible_distribution(model, clamp=clamp)
         assert tv_distance(_observed(hist, exact), exact.probabilities) <= self.TV_BOUND
 
     def test_pure_bias_model_and_unconnected_hidden_units(self):
