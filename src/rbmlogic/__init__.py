@@ -8,13 +8,21 @@ concentrates on valid assignments, so the same model runs forward
 (multiply) or backward (divide, factor) depending on which terminals the
 Gibbs sampler clamps.
 
-``RBMLOGIC_THREADS`` fills in any unset BLAS thread-count variable here,
-before the first import below loads numpy: BLAS reads them once, at load.
+``RBMLOGIC_THREADS``, when it is a positive integer, fills in any unset
+BLAS thread-count variable here, before the first import below loads
+numpy: BLAS reads them once, at load.  Any other value is left out; the
+CLI refuses it.
 """
 
 import os
 
-if "RBMLOGIC_THREADS" in os.environ:
+
+def _is_thread_count(value: str | None) -> bool:
+    """Whether ``value`` is a positive integer in decimal digits."""
+    return value is not None and value.isascii() and value.isdigit() and int(value) > 0
+
+
+if _is_thread_count(os.environ.get("RBMLOGIC_THREADS")):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["RBMLOGIC_THREADS"])
 

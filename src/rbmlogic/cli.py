@@ -12,7 +12,8 @@ finds nothing, 2 on usage or input errors.
 Environment: RBMLOGIC_OUTDIR prefixes relative output paths.
 RBMLOGIC_THREADS fills in any unset OMP/OPENBLAS/MKL_NUM_THREADS when the
 ``rbmlogic`` package is first imported, before it loads numpy (see the
-package ``__init__``).
+package ``__init__``); it must be a positive integer, or every command
+exits 2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from . import __version__
+from . import __version__, _is_thread_count
 from .exact import (
     _joint_log_weights,
     _propagated,
@@ -510,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        threads = os.environ.get("RBMLOGIC_THREADS")
+        if threads is not None and not _is_thread_count(threads):
+            raise ValueError(f"RBMLOGIC_THREADS must be a positive integer, got {threads!r}")
         return args.fn(args, argv)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

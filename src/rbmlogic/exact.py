@@ -29,10 +29,11 @@ MAX_JOINT_UNITS = 20
 MAX_MATRIX_UNITS = 14
 
 
-def _bit_grid(n: int) -> np.ndarray:
-    """All 2^n bit vectors; row k holds bit i of k at column i."""
-    ks = np.arange(2**n, dtype=np.uint32)
-    return ((ks[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1).astype(np.float64)
+def _bit_grid(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Bit vectors (uint8) of the states start..stop - 1, by default all 2^n;
+    row k holds bit i of state start + k at column i."""
+    ks = np.arange(start, 2**n if stop is None else stop, dtype="<u8")
+    return np.unpackbits(ks.view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -84,19 +85,19 @@ class ExactDistribution:
         probs = np.bincount(index, weights=self.probabilities, minlength=2**k)
         return ExactDistribution(
             names=tuple(names),
-            support=_bit_grid(k).astype(np.uint8),
+            support=_bit_grid(k),
             probabilities=probs,
             log_partition=self.log_partition,
             clamped=dict(self.clamped),
         )
 
 
-# Pass sizes of the one free-energy enumeration (_scores), under exact
-# distributions, marginal modes and replica-exchange tables.  A pass scores
-# min(2^free, PASS_ROWS) rows and packs whole clamps up to PASS_ACTIVATIONS
-# hidden activations (rows x hidden units); only a layer too wide for
-# MAX_PASS_ACTIVATIONS takes fewer rows, a power of two of at least 4.  No
-# pass is a short tail, which keeps scores byte-identical: BLAS rounds a row
+# Pass sizes of the one free-energy enumeration (_passes), under exact
+# distributions, marginal modes, replica-exchange tables and refinement.  A
+# pass scores min(2^free, PASS_ROWS) rows and packs whole clamps up to
+# PASS_ACTIVATIONS hidden activations (rows x hidden units); only a layer too
+# wide for MAX_PASS_ACTIVATIONS takes fewer rows, a power of two of at least 4.
+# No pass is a short tail, which keeps scores byte-identical: BLAS rounds a row
 # alike in any pass whose length is a multiple of its kernel's row block (4
 # rows in the OpenBLAS measured), but not in a shorter tail.
 PASS_ROWS = 1 << 16
@@ -116,30 +117,34 @@ def _shared_clamp(rbm, assignments: Sequence[Mapping[str, int]]):
     return idx, np.array([a[1] for a in arrays]).reshape(len(arrays), idx.size), free
 
 
+def _passes(rbm, idx: np.ndarray, vals: np.ndarray, free: np.ndarray, chunk: int):
+    """Yield (V, V @ W + a, -F(V)) for each ``chunk`` consecutive states of
+    every clamp: with n states in the pass, row c * n + j of V is state
+    ``start + j`` under ``vals[c]``."""
+    n_states = 2 ** int(free.size)
+    for start in range(0, n_states, chunk):
+        bits = _bit_grid(int(free.size), start, min(start + chunk, n_states))
+        V = np.zeros((len(vals), len(bits), rbm.n_visible), dtype=np.uint8)
+        V[:, :, idx] = vals[:, None, :]
+        V[:, :, free] = bits
+        V = V.reshape(len(vals) * len(bits), rbm.n_visible).astype(np.float64)
+        act = V @ rbm.weights
+        act += rbm.hidden_bias
+        yield V, act, -free_energy_batch(rbm, V, act)
+
+
 def _free_neg_energies(rbm, idx: np.ndarray, vals: np.ndarray, free: np.ndarray,
                        chunk: int) -> np.ndarray:
-    """-F(v) of every free assignment under each row of clamped values.
-
-    Entry (c, k) is the state whose units ``idx`` hold ``vals[c]`` and
-    whose free unit ``free[i]`` holds bit i of k.  Each pass scores
-    ``chunk`` consecutive states of every clamp at once.
-    """
-    n_states = 2 ** int(free.size)
-    neg_f = np.empty((len(vals), n_states))
-    shifts = np.arange(free.size)[None, :]
-    for start in range(0, n_states, chunk):
-        ks = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
-        V = np.zeros((len(vals), ks.size, rbm.n_visible))
-        V[:, :, idx] = vals[:, None, :]
-        V[:, :, free] = (ks[:, None] >> shifts) & 1
-        neg_f[:, start : start + ks.size] = -free_energy_batch(
-            rbm, V.reshape(len(vals) * ks.size, rbm.n_visible)).reshape(len(vals), ks.size)
-    return neg_f
+    """-F(v) of every free assignment under each row of clamped values, in
+    _passes of ``chunk`` states: entry (c, k) is the state whose units ``idx``
+    hold ``vals[c]`` and whose free unit ``free[i]`` holds bit i of k."""
+    return np.concatenate([neg_f.reshape(len(vals), -1)
+                           for *_, neg_f in _passes(rbm, idx, vals, free, chunk)], axis=1)
 
 
-def _scores(rbm, idx: np.ndarray, vals: np.ndarray, free: np.ndarray):
-    """Yield _free_neg_energies of consecutive slices of the clamps ``vals``,
-    in passes of the one rule above."""
+def _scores(rbm, idx: np.ndarray, vals: np.ndarray, free: np.ndarray, score=None):
+    """Yield ``score`` (default _free_neg_energies) of consecutive slices of
+    the clamps ``vals``, in passes of the one rule above."""
     n_states, n_hidden = 2 ** int(free.size), max(rbm.n_hidden, 1)
     rows = min(n_states, PASS_ROWS)
     if rows * n_hidden > MAX_PASS_ACTIVATIONS:
@@ -147,16 +152,15 @@ def _scores(rbm, idx: np.ndarray, vals: np.ndarray, free: np.ndarray):
     rows = max(rows, 1 << max(0, (PASS_ACTIVATIONS // n_hidden).bit_length() - 1))
     per_pass = max(1, rows // n_states)  # whole clamps per pass
     for start in range(0, len(vals), per_pass):
-        yield _free_neg_energies(rbm, idx, vals[start : start + per_pass], free, rows)
+        yield (score or _free_neg_energies)(rbm, idx, vals[start : start + per_pass], free, rows)
 
 
-def _free_energy_table(weights: np.ndarray, hidden_bias: np.ndarray) -> np.ndarray:
-    """F(x) of every assignment x of the rows of ``weights`` (index k sets
-    row i to bit i of k), the sub-model they span with zero visible bias."""
-    n = len(weights)
-    part = SimpleNamespace(weights=weights, visible_bias=np.zeros(n), hidden_bias=hidden_bias,
-                           n_visible=n, n_hidden=len(hidden_bias))
-    return -next(_scores(part, np.zeros(0, dtype=np.intp), np.zeros((1, 0)), np.arange(n)))[0]
+def visible_passes(weights: np.ndarray, visible_bias: np.ndarray, hidden_bias: np.ndarray):
+    """_passes of the one rule over every visible row of the model with these
+    parameters, none clamped; over MAX_FREE_UNITS visible units are refused."""
+    part = SimpleNamespace(weights=weights, visible_bias=visible_bias, hidden_bias=hidden_bias,
+                           n_visible=len(weights), n_hidden=len(hidden_bias))
+    return next(_scores(part, *_shared_clamp(part, [{}]), _passes))
 
 
 def exact_visible_distribution(model, clamp: Mapping[str, int] | None = None) -> ExactDistribution:
@@ -168,7 +172,7 @@ def exact_visible_distribution(model, clamp: Mapping[str, int] | None = None) ->
     log_z = float(logsumexp(neg_f))
     probs = np.exp(neg_f - log_z)
     names = tuple(rbm.visible_names[i] for i in free)
-    return ExactDistribution(names, _bit_grid(int(free.size)).astype(np.uint8), probs, log_z, dict(assignments))
+    return ExactDistribution(names, _bit_grid(int(free.size)), probs, log_z, dict(assignments))
 
 
 def exact_marginal_modes(model, clamps: Sequence[Mapping[str, int]],
@@ -184,7 +188,7 @@ def exact_marginal_modes(model, clamps: Sequence[Mapping[str, int]],
     idx, vals, free = _shared_clamp(rbm, [resolve_clamp(model, c) for c in clamps])
     free_names = [rbm.visible_names[i] for i in free]
     k = len(names)
-    index = (_bit_grid(int(free.size)).astype(np.uint8)[:, [free_names.index(n) for n in names]]
+    index = (_bit_grid(int(free.size))[:, [free_names.index(n) for n in names]]
              .astype(np.int64) @ (1 << np.arange(k, dtype=np.int64)))
     best = []
     for neg_f in _scores(rbm, idx, vals, free):
@@ -193,7 +197,7 @@ def exact_marginal_modes(model, clamps: Sequence[Mapping[str, int]],
         marginals = np.bincount(bins.reshape(-1), weights=probs.reshape(-1),
                                 minlength=len(neg_f) << k).reshape(len(neg_f), 2**k)
         best.append(np.argmax(marginals, axis=1))
-    return _bit_grid(k).astype(np.uint8)[np.concatenate(best)]
+    return _bit_grid(k)[np.concatenate(best)]
 
 
 def kl_divergence(q, p) -> float:
@@ -240,7 +244,7 @@ def _joint_grids(model, clamp: Mapping[str, int] | None, max_joint: int):
     V = np.zeros((2 ** int(free.size), rbm.n_visible))
     V[:, idx] = vals
     V[:, free] = _bit_grid(int(free.size))
-    return rbm, V, _bit_grid(rbm.n_hidden), free
+    return rbm, V, _bit_grid(rbm.n_hidden).astype(np.float64), free
 
 
 def _joint_log_weights(model, clamp: Mapping[str, int] | None, max_joint: int):

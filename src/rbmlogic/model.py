@@ -217,10 +217,12 @@ def free_energy(rbm: Rbm, v) -> float:
     return float(-(rbm.visible_bias @ v) - np.logaddexp(0.0, act).sum())
 
 
-def free_energy_batch(rbm: Rbm, V: np.ndarray) -> np.ndarray:
-    """Vectorized ``free_energy`` over rows of V (shape (N, n_visible))."""
+def free_energy_batch(rbm: Rbm, V: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized ``free_energy`` over rows of V (shape (N, n_visible)); pass
+    their hidden activations ``act`` (``V @ W + a``) if already computed."""
     V = np.asarray(V, dtype=np.float64)
-    act = V @ rbm.weights + rbm.hidden_bias
+    if act is None:
+        act = V @ rbm.weights + rbm.hidden_bias
     return -(V @ rbm.visible_bias) - np.logaddexp(0.0, act).sum(axis=1)
 
 

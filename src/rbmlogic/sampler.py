@@ -62,7 +62,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .exact import _free_energy_table
+from .exact import visible_passes
 from .merge import ClampMask, clamp_arrays, model_parts, resolve_clamp
 from .model import BinaryState, Rbm, free_energy_batch
 
@@ -589,7 +589,8 @@ class FreeEnergyTables:
             key = (local.shape, local.tobytes(), bias.tobytes())
             if key not in offset_of:
                 offset_of[key] = sum(t.size for t in tables)
-                tables.append(_free_energy_table(local, bias))
+                tables.append(-np.concatenate([neg_f for *_, neg_f in visible_passes(
+                    local, np.zeros(len(local)), bias)]))
             offsets.append(offset_of[key])
             for pos, i in enumerate(units):
                 self.groups_of[i].append((len(self.supports), 1 << pos))

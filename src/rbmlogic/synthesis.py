@@ -14,6 +14,7 @@ assembled from narrower multipliers plus adders.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -240,7 +241,13 @@ class _Interface:
 
 def model_interface(model) -> _Interface:
     """Classify a model as an adder or a multiplier from its terminals."""
-    names = public_terminals(model)
+    return _interface(tuple(public_terminals(model)))
+
+
+@functools.lru_cache(maxsize=64)
+def _interface(names: tuple[str, ...]) -> _Interface:
+    """model_interface of a model whose public terminals are ``names``,
+    classified once per distinct tuple."""
     width = operand_width(names, "A")
     if operand_width(names, "B") != width:
         raise ValueError("operands A and B have different widths")
@@ -249,14 +256,14 @@ def model_interface(model) -> _Interface:
             raise ValueError("adder sum width must match input width")
         if "Cout" not in names:
             raise KeyError("adder is missing terminal 'Cout'")
-        return _Interface("adder", width, tuple(names))
+        return _Interface("adder", width, names)
     try:
         product_width = operand_width(names, "P")
     except KeyError:
         raise KeyError("model is neither an adder (Cin) nor a multiplier (P)") from None
     if product_width != 2 * width:
         raise ValueError("multiplier product width must be twice the input width")
-    return _Interface("multiplier", width, tuple(names))
+    return _Interface("multiplier", width, names)
 
 
 def build_adder(n_bits: int, base) -> MergedModel:

@@ -242,8 +242,10 @@ class SolveSettings:
     betas: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if min(self.n_chains, self.n_sweeps, self.thin) < 1 or self.burn_in < 0:
-            raise ValueError("bad sampler settings")
+        for name, low in (("n_chains", 1), ("n_sweeps", 1), ("thin", 1), ("burn_in", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"bad sampler settings: {name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
         if self.betas is not None:
             object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
 

@@ -9,11 +9,13 @@ the parameters from the best stage are returned.
 ``exact_refine`` continues training a unit whose visible layer is small
 enough to enumerate: full-batch steps of the exact log-likelihood
 gradient (the negative phase is the model's enumerated visible
-distribution, not a CD sample).  CD-k leaves the valid rows of a 4-bit
-unit spread over ~10 nats of free energy with invalid states inside that
-band; the refinement evens the valid rows out and lifts the invalid
-states above them, which a composed circuit needs for its true answer
-to be the free-energy minimum.
+distribution, not a CD sample).  It enumerates through exact's pass rule,
+under exact's limit of ``exact.MAX_FREE_UNITS`` (24) visible units, each
+pass's memory bounded by ``exact.MAX_PASS_ACTIVATIONS``.  CD-k leaves the
+valid rows of a 4-bit unit spread over ~10 nats of free energy with
+invalid states inside that band; the refinement evens the valid rows out
+and lifts the invalid states above them, which a composed circuit needs
+for its true answer to be the free-energy minimum.
 
 An epoch presents ``copies_per_epoch`` copies of the state space (or of
 a fresh random sample of it when the space is too large to enumerate
@@ -56,9 +58,6 @@ ENUMERATION_LIMIT = 2**20
 
 # Tables at or below this row count train full-batch by default.
 FULL_BATCH_LIMIT = 64
-
-# Exact refinement enumerates all 2^n_visible states of the unit.
-EXACT_REFINE_MAX_VISIBLE = 16
 
 # Step size and momentum of the exact-likelihood refinement.
 EXACT_LEARNING_RATE = 0.2
@@ -229,31 +228,34 @@ def cd_step(rbm: Rbm, batch: np.ndarray, config: TrainConfig,
 def exact_refine(rbm: Rbm, data: np.ndarray, steps: int) -> Rbm:
     """Full-batch ascent on the exact log-likelihood of ``data``.
 
-    Each step enumerates all 2^n_visible visible states, so the model
-    expectation of the gradient is exact; updates use step size
+    Each step enumerates all 2^n_visible visible states in exact's passes,
+    so the model expectation of the gradient is exact: a pass's share of it
+    is weighted by exp(lse_pass - lse_total); updates use step size
     ``EXACT_LEARNING_RATE`` and momentum ``EXACT_MOMENTUM``.
     Deterministic: draws no random numbers.
     """
-    if rbm.n_visible > EXACT_REFINE_MAX_VISIBLE:
-        raise ValueError(f"{rbm.n_visible} visible units exceed the exact "
-                         f"refinement limit {EXACT_REFINE_MAX_VISIBLE}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     v0 = np.asarray(data, dtype=np.float64)
-    grid = exact._bit_grid(rbm.n_visible)
-    w, vb, hb = (rbm.weights.copy(), rbm.visible_bias.copy(),
-                 rbm.hidden_bias.copy())
+    if v0.ndim != 2 or not len(v0) or v0.shape[1] != rbm.n_visible:
+        raise ValueError(f"data shape {v0.shape} is not a non-empty (rows, "
+                         f"{rbm.n_visible}) array")
+    if not np.isin(v0, (0, 1)).all():
+        raise ValueError("data entries must be 0 or 1")
+    w, vb, hb = (np.array(p) for p in (rbm.weights, rbm.visible_bias, rbm.hidden_bias))
     velocity = [np.zeros_like(w), np.zeros_like(vb), np.zeros_like(hb)]
     for _ in range(steps):
-        act = grid @ w + hb
-        neg_f = grid @ vb + np.logaddexp(0.0, act).sum(axis=1)
-        p = np.exp(neg_f - logsumexp(neg_f))
-        ph = expit(act)
+        lses, sums = [], []
+        for V, act, neg_f in exact.visible_passes(w, vb, hb):
+            lses.append(logsumexp(neg_f))
+            p, ph = np.exp(neg_f - lses[-1]), expit(act, out=act)  # act is not read again
+            sums.append(((V * p[:, None]).T @ ph, p @ V, p @ ph))
+        shares = np.exp(np.subtract(lses, logsumexp(lses)))
         ph0 = expit(v0 @ w + hb)
-        grads = (v0.T @ ph0 / len(v0) - (grid * p[:, None]).T @ ph,
-                 v0.mean(axis=0) - p @ grid,
-                 ph0.mean(axis=0) - p @ ph)
-        for param, vel, grad in zip((w, vb, hb), velocity, grads):
+        data_terms = (v0.T @ ph0 / len(v0), v0.mean(axis=0), ph0.mean(axis=0))
+        for param, vel, data_term, parts in zip((w, vb, hb), velocity, data_terms, zip(*sums)):
             vel *= EXACT_MOMENTUM
-            vel += grad
+            vel += data_term - sum(share * part for share, part in zip(shares, parts))
             param += EXACT_LEARNING_RATE * vel
     return Rbm(w, vb, hb, rbm.visible_names)
 

@@ -690,6 +690,27 @@ class TestEnvironment:
                              text=True, timeout=120, check=True)
         assert out.stdout.strip() == "['1']"
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_threads_setting_must_be_a_positive_integer(self, tmp_path, value):
+        # The bad value reaches no BLAS variable, and every command exits 2
+        # naming it.
+        Rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1), ("a",)).save(tmp_path / "m.json")
+        script = textwrap.dedent("""
+            import os, sys
+            from rbmlogic.cli import main
+            print(os.environ.get("OPENBLAS_NUM_THREADS"))
+            sys.exit(main(["inspect", sys.argv[1]]))
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["RBMLOGIC_THREADS"] = value
+        env["PYTHONPATH"] = str(Path(rbmlogic.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.json")], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2
+        assert out.stdout.strip() == "None"
+        assert "RBMLOGIC_THREADS must be a positive integer" in out.stderr
+
     def test_help_and_missing_command_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])

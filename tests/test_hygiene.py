@@ -102,3 +102,10 @@ def test_the_check_sees_plain_and_string_annotation_uses():
                      "    return np.zeros(1)\n")
     used = _referenced_names(tree)
     assert [n for n in _imported_names(tree) if n not in used] == ["Sequence", "os"]
+
+
+def test_only_exact_builds_bit_grids():
+    # exact is the one free-energy enumerator: nothing else in src/ builds
+    # its own grid of visible states.
+    users = [p.name for p in PACKAGE if "_bit_grid" in _used_names(ast.parse(p.read_text()))]
+    assert users == ["exact.py"]

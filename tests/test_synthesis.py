@@ -9,6 +9,7 @@ from pytest import approx
 from rbmlogic.exact import ExactDistribution, exact_visible_distribution, kl_divergence
 from rbmlogic.merge import MergedModel, compose
 from rbmlogic.model import Rbm
+from rbmlogic import synthesis
 from rbmlogic.synthesis import (
     DEFAULT_SHARPNESS,
     TruthTable,
@@ -205,6 +206,18 @@ class TestOperandWidths:
         coutless = Rbm(np.zeros((4, 1)), np.zeros(4), np.zeros(1), ("A", "B", "S", "Cin"))
         with pytest.raises(KeyError, match="missing terminal 'Cout'"):
             model_interface(coutless)
+
+    def test_model_interface_classifies_each_name_tuple_once(self):
+        # Models with the same public terminals share one classification,
+        # from a bounded cache; a refusal is raised again on every call.
+        fa = rbm_from_truth_table(full_adder_table())
+        assert model_interface(fa) is model_interface(fa.with_prefix("")) is \
+            model_interface(compose(full_adder_netlist()))
+        assert synthesis._interface.cache_info().maxsize is not None
+        coutless = Rbm(np.zeros((4, 1)), np.zeros(4), np.zeros(1), ("A", "B", "S", "Cin"))
+        for _ in range(2):
+            with pytest.raises(KeyError, match="missing terminal 'Cout'"):
+                model_interface(coutless)
 
     def test_builders_validate_their_bases(self):
         fa = rbm_from_truth_table(full_adder_table())

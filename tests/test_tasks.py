@@ -401,6 +401,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="bad sampler settings"):
             SolveSettings(burn_in=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_chains", 0), ("n_sweeps", 0), ("thin", 0), ("burn_in", -1)])
+    def test_settings_validation_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"bad sampler settings: {field} must be"):
+            SolveSettings(**{field: value})
+
     @pytest.mark.parametrize("task, calls", [
         (TaskSpec("factor", 2, {"P": 6}), 3),
         (TaskSpec("multiply", 2, {"A": 2, "B": 3}), 3),

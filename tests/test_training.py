@@ -10,7 +10,7 @@ from scipy.special import expit
 from rbmlogic.exact import exact_joint_distribution, exact_visible_distribution
 from rbmlogic.model import Rbm
 from rbmlogic.synthesis import builtin_model, full_adder_table
-from rbmlogic import training
+from rbmlogic import exact, training
 from rbmlogic.training import (
     EXACT_LEARNING_RATE,
     KNOWN_HIDDEN,
@@ -299,10 +299,62 @@ class TestExactRefine:
         assert np.array_equal(exact_refine(rbm, rows, 0).weights, rbm.weights)
 
     def test_refuses_units_too_large_to_enumerate(self):
+        names = tuple(f"v{i}" for i in range(25))
+        rbm = Rbm(np.zeros((25, 2)), np.zeros(25), np.zeros(2), names)
+        with pytest.raises(ValueError, match=f"25 free units exceed limit {exact.MAX_FREE_UNITS}"):
+            exact_refine(rbm, np.zeros((1, 25)), steps=1)
+
+    @pytest.mark.parametrize("data, steps, message", [
+        (np.zeros((1, 5)), -2, "steps must be >= 0"),
+        (np.zeros((3, 4)), 1, r"data shape \(3, 4\) is not a non-empty \(rows, 5\)"),
+        (np.zeros((0, 5)), 1, r"data shape \(0, 5\) is not a non-empty"),
+        (np.zeros(5), 1, r"data shape \(5,\) is not a non-empty"),
+        (np.full((2, 5), 7.0), 1, "data entries must be 0 or 1"),
+    ])
+    def test_rejects_bad_arguments(self, data, steps, message):
+        with pytest.raises(ValueError, match=message):
+            exact_refine(self._untrained(), data, steps)
+
+    # MAX_PASS_ACTIVATIONS over 6 hidden units: passes of 4, 8 and 16 of
+    # adder1's 32 visible rows.  PASS_ACTIVATIONS = 1 leaves the packing
+    # floor below them.
+    @pytest.mark.parametrize("activations", [24, 48, 96])
+    def test_passes_combine_to_the_one_pass_result(self, monkeypatch, activations):
+        rbm = self._untrained(2)
+        rows, _ = generate_dataset("adder1")
+        whole = exact_refine(rbm, rows, steps=50)
+        monkeypatch.setattr(exact, "MAX_PASS_ACTIVATIONS", activations)
+        monkeypatch.setattr(exact, "PASS_ACTIVATIONS", 1)
+        assert [len(V) for V, _, _ in exact.visible_passes(
+            rbm.weights, rbm.visible_bias, rbm.hidden_bias)] == [activations // 6] * (192 // activations)
+        split = exact_refine(rbm, rows, steps=50)
+        for field in ("weights", "visible_bias", "hidden_bias"):
+            assert np.allclose(getattr(split, field), getattr(whole, field), rtol=0, atol=1e-12)
+
+    def test_a_17_visible_unit_refines_in_two_passes(self, monkeypatch):
+        rng = np.random.default_rng(4)
         names = tuple(f"v{i}" for i in range(17))
-        rbm = Rbm(np.zeros((17, 2)), np.zeros(17), np.zeros(2), names)
-        with pytest.raises(ValueError, match="exact refinement limit"):
-            exact_refine(rbm, np.zeros((1, 17)), steps=1)
+        rbm = Rbm(rng.normal(0, 0.1, (17, 64)), rng.normal(0, 0.1, 17), np.zeros(64), names)
+        rows = rng.integers(0, 2, (40, 17)).astype(float)
+        passes, visible_passes = [], exact.visible_passes
+
+        def recorded(*params):
+            for V, act, neg_f in visible_passes(*params):
+                passes.append(len(V))
+                yield V, act, neg_f
+
+        monkeypatch.setattr(exact, "visible_passes", recorded)
+        out = exact_refine(rbm, rows, steps=1)
+        assert passes == [1 << 16, 1 << 16]
+        # The first step is the exact gradient, whose model term comes
+        # from the enumerated distribution.
+        dist = exact_visible_distribution(rbm)
+        V = dist.support.astype(float)
+        ph = expit(V @ rbm.weights + rbm.hidden_bias)
+        ph0 = expit(rows @ rbm.weights + rbm.hidden_bias)
+        grad = rows.T @ ph0 / len(rows) - (V * dist.probabilities[:, None]).T @ ph
+        assert np.allclose(out.weights - rbm.weights, EXACT_LEARNING_RATE * grad,
+                           rtol=0, atol=1e-12)
 
 
 class TestReconstructionError:
