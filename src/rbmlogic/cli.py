@@ -30,6 +30,7 @@ from scipy.special import logsumexp
 
 from . import __version__, _is_thread_count
 from .exact import (
+    MAX_JOINT_UNITS,
     _joint_log_weights,
     _propagated,
     convergence_bound,
@@ -301,7 +302,7 @@ def cmd_solve(args, argv) -> int:
 
 def _bench_config(path: Path) -> dict:
     """A bench config with its defaults filled in; a bad field is an error naming it."""
-    cfg = {"count": 10, "chains": 4, "seed": 0, "burn_in": 0,
+    cfg = {"count": 10, "chains": 4, "seed": 0, "burn_in": 0, "sharpness": DEFAULT_SHARPNESS,
            "checkpoints": [100, 1000, 10000]} | _json_object(path, "a bench config")
     if not isinstance(cfg.get("model"), str):
         raise ValueError(f"{path}: model must be a builtin name or a model path, "
@@ -317,12 +318,16 @@ def _bench_config(path: Path) -> dict:
     for name, value, low in checks:
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ValueError(f"{path}: {name} must be an integer >= {low}, got {value!r}")
+    sharpness = cfg["sharpness"]
+    if isinstance(sharpness, bool) or not isinstance(sharpness, (int, float)) \
+            or not 0 < sharpness < np.inf:
+        raise ValueError(f"{path}: sharpness must be a finite number > 0, got {sharpness!r}")
     return cfg
 
 
 def cmd_bench(args, argv) -> int:
     cfg = _bench_config(Path(args.config))
-    model = _resolve_component(cfg["model"], cfg.get("sharpness", DEFAULT_SHARPNESS))
+    model = _resolve_component(cfg["model"], cfg["sharpness"])
     rng = np.random.default_rng(cfg["seed"])
     width = model_interface(model).width
     tasks = [random_task(cfg["operation"], width, rng) for _ in range(cfg["count"])]
@@ -348,6 +353,8 @@ def cmd_diagnose(args, argv) -> int:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
     if args.sample_sweeps < 2:
         raise ValueError(f"--sample-sweeps must be >= 2, got {args.sample_sweeps}")
+    if not 0 <= args.max_joint <= MAX_JOINT_UNITS:
+        raise ValueError(f"--max-joint must be in [0, {MAX_JOINT_UNITS}], got {args.max_joint}")
     model = load_model(args.model)
     clamp = _parse_clamp_items(args.clamp)
     rbm, _ = model_parts(model)
@@ -362,13 +369,13 @@ def cmd_diagnose(args, argv) -> int:
 
     exact_ok = n_free + rbm.n_hidden <= args.max_joint
     if exact_ok:
-        log_w = _joint_log_weights(model, clamp, args.max_joint)
+        log_w = _joint_log_weights(model, clamp)
         delta = report["delta_exact"] = float(log_w.max() - log_w.min())
         pi = np.exp(log_w - logsumexp(log_w)).reshape(-1)
         mu0 = np.zeros_like(pi)
         mu0[0] = 1.0
         initial_l1 = l1_distance(mu0, pi)
-        sweeps = _propagated(model, mu0, clamp, args.max_joint)
+        sweeps = _propagated(model, mu0, clamp)
         rows = [[n, tv_distance(mu, pi), convergence_bound(delta, initial_l1, n)]
                 for n, mu in zip(range(args.steps + 1), sweeps)]
         bound_path = outdir / "bound.csv"
@@ -491,7 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clamp", action="append", metavar="NAME=BIT")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--sample-sweeps", type=int, default=2000)
-    p.add_argument("--max-joint", type=int, default=20)
+    p.add_argument("--max-joint", type=int, default=MAX_JOINT_UNITS,
+                   help="skip the exact curves above this many free + hidden units")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_diagnose)
 

@@ -1,9 +1,9 @@
 """Exact enumeration tools for small models.
 
-Everything here is brute force over binary state spaces and therefore
-gated by explicit size limits.  Free visible units are enumerated
-little-endian: free unit i toggles with bit i of the state index.  Joint
-states are indexed as ``v_index + (h_index << n_free)``.
+Everything here is brute force over binary state spaces, gated by this
+module's own size limits.  States are indexed little-endian: unit i holds
+bit i of the index (``_bit_grid``, and its inverse ``_bit_index``).
+Joint states are indexed as ``v_index + (h_index << n_free)``.
 
 The convergence bound implemented by :func:`convergence_bound` contracts
 the L1 distance between an initial distribution and the stationary one by
@@ -34,6 +34,23 @@ def _bit_grid(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     row k holds bit i of state start + k at column i."""
     ks = np.arange(start, 2**n if stop is None else stop, dtype="<u8")
     return np.unpackbits(ks.view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little")
+
+
+def _bit_index(bits: np.ndarray) -> np.ndarray:
+    """The states whose little-endian bits are the rows of ``bits`` (the
+    inverse of _bit_grid): int64, or Python ints past 62 bits, where int64
+    would overflow."""
+    place = np.array([1 << j for j in range(bits.shape[1])],
+                     dtype=np.int64 if bits.shape[1] < 63 else object)
+    return bits.astype(place.dtype) @ place
+
+
+def _marginalize(probs: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
+    """(clamps, 2^k) marginals of ``probs`` (clamps, states): entry (c, m)
+    sums row c over the states whose ``index`` (a _bit_index of k bits) is m."""
+    bins = index + (np.arange(len(probs))[:, None] << k)
+    return np.bincount(bins.reshape(-1), weights=probs.reshape(-1),
+                       minlength=len(probs) << k).reshape(len(probs), 2**k)
 
 
 @dataclass(frozen=True)
@@ -78,15 +95,11 @@ class ExactDistribution:
         return float(sum(self.prob_of(r) for r in rows))
 
     def marginal(self, names: Sequence[str]) -> "ExactDistribution":
-        cols = [self.names.index(n) for n in names]
-        sub = self.support[:, cols]
-        k = len(cols)
-        index = sub.astype(np.int64) @ (1 << np.arange(k, dtype=np.int64))
-        probs = np.bincount(index, weights=self.probabilities, minlength=2**k)
+        index = _bit_index(self.support[:, [self.names.index(n) for n in names]])
         return ExactDistribution(
             names=tuple(names),
-            support=_bit_grid(k),
-            probabilities=probs,
+            support=_bit_grid(len(names)),
+            probabilities=_marginalize(self.probabilities[None], index, len(names))[0],
             log_partition=self.log_partition,
             clamped=dict(self.clamped),
         )
@@ -187,17 +200,12 @@ def exact_marginal_modes(model, clamps: Sequence[Mapping[str, int]],
     rbm, _ = model_parts(model)
     idx, vals, free = _shared_clamp(rbm, [resolve_clamp(model, c) for c in clamps])
     free_names = [rbm.visible_names[i] for i in free]
-    k = len(names)
-    index = (_bit_grid(int(free.size))[:, [free_names.index(n) for n in names]]
-             .astype(np.int64) @ (1 << np.arange(k, dtype=np.int64)))
+    index = _bit_index(_bit_grid(int(free.size))[:, [free_names.index(n) for n in names]])
     best = []
     for neg_f in _scores(rbm, idx, vals, free):
         probs = np.exp(neg_f - logsumexp(neg_f, axis=1, keepdims=True))
-        bins = index + (np.arange(len(neg_f))[:, None] << k)
-        marginals = np.bincount(bins.reshape(-1), weights=probs.reshape(-1),
-                                minlength=len(neg_f) << k).reshape(len(neg_f), 2**k)
-        best.append(np.argmax(marginals, axis=1))
-    return _bit_grid(k)[np.concatenate(best)]
+        best.append(np.argmax(_marginalize(probs, index, len(names)), axis=1))
+    return _bit_grid(len(names))[np.concatenate(best)]
 
 
 def kl_divergence(q, p) -> float:
@@ -233,41 +241,37 @@ def l1_distance(p, q) -> float:
     return float(np.abs(p - q).sum())
 
 
-def _joint_grids(model, clamp: Mapping[str, int] | None, max_joint: int):
+def _joint_grids(model, clamp: Mapping[str, int] | None, limit: int = MAX_JOINT_UNITS):
     """(rbm, V, H, free): every clamped visible row V and every hidden row H."""
     rbm, _ = model_parts(model)
     idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
-    if free.size + rbm.n_hidden > max_joint:
-        raise ValueError(
-            f"{free.size} free + {rbm.n_hidden} hidden units exceed limit {max_joint}"
-        )
+    if free.size + rbm.n_hidden > limit:
+        raise ValueError(f"{free.size} free + {rbm.n_hidden} hidden units exceed limit {limit}")
     V = np.zeros((2 ** int(free.size), rbm.n_visible))
     V[:, idx] = vals
     V[:, free] = _bit_grid(int(free.size))
     return rbm, V, _bit_grid(rbm.n_hidden).astype(np.float64), free
 
 
-def _joint_log_weights(model, clamp: Mapping[str, int] | None, max_joint: int):
+def _joint_log_weights(model, clamp: Mapping[str, int] | None):
     """Log e^{-E} over (hidden, free-visible) grids, hidden as rows."""
-    rbm, V, H, _ = _joint_grids(model, clamp, max_joint)
+    rbm, V, H, _ = _joint_grids(model, clamp)
     # -E(v,h) = b.v + a.h + v W h
     log_w = (V @ rbm.weights) @ H.T + (V @ rbm.visible_bias)[:, None]
     log_w += (H @ rbm.hidden_bias)[None, :]
     return log_w.T  # (2^nh, 2^nf)
 
 
-def exact_joint_distribution(model, clamp: Mapping[str, int] | None = None,
-                             max_joint: int = MAX_JOINT_UNITS):
+def exact_joint_distribution(model, clamp: Mapping[str, int] | None = None):
     """Joint p(h, v_free) grid and log partition function."""
-    log_w = _joint_log_weights(model, clamp, max_joint)
+    log_w = _joint_log_weights(model, clamp)
     log_z = float(logsumexp(log_w))
     return np.exp(log_w - log_z), log_z
 
 
-def delta_exact(model, clamp: Mapping[str, int] | None = None,
-                max_joint: int = MAX_JOINT_UNITS) -> float:
+def delta_exact(model, clamp: Mapping[str, int] | None = None) -> float:
     """Exact energy range max E - min E over all joint states."""
-    log_w = _joint_log_weights(model, clamp, max_joint)
+    log_w = _joint_log_weights(model, clamp)
     return float(log_w.max() - log_w.min())
 
 
@@ -300,9 +304,9 @@ def convergence_bound(delta: float, initial_l1: float, n_sweeps) -> np.ndarray |
     return float(out) if out.ndim == 0 else out
 
 
-def _conditional_tables(model, clamp: Mapping[str, int] | None, max_joint: int):
+def _conditional_tables(model, clamp: Mapping[str, int] | None, limit: int = MAX_JOINT_UNITS):
     """Per-state conditionals p(h'|v) and p(v_free'|h) for all states."""
-    rbm, V, H, free = _joint_grids(model, clamp, max_joint)
+    rbm, V, H, free = _joint_grids(model, clamp, limit)
     act_h = V @ rbm.weights + rbm.hidden_bias  # (2^nf, nh)
     log_ph = act_h @ H.T - np.logaddexp(0.0, act_h).sum(axis=1, keepdims=True)
     act_v = (H @ rbm.weights.T + rbm.visible_bias)[:, free]  # (2^nh, nf)
@@ -332,23 +336,22 @@ def gibbs_transition_matrix(model, clamp: Mapping[str, int] | None = None) -> np
 
 
 def propagate_distribution(model, mu0: np.ndarray, n_sweeps: int,
-                           clamp: Mapping[str, int] | None = None,
-                           max_joint: int = MAX_JOINT_UNITS) -> np.ndarray:
+                           clamp: Mapping[str, int] | None = None) -> np.ndarray:
     """Exact mu P^n over joint states without forming the dense matrix.
 
     ``mu0`` is flat in the same ``v_index + (h_index << n_free)`` order
     as gibbs_transition_matrix; returns the flat distribution after
     ``n_sweeps`` full sweeps.
     """
-    sweeps = _propagated(model, mu0, clamp, max_joint)
+    sweeps = _propagated(model, mu0, clamp)
     for _ in range(int(n_sweeps)):
         next(sweeps)
     return next(sweeps)
 
 
-def _propagated(model, mu0: np.ndarray, clamp: Mapping[str, int] | None, max_joint: int):
+def _propagated(model, mu0: np.ndarray, clamp: Mapping[str, int] | None):
     """Yield mu0, mu0 P, mu0 P^2, ... flat, from conditional tables built once."""
-    ph_tab, pv_tab = _conditional_tables(model, clamp, max_joint)
+    ph_tab, pv_tab = _conditional_tables(model, clamp)
     nf_states, nh_states = ph_tab.shape
     mu = np.asarray(mu0, dtype=np.float64).reshape(nh_states, nf_states).copy()
     while True:

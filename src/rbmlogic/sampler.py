@@ -62,7 +62,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .exact import visible_passes
+from .exact import _bit_index, visible_passes
 from .merge import ClampMask, clamp_arrays, model_parts, resolve_clamp
 from .model import BinaryState, Rbm, free_energy_batch
 
@@ -600,10 +600,9 @@ class FreeEnergyTables:
 
     def indices(self, v: np.ndarray) -> np.ndarray:
         """(rows, groups) table index of every group for rows of v."""
-        bits = v.astype(np.int64)
         index = np.zeros((len(v), len(self.supports)), dtype=np.int64)
         for g, units in enumerate(self.supports):
-            index[:, g] = (bits[:, units] << np.arange(units.size)).sum(axis=1)
+            index[:, g] = _bit_index(v[:, units])
         return index
 
     def free_energy(self, v: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .exact import _bit_index
 from .merge import public_terminals
 from .sampler import Histogram, mode_estimate, multistart, replica_exchange
 from .synthesis import model_interface
@@ -242,7 +243,8 @@ class SolveSettings:
     betas: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name, low in (("n_chains", 1), ("n_sweeps", 1), ("thin", 1), ("burn_in", 0)):
+        for name, low in (("n_chains", 1), ("n_sweeps", 1), ("thin", 1), ("burn_in", 0),
+                          ("top_k", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"bad sampler settings: {name} must be >= {low}, "
                                  f"got {getattr(self, name)}")
@@ -271,18 +273,10 @@ def _nontrivial_factor_mode(hist: Histogram, a_terms: Sequence[str], b_terms: Se
     a_bits = hist.keys[:, [hist.names.index(t) for t in a_terms]]
     b_bits = hist.keys[:, [hist.names.index(t) for t in b_terms]]
     rows = np.flatnonzero(a_bits[:, 1:].any(axis=1) & b_bits[:, 1:].any(axis=1))
-    a, b, counts = _ints(a_bits[rows]), _ints(b_bits[rows]), hist.key_counts[rows]
+    a, b, counts = _bit_index(a_bits[rows]), _bit_index(b_bits[rows]), hist.key_counts[rows]
     order = np.lexsort((b, a, -counts))  # the last key is primary
     pairs = list(zip(zip(a[order].tolist(), b[order].tolist()), counts[order].tolist()))
     return pairs, tuple(hist.keys[rows[order[0]]].tolist()) if pairs else None
-
-
-def _ints(bits: np.ndarray) -> np.ndarray:
-    """The integers whose little-endian bits are the rows of ``bits``:
-    int64, or Python ints past 62 bits, where int64 would overflow."""
-    place = np.array([1 << j for j in range(bits.shape[1])],
-                     dtype=np.int64 if bits.shape[1] < 63 else object)
-    return bits.astype(place.dtype) @ place
 
 
 def _answer_mode(task: TaskSpec, hist: Histogram, record: Sequence[str]):

@@ -63,10 +63,6 @@ FULL_BATCH_LIMIT = 64
 EXACT_LEARNING_RATE = 0.2
 EXACT_MOMENTUM = 0.9
 
-# Evaluation enumerates the answer distribution exactly when
-# 2^(free units) * hidden units stays below this work bound.
-EXACT_EVAL_WORK = 2**22
-
 
 # TrainConfig fields that are real numbers, and the integer fields that
 # may be None; every other field is an integer.
@@ -290,9 +286,11 @@ def _instances(kind: str, width: int, limit: int, seed: int) -> list[tuple[int, 
 
 
 def _exact_eval_feasible(model, spec) -> bool:
+    """Evaluation is exact when one clamp's hidden activations fit one pass."""
     rbm, _ = model_parts(model)
     free = rbm.n_visible - len(resolve_clamp(model, clamp_assignments(model, spec)))
-    return free <= exact.MAX_FREE_UNITS and 2**free * max(rbm.n_hidden, 1) <= EXACT_EVAL_WORK
+    return free <= exact.MAX_FREE_UNITS and \
+        2**free * max(rbm.n_hidden, 1) <= exact.MAX_PASS_ACTIVATIONS
 
 
 def evaluate_accuracy(model, task, n_instances: int = 64, n_chains: int = 2,
@@ -333,6 +331,8 @@ def train(task, n_hidden: int | None = None,
     kind, width, names = task_layout(task)
     if n_hidden is None:
         n_hidden = KNOWN_HIDDEN.get((kind, width), 4 * len(names))
+    if isinstance(n_hidden, bool) or not isinstance(n_hidden, Integral) or n_hidden < 0:
+        raise ValueError(f"n_hidden must be an integer >= 0, got {n_hidden!r}")
     rng = np.random.default_rng(config.seed)
     rbm = Rbm(
         rng.normal(0.0, config.init_scale, (len(names), n_hidden)),

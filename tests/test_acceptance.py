@@ -1,10 +1,11 @@
 """Whole-system acceptance checks.
 
 Each test prints one [PASS]/[FAIL] line carrying the measured numbers and
-the pinned threshold it was judged against; the lines are also collected
-into ``acceptance_report.txt`` at the repository root so a full run leaves
-a one-page verdict summary. Run with ``pytest tests/test_acceptance.py -s``
-to see the lines as they are produced.
+the pinned threshold it was judged against; a run of every check also
+collects the lines into ``acceptance_report.txt`` at the repository root,
+a one-page verdict summary that a partial run leaves untouched. Run with
+``pytest tests/test_acceptance.py -s`` to see the lines as they are
+produced.
 
 The checks exercise the toolkit end to end: exact merge algebra, the
 Gibbs contraction bound, synthesized-circuit distribution quality, mixing
@@ -62,9 +63,13 @@ def _verdict(ok: bool, name: str, detail: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def _write_report():
+    # Only a run in which every check added its line rewrites the report,
+    # so running a subset (``-k test_07``) leaves the committed file alone.
     yield
-    path = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
-    path.write_text("\n".join(_LINES) + "\n")
+    checks = [name for name in vars(TestAcceptance) if name.startswith("test_")]
+    if len(_LINES) == len(checks):
+        path = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
+        path.write_text("\n".join(_LINES) + "\n")
 
 
 def _bit_grid(n: int) -> np.ndarray:

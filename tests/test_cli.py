@@ -361,6 +361,8 @@ class TestBench:
         ({"model": "adder2", "operation": "add", "seed": -1}, "seed"),
         ({"model": "adder2", "operation": "add", "burn_in": "10"}, "burn_in"),
         ([1, 2], "a bench config"),
+        ({"model": "adder2", "operation": "add", "sharpness": "abc"}, "sharpness"),
+        ({"model": "adder2", "operation": "add", "sharpness": True}, "sharpness"),
     ])
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, cfg, field):
         (tmp_path / "bench.json").write_text(json.dumps(cfg))
@@ -420,6 +422,16 @@ class TestDiagnose:
         assert not (diag / "bound.csv").exists()
         assert not (diag / "distribution.csv").exists()
         assert (diag / "free_energy.csv").exists()
+
+    @pytest.mark.parametrize("max_joint", ["300", "-1", "21"])
+    def test_max_joint_outside_its_range_exits_2(self, tmp_path, capsys, max_joint):
+        # 300 would admit mult4's 16 free + 256 hidden units to a joint grid.
+        assert main(["build", "mult4", "-o", str(tmp_path / "mult4.json")]) == 0
+        code = main(["diagnose", str(tmp_path / "mult4.json"), "-o", str(tmp_path / "diag"),
+                     "--max-joint", max_joint])
+        assert code == 2
+        assert f"--max-joint must be in [0, 20], got {max_joint}" in capsys.readouterr().err
+        assert not (tmp_path / "diag").exists()
 
     def test_fully_clamped_model_reports_no_iact(self, tmp_path, monkeypatch, model_dir,
                                                  capsys):

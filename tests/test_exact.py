@@ -1,5 +1,6 @@
 """Exact enumeration: distributions, divergences, bounds, transition matrices."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -72,6 +73,15 @@ class TestExactDistribution:
                 if full[2] == row[0] and full[0] == row[1]
             )
             assert m.probabilities[k] == approx(expected, abs=1e-12)
+
+    def test_bit_index_inverts_bit_grid(self):
+        for n in range(11):
+            assert np.array_equal(exact._bit_index(exact._bit_grid(n)), np.arange(2**n))
+        # Past 62 bits the indices are Python ints, exact where int64 overflows.
+        wide = np.zeros((2, 70), dtype=np.uint8)
+        wide[0] = 1
+        wide[1, 69] = 1
+        assert exact._bit_index(wide).tolist() == [2**70 - 1, 2**69]
 
     def test_validation(self):
         support = np.array([[0], [1]], dtype=np.uint8)
@@ -328,6 +338,19 @@ class TestJointDistribution:
         d = exact_visible_distribution(r)
         assert np.allclose(grid.sum(axis=0), d.probabilities, atol=1e-12)
         assert log_z == approx(d.log_partition, abs=1e-10)
+
+    def test_joint_grids_refuse_over_the_module_limit(self):
+        r = zero_rbm(11, 10)
+        for call in (exact_joint_distribution, delta_exact,
+                     lambda m: propagate_distribution(m, np.ones(2**21) / 2**21, 1)):
+            with pytest.raises(ValueError, match="11 free \\+ 10 hidden units exceed limit 20"):
+                call(r)
+
+    def test_no_public_function_takes_a_size_limit(self):
+        public = [f for name, f in vars(exact).items() if inspect.isfunction(f)
+                  and not name.startswith("_") and f.__module__ == exact.__name__]
+        params = {p for f in public for p in inspect.signature(f).parameters}
+        assert not {p for p in params if "max" in p or "limit" in p}
 
 
 class TestMarginalModes:

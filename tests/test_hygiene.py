@@ -109,3 +109,40 @@ def test_only_exact_builds_bit_grids():
     # its own grid of visible states.
     users = [p.name for p in PACKAGE if "_bit_grid" in _used_names(ast.parse(p.read_text()))]
     assert users == ["exact.py"]
+
+
+def _bit_packing_lines(tree: ast.Module) -> list[int]:
+    """Lines that pack bit rows into integers: a shift with an ``arange(...)``
+    operand, or a comprehension that shifts by its own loop variable
+    (``[1 << j for j in ...]``)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift) and any(
+                isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None))
+                == "arange" for side in (node.left, node.right) for n in ast.walk(side)):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            bound = {n.id for g in node.generators for n in ast.walk(g.target)
+                     if isinstance(n, ast.Name)}
+            lines += [n.lineno for n in ast.walk(node.elt)
+                      if isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+                      and isinstance(n.right, ast.Name) and n.right.id in bound]
+    return sorted(set(lines))
+
+
+def test_only_exact_packs_bit_rows():
+    # exact owns the little-endian state index: _bit_index is the one
+    # packer of bit rows into integers, as _bit_grid is the one unpacker.
+    packers = [f"{p.name}:{line}" for p in PACKAGE if p.name != "exact.py"
+               for line in _bit_packing_lines(ast.parse(p.read_text()))]
+    assert not packers, f"bit rows packed outside exact.py: {', '.join(packers)}"
+
+
+def test_the_check_sees_bit_packing():
+    tree = ast.parse("import numpy as np\n"
+                     "a = (bits << np.arange(n)).sum(axis=1)\n"
+                     "b = bits @ np.array([1 << j for j in range(n)])\n"
+                     "c = sum(int(x) << j for j, x in enumerate(row))\n"
+                     "d = sum(int(w) << (32 * i) for i, w in enumerate(words))\n"
+                     "e = 1 << width\n")
+    assert _bit_packing_lines(tree) == [2, 3, 4]

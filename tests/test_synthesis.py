@@ -113,7 +113,7 @@ class TestDirectConstruction:
         assert r.hidden_bias[1] == -18.0
 
     def test_sharpness_must_be_positive(self):
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="sharpness"):
                 rbm_from_truth_table(gate_table("and"), bad)
 

@@ -402,7 +402,7 @@ class TestSolve:
             SolveSettings(burn_in=-1)
 
     @pytest.mark.parametrize("field, value", [
-        ("n_chains", 0), ("n_sweeps", 0), ("thin", 0), ("burn_in", -1)])
+        ("n_chains", 0), ("n_sweeps", 0), ("thin", 0), ("burn_in", -1), ("top_k", -3)])
     def test_settings_validation_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"bad sampler settings: {field} must be"):
             SolveSettings(**{field: value})

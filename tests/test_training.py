@@ -481,6 +481,11 @@ class TestTrain:
         model, _ = train("adder1", None, cfg)
         assert model.n_hidden == 6
 
+    @pytest.mark.parametrize("hidden", [-2, 2.5, True])
+    def test_hidden_count_must_be_a_nonnegative_integer(self, hidden):
+        with pytest.raises(ValueError, match=f"n_hidden must be an integer >= 0, got {hidden!r}"):
+            train("adder1", hidden)
+
     def test_seed_reproducibility(self):
         cfg = TrainConfig(epochs_per_stage=2, k_max=3, patience=2,
                           eval_instances=8, seed=3)
