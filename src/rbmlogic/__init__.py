@@ -64,7 +64,6 @@ from .exact import (
 )
 from .sampler import (
     ChainTrace,
-    ClampMask,
     Histogram,
     autocorrelation,
     gibbs_sweep,
@@ -72,7 +71,6 @@ from .sampler import (
     mode_estimate,
     multistart,
     run_chain,
-    success_curve,
 )
 from .training import TrainConfig, cd_step, evaluate_accuracy, generate_dataset, train
 from .tasks import (
@@ -83,6 +81,7 @@ from .tasks import (
     encode_int,
     random_task,
     solve,
+    success_curve,
 )
 
 __version__ = "0.1.0"
@@ -99,10 +98,10 @@ __all__ = [
     "exact_joint_distribution", "exact_visible_distribution",
     "gibbs_transition_matrix", "kl_divergence", "l1_distance",
     "propagate_distribution", "tv_distance",
-    "ChainTrace", "ClampMask", "Histogram", "autocorrelation", "gibbs_sweep",
+    "ChainTrace", "Histogram", "autocorrelation", "gibbs_sweep",
     "integrated_autocorrelation_time", "mode_estimate", "multistart",
-    "run_chain", "success_curve",
+    "run_chain",
     "TrainConfig", "cd_step", "evaluate_accuracy", "generate_dataset", "train",
     "SolveResult", "SolveSettings", "TaskSpec", "decode_int", "encode_int",
-    "random_task", "solve",
+    "random_task", "solve", "success_curve",
 ]

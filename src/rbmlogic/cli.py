@@ -41,7 +41,7 @@ from .exact import (
 )
 from .merge import MergedModel, Netlist, compose, model_parts, resolve_clamp
 from .model import Rbm
-from .sampler import integrated_autocorrelation_time, run_chain, success_curve
+from .sampler import integrated_autocorrelation_time, run_chain
 from .synthesis import (
     DEFAULT_SHARPNESS,
     build_adder,
@@ -50,7 +50,7 @@ from .synthesis import (
     parse_unit,
 )
 from .tasks import (OPERATIONS, SolveSettings, TaskSpec, decode_int, model_interface,
-                    public_terminals, random_task, solve)
+                    public_terminals, random_task, solve, success_curve)
 from .training import TrainConfig, train
 
 

@@ -156,31 +156,13 @@ def public_terminals(model) -> list[str]:
     return [n for n in rbm.visible_names if "." not in n and n not in constants]
 
 
-@dataclass(frozen=True)
-class ClampMask:
-    """Visible units held fixed during sampling, by terminal name."""
-
-    assignments: dict[str, int]
-
-    def __post_init__(self):
-        for name, value in self.assignments.items():
-            if value not in (0, 1):
-                raise ValueError(f"clamp value for {name!r} must be 0 or 1")
-
-    def arrays(self, rbm: Rbm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(clamped indices, their values, free indices) for one model."""
-        return clamp_arrays(rbm, self.assignments)
-
-
-def resolve_clamp(model, clamp: Mapping[str, int] | ClampMask | None = None) -> dict[str, int]:
+def resolve_clamp(model, clamp: Mapping[str, int] | None = None) -> dict[str, int]:
     """The model's constants plus ``clamp``, validated as one assignment.
 
     Every name must be a terminal of the model and every value 0 or 1,
     for constants as for the clamp; a clamp may not contradict a constant.
     """
     rbm, constants = model_parts(model)
-    if isinstance(clamp, ClampMask):
-        clamp = clamp.assignments
     assignments: dict[str, int] = {}
     for what, source in (("constant", constants), ("clamp", clamp or {})):
         for name, value in source.items():

@@ -12,15 +12,19 @@ uniforms as for k draws of n, so blocking changes no result.
 
 _recorded_states is the one run driver: it checks the schedule, resolves
 the clamp, seeds one generator per row, draws the start state and picks
-the recorded sweeps, for block Gibbs (_chain_sweeps, under run_chain,
-multistart and success_curve) and for replica_exchange's tempered sweep.
-_Recorder is the one sample recorder and _hidden_groups the one
-component finder (for the block products and the free-energy tables);
-both scan rows with _distinct_rows.  A Histogram is arrays end to end:
-sorted distinct uint8 keys and their int64 counts.  Recording, pooling
-and marginals all re-tally concatenated keys with their weights
-(_tally).  Keys stay sorted, so the first largest count is the mode and
-a stable sort of the counts orders the top keys, ties to the least.
+the recorded sweeps, for block Gibbs (_chain_sweeps) and for
+replica_exchange's tempered sweep.  _Recorder is the one sample recorder
+and _pooled_histograms the one record loop: it feeds the recorded rows
+to a _Recorder and yields the pooled Histogram at given counts of
+recorded sweeps, for multistart, replica_exchange and the success curves
+of tasks; run_chain keeps its own loop, as it returns every sample.
+_hidden_groups is the one component finder (for the block products and
+the free-energy tables); it and _Recorder scan rows with _distinct_rows.
+A Histogram is arrays end to end: sorted distinct uint8 keys and their
+int64 counts.  Recording, pooling and marginals all re-tally
+concatenated keys with their weights (_tally).  Keys stay sorted, so the
+first largest count is the mode and a stable sort of the counts orders
+the top keys, ties to the least.
 
 Every update is the decision u < p.  Sweeps below BLOCK_MIN_ENTRIES
 units take the contract probabilities expit(v @ W + a) and
@@ -63,7 +67,7 @@ import numpy as np
 from scipy.special import expit
 
 from .exact import _bit_index, visible_passes
-from .merge import ClampMask, clamp_arrays, model_parts, resolve_clamp
+from .merge import clamp_arrays, model_parts, resolve_clamp
 from .model import BinaryState, Rbm, free_energy_batch
 
 
@@ -422,9 +426,33 @@ class _Recorder:
         return self.hist
 
 
+def _pooled_histograms(model, clamp, seeds: Sequence[int], n_sweeps: int, burn_in: int,
+                       thin: int, record_terminals: Sequence[str] | None,
+                       marks: Sequence[int] | None = None, rows=None, sweeps=_chain_sweeps):
+    """Record the chains of _recorded_states into one _Recorder; yield the
+    pooled Histogram when each of ``marks`` (nondecreasing counts of
+    recorded sweeps, by default only the last) is reached.
+
+    ``rows`` picks the state rows recorded (all when None).  The yielded
+    Histogram is live: read it before resuming, as the next fold
+    reassigns its arrays.
+    """
+    states = _recorded_states(model, clamp, seeds, n_sweeps, burn_in, thin, sweeps)
+    n_records = _n_recorded(n_sweeps, burn_in, thin)
+    marks = [n_records] if marks is None else marks
+    recorder = _Recorder(model_parts(model)[0], record_terminals,
+                         len(seeds) if rows is None else len(rows), n_records)
+    next_mark = 0
+    for r, v in enumerate(states, start=1):
+        recorder.add(v if rows is None else v[rows])
+        while next_mark < len(marks) and r == marks[next_mark]:
+            yield recorder.histogram()
+            next_mark += 1
+
+
 def run_chain(
     model,
-    clamp: Mapping[str, int] | ClampMask | None = None,
+    clamp: Mapping[str, int] | None = None,
     n_sweeps: int = 1000,
     burn_in: int = 0,
     thin: int = 1,
@@ -465,7 +493,7 @@ def gibbs_sweep(model, state: BinaryState, clamp=None, rng=None) -> BinaryState:
 
 def multistart(
     model,
-    clamp: Mapping[str, int] | ClampMask | None = None,
+    clamp: Mapping[str, int] | None = None,
     n_chains: int = 4,
     n_sweeps: int = 1000,
     burn_in: int = 0,
@@ -475,16 +503,13 @@ def multistart(
     record_terminals: Sequence[str] | None = None,
 ) -> Histogram:
     """Pool histograms from independent chains seeded seed, seed+1, ..."""
-    rbm, _ = model_parts(model)
     if seeds is None:
         seeds = [seed + c for c in range(n_chains)]
     elif len(seeds) != n_chains:
         raise ValueError("seeds length must equal n_chains")
-    states = _recorded_states(model, clamp, seeds, n_sweeps, burn_in, thin)
-    recorder = _Recorder(rbm, record_terminals, n_chains, _n_recorded(n_sweeps, burn_in, thin))
-    for v in states:
-        recorder.add(v)
-    return recorder.histogram()
+    *_, hist = _pooled_histograms(model, clamp, seeds, n_sweeps, burn_in, thin,
+                                  record_terminals)
+    return hist
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -513,47 +538,6 @@ def integrated_autocorrelation_time(series: np.ndarray, max_lag: int | None = No
             break
         tau += 2.0 * rho[k]
     return float(tau)
-
-
-def success_curve(
-    model,
-    tasks: Sequence,
-    checkpoints: Sequence[int],
-    n_chains: int = 4,
-    seed: int = 0,
-    burn_in: int = 0,
-) -> list[tuple[int, float]]:
-    """Fraction of tasks whose pooled mode is correct at each sample budget.
-
-    Chains for task i use seeds seed + i * n_chains + [0..n_chains); the
-    pooled sample count after sweep t is n_chains * (t - burn_in).
-    """
-    from .tasks import answer_mode, answer_terminals, assignment_checker, clamp_assignments
-
-    checkpoints = sorted(int(c) for c in checkpoints)
-    if not checkpoints or checkpoints[0] < 1:
-        raise ValueError("checkpoints must be positive sample counts")
-    if n_chains < 1 or not len(tasks):
-        raise ValueError("need n_chains >= 1 and at least one task")
-    rbm, _ = model_parts(model)
-    # Sweeps recorded when each checkpoint's pooled sample count is reached.
-    marks = [(c + n_chains - 1) // n_chains for c in checkpoints]
-    successes = np.zeros(len(checkpoints))
-    for i, task in enumerate(tasks):
-        seeds = [seed + i * n_chains + c for c in range(n_chains)]
-        states = _recorded_states(model, clamp_assignments(model, task), seeds,
-                                  burn_in + marks[-1], burn_in, 1)
-        check = assignment_checker(model, task)
-        recorder = _Recorder(rbm, answer_terminals(model, task), n_chains, marks[-1])
-        next_mark = 0
-        for r, v in enumerate(states, start=1):
-            recorder.add(v)
-            while next_mark < len(marks) and r == marks[next_mark]:
-                bits, _ = answer_mode(model, task, recorder.histogram())
-                if check(dict(zip(recorder.hist.names, bits))):
-                    successes[next_mark] += 1.0
-                next_mark += 1
-    return [(c, float(s) / len(tasks)) for c, s in zip(checkpoints, successes)]
 
 
 # Largest visible support a group of hidden units may have for
@@ -653,7 +637,7 @@ def _tables_of(rbm: Rbm) -> FreeEnergyTables:
 
 def replica_exchange(
     model,
-    clamp: Mapping[str, int] | ClampMask | None = None,
+    clamp: Mapping[str, int] | None = None,
     betas: Sequence[float] = (1.0,),
     n_ladders: int = 1,
     n_sweeps: int = 1000,
@@ -711,11 +695,8 @@ def replica_exchange(
                 index[np.r_[a, b]] = index[np.r_[b, a]]
             yield v, index
 
-    rbm, _ = model_parts(model)
-    states = _recorded_states(model, clamp, range(seed, seed + n_rows), n_sweeps, burn_in,
-                              thin, tempered_sweeps)
-    recorder = _Recorder(rbm, record_terminals, n_ladders, _n_recorded(n_sweeps, burn_in, thin))
-    top = np.arange(n_ladders) * n_rungs + n_rungs - 1
-    for v in states:
-        recorder.add(v[top])
-    return recorder.histogram()
+    *_, hist = _pooled_histograms(model, clamp, range(seed, seed + n_rows), n_sweeps, burn_in,
+                                  thin, record_terminals,
+                                  rows=np.arange(n_ladders) * n_rungs + n_rungs - 1,
+                                  sweeps=tempered_sweeps)
+    return hist

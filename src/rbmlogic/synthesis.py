@@ -54,8 +54,10 @@ class TruthTable:
 def rbm_from_truth_table(table: TruthTable, sharpness: float = DEFAULT_SHARPNESS) -> Rbm:
     """Directly-calculated RBM with one hidden unit per table row."""
     c = float(sharpness)
-    if not 0 < c < np.inf:
-        raise ValueError(f"sharpness must be a finite positive number, got {sharpness!r}")
+    # The largest parameter is a hidden bias of c * (arity - 0.5).
+    if not 0 < c * (table.arity - 0.5) < np.inf:
+        raise ValueError(f"sharpness must be a positive number with finite parameters, "
+                         f"got {sharpness!r}")
     rows = np.array(table.rows, dtype=np.float64)
     weights = c * (2.0 * rows - 1.0).T  # (arity, n_rows)
     hidden_bias = c * (0.5 - rows.sum(axis=1))

@@ -20,6 +20,11 @@ one integer:
 
 Integers map to terminal bits little-endian: bit j of operand X lives on
 terminal Xj (plain X when the operand is one bit wide).
+
+``solve`` samples one task and ``success_curve`` scores many at several
+sample budgets; both read the answer off the pooled histogram through
+one readout, ``_readout``: the mode under the operation's rule and the
+``assignment_checker`` verdict on it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ import numpy as np
 
 from .exact import _bit_index
 from .merge import public_terminals
-from .sampler import Histogram, mode_estimate, multistart, replica_exchange
+from .sampler import (Histogram, _pooled_histograms, mode_estimate, multistart,
+                      replica_exchange)
 from .synthesis import model_interface
 
 
@@ -279,31 +285,23 @@ def _nontrivial_factor_mode(hist: Histogram, a_terms: Sequence[str], b_terms: Se
     return pairs, tuple(hist.keys[rows[order[0]]].tolist()) if pairs else None
 
 
-def _answer_mode(task: TaskSpec, hist: Histogram, record: Sequence[str]):
-    """``answer_mode`` plus the nontrivial factor pairs (None unless factoring).
-
-    ``record`` is the task's ``answer_terminals``; a factor task reads A's
-    bits, then B's, which have the same width.
-    """
-    if task.operation != "factor":
-        return (*mode_estimate(hist), None)
-    half = len(record) // 2
-    pairs, key = _nontrivial_factor_mode(hist, record[:half], record[half:])
-    if not pairs:
-        return (*mode_estimate(hist), pairs)
-    return key, pairs[0][1], pairs
-
-
-def answer_mode(model, task: TaskSpec, hist: Histogram) -> tuple[tuple[int, ...], int]:
-    """Pooled-histogram mode under the task's answer-extraction rule.
+def _readout(model, task: TaskSpec, hist: Histogram, record: Sequence[str]):
+    """The task's answer read off a pooled histogram of ``record``, its
+    ``answer_terminals``: (mode bits, their count, the nontrivial factor
+    pairs or None unless factoring, the ``assignment_checker`` verdict).
 
     Factorization ignores assignments with a factor of 1: the trivial
     rows 1 * P and P * 1 are valid for every product, so the plain mode
-    would answer them whenever P fits in one operand.
+    would answer them whenever P fits in one operand.  It reads A's bits,
+    then B's, which have the same width, and falls back to the plain mode
+    when no pair is nontrivial.
     """
-    record = answer_terminals(model, task) if task.operation == "factor" else ()
-    bits, count, _ = _answer_mode(task, hist, record)
-    return bits, count
+    pairs = key = None
+    if task.operation == "factor":
+        half = len(record) // 2
+        pairs, key = _nontrivial_factor_mode(hist, record[:half], record[half:])
+    bits, count = mode_estimate(hist) if key is None else (key, pairs[0][1])
+    return bits, count, pairs, assignment_checker(model, task)(dict(zip(record, bits)))
 
 
 def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> SolveResult:
@@ -323,7 +321,7 @@ def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> S
             n_sweeps=settings.n_sweeps, burn_in=settings.burn_in,
             thin=settings.thin, seed=settings.seed, record_terminals=record,
         )
-    bits, count, factor_pairs = _answer_mode(task, hist, record)
+    bits, count, factor_pairs, success = _readout(model, task, hist, record)
     terminals = dict(zip(record, (int(b) for b in bits)))
     # sat reads raw terminals, which need not form whole operands
     decode = group_operands if _OPS[task.operation].kind else (
@@ -337,10 +335,43 @@ def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> S
         total=int(total),
         frequency=count / total if total else 0.0,
         top=[(decode(record, k), c) for k, c in hist.top(settings.top_k)],
-        success=assignment_checker(model, task)(terminals),
+        success=success,
         factor_pairs=factor_pairs,
         chain_sweeps=settings.n_chains * len(settings.betas or (1.0,)) * settings.n_sweeps,
     )
+
+
+def success_curve(
+    model,
+    tasks: Sequence[TaskSpec],
+    checkpoints: Sequence[int],
+    n_chains: int = 4,
+    seed: int = 0,
+    burn_in: int = 0,
+) -> list[tuple[int, float]]:
+    """Fraction of tasks whose pooled answer is correct at each sample budget.
+
+    Chains for task i use seeds seed + i * n_chains + [0..n_chains); the
+    pooled sample count after sweep t is n_chains * (t - burn_in).  Each
+    checkpoint reads the pooled histogram as ``solve`` does.
+    """
+    checkpoints = sorted(int(c) for c in checkpoints)
+    if not checkpoints or checkpoints[0] < 1:
+        raise ValueError("checkpoints must be positive sample counts")
+    if n_chains < 1 or not len(tasks):
+        raise ValueError("need n_chains >= 1 and at least one task")
+    # Sweeps recorded when each checkpoint's pooled sample count is reached.
+    marks = [(c + n_chains - 1) // n_chains for c in checkpoints]
+    successes = [0] * len(checkpoints)
+    for i, task in enumerate(tasks):
+        seeds = [seed + i * n_chains + c for c in range(n_chains)]
+        clamp, record = clamp_assignments(model, task), answer_terminals(model, task)
+        hists = _pooled_histograms(model, clamp, seeds, burn_in + marks[-1], burn_in, 1,
+                                   record, marks)
+        for k, hist in enumerate(hists):
+            *_, solved = _readout(model, task, hist, record)
+            successes[k] += solved
+    return [(c, s / len(tasks)) for c, s in zip(checkpoints, successes)]
 
 
 def _draw(rng: np.random.Generator, low: int, high: int) -> int:

@@ -109,18 +109,14 @@ class TrainConfig:
             raise ValueError("weight_decay and init_scale must be nonnegative")
 
 
-# Training units are named as in synthesis: "adder4", "mult8", ("mult", 2).
-parse_task = parse_unit
-
-
 def task_layout(task) -> tuple[str, int, tuple[str, ...]]:
-    kind, width = parse_task(task)
+    kind, width = parse_unit(task)
     return kind, width, unit_terminals(kind, width)
 
 
 def dataset_size(task) -> int:
     """Number of distinct valid rows: one per input combination."""
-    kind, width = parse_task(task)
+    kind, width = parse_unit(task)
     return 2 ** (2 * width + 1) if kind == "adder" else 2 ** (2 * width)
 
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,17 @@ class TestBuild:
         assert "5 visible, 8 hidden, 1 exported terminals" in capsys.readouterr().out
         model = load_model(tmp_path / "chain.json")
         assert model.exported_terminals == ("X",)
+
+    def test_overflowing_sharpness_exits_2_naming_it(self, tmp_path, capsys):
+        # 1e308 is finite, but the hidden biases c * (0.5 - ones) overflow.
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["build", "adder2", "--sharpness", "1e308",
+                         "-o", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "sharpness must be" in capsys.readouterr().err
+        assert not seen
+        assert not (tmp_path / "m.json").exists()
 
     def test_unknown_model_fails(self, tmp_path, capsys):
         assert main(["build", "wat", "-o", str(tmp_path / "w.json")]) == 2
@@ -363,12 +375,16 @@ class TestBench:
         ([1, 2], "a bench config"),
         ({"model": "adder2", "operation": "add", "sharpness": "abc"}, "sharpness"),
         ({"model": "adder2", "operation": "add", "sharpness": True}, "sharpness"),
+        ({"model": "adder2", "operation": "add", "sharpness": 1e308}, "sharpness"),
     ])
     def test_bad_config_exits_2_naming_the_field(self, tmp_path, capsys, cfg, field):
         (tmp_path / "bench.json").write_text(json.dumps(cfg))
-        code = main(["bench", str(tmp_path / "bench.json"), "-o", str(tmp_path / "out")])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["bench", str(tmp_path / "bench.json"), "-o", str(tmp_path / "out")])
         assert code == 2
         assert f"{field} must be" in capsys.readouterr().err
+        assert not seen
         assert not (tmp_path / "out").exists()
 
     def test_config_without_model_fails(self, tmp_path, capsys):

@@ -27,9 +27,9 @@ from rbmlogic.exact import (
 from rbmlogic import exact
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm
-from rbmlogic.sampler import multistart, replica_exchange, success_curve
+from rbmlogic.sampler import multistart, replica_exchange
 from rbmlogic.synthesis import builtin_model, gate
-from rbmlogic.tasks import TaskSpec
+from rbmlogic.tasks import TaskSpec, success_curve
 
 from .reference import bits_le, random_rbm, ref_delta, ref_visible_marginal
 

@@ -146,3 +146,48 @@ def test_the_check_sees_bit_packing():
                      "d = sum(int(w) << (32 * i) for i, w in enumerate(words))\n"
                      "e = 1 << width\n")
     assert _bit_packing_lines(tree) == [2, 3, 4]
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Sibling modules a module imports by ``from .x import``, at module or
+    function level."""
+    return {node.module.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+
+
+def _import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """The modules along one cycle of an import graph, first module repeated
+    at the end, or [] when the graph has no cycle."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done or module not in graph:
+            return []
+        path.append(module)
+        for imported in sorted(graph[module]):
+            if cycle := visit(imported):
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    return next(filter(None, map(visit, sorted(graph))), [])
+
+
+def test_the_package_has_no_import_cycle():
+    # Each module can be read, and imported, after the modules it uses.
+    graph = {p.stem: _package_imports(ast.parse(p.read_text())) for p in SOURCES}
+    cycle = _import_cycle(graph)
+    assert not cycle, f"import cycle: {' -> '.join(cycle)}"
+
+
+def test_the_check_sees_function_level_import_cycles():
+    a = ast.parse("from .b import f\nfrom . import __version__\n")
+    b = ast.parse("import numpy as np\ndef g():\n    from .a import h\n")
+    c = ast.parse("from .a import f\nfrom .model import Rbm\n")
+    graph = {"a": _package_imports(a), "b": _package_imports(b), "c": _package_imports(c)}
+    assert graph == {"a": {"b"}, "b": {"a"}, "c": {"a", "model"}}
+    assert _import_cycle(graph) == ["a", "b", "a"]
+    assert _import_cycle({"a": set(), "c": {"a", "model"}}) == []

@@ -19,7 +19,6 @@ from rbmlogic.merge import MergedModel, clamp_arrays, compose, model_parts, reso
 from rbmlogic.model import BinaryState, Rbm
 from rbmlogic.sampler import (
     ChainTrace,
-    ClampMask,
     Histogram,
     autocorrelation,
     gibbs_sweep,
@@ -27,7 +26,6 @@ from rbmlogic.sampler import (
     mode_estimate,
     multistart,
     run_chain,
-    success_curve,
 )
 from rbmlogic.synthesis import (
     TruthTable,
@@ -36,7 +34,7 @@ from rbmlogic.synthesis import (
     gate,
     rbm_from_truth_table,
 )
-from rbmlogic.tasks import TaskSpec, clamp_assignments
+from rbmlogic.tasks import TaskSpec, clamp_assignments, success_curve
 
 from .reference import random_rbm, ref_block_gibbs
 
@@ -152,12 +150,9 @@ class TestHistogramMatchesDict:
             self._check(recorder.histogram(), ref, names, list(range(width))[::-1])
 
 
-class TestClampMask:
-    def test_validation_and_arrays(self):
-        with pytest.raises(ValueError, match="must be 0 or 1"):
-            ClampMask({"x": 2})
-        mask = ClampMask({"v2": 1, "v0": 0})
-        idx, vals, free = mask.arrays(zero_rbm(4, 1))
+class TestClampArrays:
+    def test_clamped_indices_ascend_with_their_values(self):
+        idx, vals, free = clamp_arrays(zero_rbm(4, 1), {"v2": 1, "v0": 0})
         assert list(idx) == [0, 2]
         assert list(vals) == [0.0, 1.0]
         assert list(free) == [1, 3]

@@ -19,7 +19,6 @@ from rbmlogic.synthesis import bit_names, builtin_model
 from rbmlogic.tasks import (
     SolveSettings,
     TaskSpec,
-    answer_mode,
     answer_terminals,
     assignment_checker,
     clamp_assignments,
@@ -362,18 +361,20 @@ class TestAnswerMode:
         hist.add((1, 0, 1, 1), weight=10)  # A=1, B=3: trivial
         hist.add((1, 1, 1, 1), weight=4)   # A=3, B=3
         hist.add((0, 1, 0, 1), weight=3)   # A=2, B=2
-        bits, count = answer_mode(mult, task, hist)
+        bits, count, pairs, solved = tasks._readout(mult, task, hist, hist.names)
         assert bits == (1, 1, 1, 1)
         assert count == 4
+        assert pairs == [((3, 3), 4), ((2, 2), 3)] and solved
 
     def test_factor_mode_falls_back_when_all_counts_trivial(self):
         mult = builtin_model("mult2")
         task = TaskSpec("factor", 2, {"P": 3})
         hist = Histogram(("A0", "A1", "B0", "B1"))
         hist.add((1, 0, 1, 1), weight=7)  # A=1, B=3
-        bits, count = answer_mode(mult, task, hist)
+        bits, count, pairs, solved = tasks._readout(mult, task, hist, hist.names)
         assert bits == (1, 0, 1, 1)
         assert count == 7
+        assert pairs == [] and not solved
 
     def test_non_factor_operations_use_plain_mode(self):
         adder = builtin_model("adder1")
@@ -381,7 +382,7 @@ class TestAnswerMode:
         hist = Histogram(("S", "Cout"))
         hist.add((0, 1), weight=5)
         hist.add((1, 0), weight=2)
-        assert answer_mode(adder, task, hist) == ((0, 1), 5)
+        assert tasks._readout(adder, task, hist, hist.names) == ((0, 1), 5, None, True)
 
 
 class TestSolve:

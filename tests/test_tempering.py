@@ -20,11 +20,11 @@ from rbmlogic import sampler
 from rbmlogic.exact import exact_visible_distribution, tv_distance
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm, free_energy_batch
-from rbmlogic.sampler import (FreeEnergyTables, multistart, replica_exchange, run_chain,
-                              success_curve)
+from rbmlogic.sampler import FreeEnergyTables, multistart, replica_exchange, run_chain
 from rbmlogic.synthesis import (build_multiplier, builtin_model, full_adder_table,
                                 rbm_from_truth_table)
-from rbmlogic.tasks import SolveSettings, TaskSpec, answer_terminals, clamp_assignments, solve
+from rbmlogic.tasks import (SolveSettings, TaskSpec, answer_terminals, clamp_assignments, solve,
+                            success_curve)
 
 from .reference import random_rbm
 

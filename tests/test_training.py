@@ -9,7 +9,7 @@ from scipy.special import expit
 
 from rbmlogic.exact import exact_joint_distribution, exact_visible_distribution
 from rbmlogic.model import Rbm
-from rbmlogic.synthesis import builtin_model, full_adder_table
+from rbmlogic.synthesis import builtin_model, full_adder_table, parse_unit
 from rbmlogic import exact, training
 from rbmlogic.training import (
     EXACT_LEARNING_RATE,
@@ -20,7 +20,6 @@ from rbmlogic.training import (
     evaluate_accuracy,
     exact_refine,
     generate_dataset,
-    parse_task,
     reconstruction_error,
     task_layout,
     train,
@@ -70,17 +69,17 @@ class TestConfig:
 
 
 class TestTaskParsing:
-    def test_parse_task(self):
-        assert parse_task("adder4") == ("adder", 4)
-        assert parse_task("mult2") == ("mult", 2)
-        assert parse_task(("mult", 2)) == ("mult", 2)
-        assert parse_task(("multiplier", 8)) == ("mult", 8)
+    def test_parse_unit(self):
+        assert parse_unit("adder4") == ("adder", 4)
+        assert parse_unit("mult2") == ("mult", 2)
+        assert parse_unit(("mult", 2)) == ("mult", 2)
+        assert parse_unit(("multiplier", 8)) == ("mult", 8)
         with pytest.raises(ValueError):
-            parse_task("foo3")
+            parse_unit("foo3")
         with pytest.raises(ValueError):
-            parse_task("adder0")
+            parse_unit("adder0")
         with pytest.raises(TypeError):
-            parse_task(7)
+            parse_unit(7)
 
     def test_task_layout(self):
         kind, width, names = task_layout("adder2")
