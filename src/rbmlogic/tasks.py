@@ -30,6 +30,7 @@ one readout, ``_readout``: the mode under the operation's rule and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -174,14 +175,6 @@ def answer_terminals(model, task: TaskSpec) -> tuple[str, ...]:
     return tuple(t for operand in op.answer for t in iface.bits(operand))
 
 
-def forward_task(width: int, inputs: Sequence[int]) -> TaskSpec:
-    """The task that clamps exactly a unit's inputs, (A, B, Cin) or (A, B)
-    as ``synthesis.unit_inputs`` lists them: add or multiply."""
-    names = ("A", "B", "Cin")[:len(inputs)]
-    operation = next(name for name, op in _OPS.items() if op.clamps == names)
-    return TaskSpec(operation, width, dict(zip(names, inputs)))
-
-
 def group_operands(names: Sequence[str], bits: Sequence[int]) -> dict[str, int]:
     """Decode named bit columns back into integers per operand."""
     groups: dict[str, dict[int, int]] = {}
@@ -250,10 +243,11 @@ class SolveSettings:
 
     def __post_init__(self):
         for name, low in (("n_chains", 1), ("n_sweeps", 1), ("thin", 1), ("burn_in", 0),
-                          ("top_k", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"bad sampler settings: {name} must be >= {low}, "
-                                 f"got {getattr(self, name)}")
+                          ("seed", 0), ("top_k", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"bad sampler settings: {name} must be an integer "
+                                 f">= {low}, got {value!r}")
         if self.betas is not None:
             object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
 

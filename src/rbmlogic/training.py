@@ -1,10 +1,12 @@
 """Contrastive-divergence training of arithmetic units.
 
 The schedule trains in stages: each stage runs a fixed number of epochs
-of CD-k with learning rate 1, evaluates task accuracy, then increments
-k.  Training stops once accuracy has failed to improve for ``patience``
+of CD-k with learning rate 1, evaluates accuracy, then increments k.
+Training stops once accuracy has failed to improve for ``patience``
 consecutive stages, k would exceed ``k_max``, or accuracy reaches 1;
-the parameters from the best stage are returned.
+the parameters from the best stage are returned.  Accuracy scores a
+unit against its own truth table rows, with no arithmetic task: each
+picked row clamps its input bits, and the output mode must match it.
 
 ``exact_refine`` continues training a unit whose visible layer is small
 enough to enumerate: full-batch steps of the exact log-likelihood
@@ -42,12 +44,11 @@ from numbers import Integral, Real
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .merge import model_parts, resolve_clamp
+from .merge import model_parts, public_terminals, resolve_clamp
 from .model import Rbm
+from .sampler import mode_estimate, multistart
 from .synthesis import (adder_table, multiplier_table, parse_unit, unit_inputs, unit_row,
                         unit_terminals)
-from .tasks import (SolveSettings, answer_terminals, assignment_checker, clamp_assignments,
-                    forward_task, solve)
 from . import exact
 
 # Hidden-layer sizes known to train well for specific units.
@@ -281,44 +282,40 @@ def _instances(kind: str, width: int, limit: int, seed: int) -> list[tuple[int, 
     return [(i >> width, i & mask) for i in picks]  # index = a << width | b
 
 
-def _exact_eval_feasible(model, spec) -> bool:
-    """Evaluation is exact when one clamp's hidden activations fit one pass."""
-    rbm, _ = model_parts(model)
-    free = rbm.n_visible - len(resolve_clamp(model, clamp_assignments(model, spec)))
-    return free <= exact.MAX_FREE_UNITS and \
-        2**free * max(rbm.n_hidden, 1) <= exact.MAX_PASS_ACTIVATIONS
-
-
 def evaluate_accuracy(model, task, n_instances: int = 64, n_chains: int = 2,
-                      n_sweeps: int = 500, seed: int = 0,
-                      method: str = "auto") -> float:
-    """Fraction of input combinations whose inferred mode is correct.
+                      n_sweeps: int = 500, seed: int = 0) -> float:
+    """Fraction of the unit's table rows whose inferred output mode is the row's.
 
-    The answer mode comes from the exact clamped distribution when the
-    model is small enough to enumerate ("auto"), otherwise from the
-    pooled histogram of ``n_chains`` Gibbs chains.  Pass
-    ``method="sample"`` or ``"exact"`` to force either path.
+    Each row ``_instances`` picks clamps its input terminals (A, B and Cin,
+    or A and B) and is scored on its outputs (S and Cout, or P).  The mode
+    comes from ``exact.exact_marginal_modes`` when one clamp's hidden
+    activations fit one pass, otherwise from the pooled histogram of
+    ``n_chains`` Gibbs chains seeded ``seed + 1000 * i`` for row i.
     """
-    if method not in ("auto", "exact", "sample"):
-        raise ValueError(f"unknown method {method!r}")
-    kind, width, _ = task_layout(task)
-    instances = _instances(kind, width, n_instances, seed)
-    use_exact = method == "exact" or (
-        method == "auto" and _exact_eval_feasible(model, forward_task(width, instances[0]))
-    )
-    specs = [forward_task(width, inputs) for inputs in instances]
-    if use_exact:
-        # Forward tasks clamp the same terminals, so one enumeration scores them all.
-        record = answer_terminals(model, specs[0])
-        modes = exact.exact_marginal_modes(
-            model, [clamp_assignments(model, spec) for spec in specs], record)
-        correct = sum(assignment_checker(model, spec)(dict(zip(record, bits)))
-                      for spec, bits in zip(specs, modes))
+    kind, width, names = task_layout(task)
+    terminals = public_terminals(model)
+    if sorted(terminals) != sorted(names):
+        raise KeyError(f"model is not a {kind}{width} unit: it lacks terminals "
+                       f"{[t for t in names if t not in terminals]} and has "
+                       f"{[t for t in terminals if t not in names]} besides")
+    n_in = 2 * width + (kind == "adder")  # a row's input bits come first
+    rows = [unit_row(kind, width, i) for i in _instances(kind, width, n_instances, seed)]
+    clamps, expected = [dict(zip(names[:n_in], r)) for r in rows], [r[n_in:] for r in rows]
+    outputs = names[n_in:]
+    rbm, _ = model_parts(model)
+    free = rbm.n_visible - len(resolve_clamp(model, clamps[0]))
+    if free <= exact.MAX_FREE_UNITS and \
+            2**free * max(rbm.n_hidden, 1) <= exact.MAX_PASS_ACTIVATIONS:
+        # The clamps fix the same terminals, so one enumeration scores them all.
+        modes = exact.exact_marginal_modes(model, clamps, outputs)
+        correct = int((modes == np.array(expected)).all(axis=1).sum())
     else:
-        correct = sum(solve(model, spec, SolveSettings(n_chains=n_chains, n_sweeps=n_sweeps,
-                                                       seed=seed + 1000 * i)).success
-                      for i, spec in enumerate(specs))
-    return correct / len(instances)
+        correct = 0
+        for i, (clamp, row) in enumerate(zip(clamps, expected)):
+            hist = multistart(model, clamp, n_chains=n_chains, n_sweeps=n_sweeps,
+                              seed=seed + 1000 * i, record_terminals=outputs)
+            correct += mode_estimate(hist)[0] == row
+    return correct / len(rows)
 
 
 def train(task, n_hidden: int | None = None,

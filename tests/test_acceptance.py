@@ -246,10 +246,8 @@ class TestAcceptance:
 
     def test_07_multiplier_factors_semiprimes(self, refined_adder4, refined_mult4):
         adder_unit, mult_unit = refined_adder4, refined_mult4
-        assert evaluate_accuracy(adder_unit, "adder4", n_instances=512,
-                                 method="exact") == 1.0
-        assert evaluate_accuracy(mult_unit, "mult4", n_instances=256,
-                                 method="exact") == 1.0
+        assert evaluate_accuracy(adder_unit, "adder4", n_instances=512) == 1.0
+        assert evaluate_accuracy(mult_unit, "mult4", n_instances=256) == 1.0
         model = build_multiplier(8, mult_unit, adder_unit)
         semiprimes = [106, 111, 115, 119, 133, 143, 187, 203, 209, 221]
         solved = 0

@@ -23,6 +23,9 @@ import rbmlogic
 from rbmlogic.cli import load_model, main
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm
+from rbmlogic.synthesis import unit_terminals
+from rbmlogic import training
+from rbmlogic.training import generate_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +78,23 @@ class TestBuild:
         assert "visible: 17  hidden: 32  parameters: 593" in out
         model = load_model(model_dir / "adder4.json")
         assert len(model.exported_terminals) == 14
+
+    def test_model_file_is_resaved_with_its_sidecar(self, tmp_path, model_dir, capsys):
+        # A model JSON, not a netlist, is loaded and written back unchanged.
+        assert main(["build", str(model_dir / "fa1.json"), "-o",
+                     str(tmp_path / "copy.json")]) == 0
+        assert "8 visible, 20 hidden, 5 exported terminals" in capsys.readouterr().out
+        for name in ("fa1.json", "fa1.terminals.json"):
+            copy = tmp_path / name.replace("fa1", "copy")
+            assert copy.read_text() == (model_dir / name).read_text()
+
+    def test_base_option_stacks_multipliers(self, tmp_path, capsys):
+        assert main(["build", "mult4", "-o", str(tmp_path / "m.json"),
+                     "--base", "mult2"]) == 0
+        assert "built mult4: 91 visible, 256 hidden, 16 exported terminals, 22 constants" \
+            in capsys.readouterr().out
+        model = load_model(tmp_path / "m.json")
+        assert sorted(model.exported_terminals) == sorted(unit_terminals("mult", 4))
 
     def test_base_option_rejects_plain_gates(self, tmp_path, capsys):
         code = main(["build", "xor", "-o", str(tmp_path / "x.json"),
@@ -188,6 +208,23 @@ class TestTrain:
         # stage evaluation rows fill the accuracy column
         assert any(row.rsplit(",", 1)[1] for row in lines[1:])
 
+    def test_cap_samples_the_dataset(self, tmp_path, monkeypatch, capsys):
+        caps = []
+
+        def recording(task, cap=None, rng=None):
+            caps.append(cap)
+            return generate_dataset(task, cap, rng)
+
+        monkeypatch.setattr(training, "generate_dataset", recording)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"epochs_per_stage": 1, "k_max": 2, "copies_per_epoch": 2, "eval_instances": 4}))
+        code = main(["train", "mult2", "-o", str(tmp_path / "t.json"), "--cap", "8",
+                     "--config", str(tmp_path / "cfg.json")])
+        assert code == 0
+        assert "trained mult2: best accuracy" in capsys.readouterr().out
+        # every epoch draws cap * copies_per_epoch rows; none enumerates the table
+        assert caps and set(caps) == {16}
+
     def test_rejects_unknown_config_keys(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"nope": 1}))
         code = main(["train", "adder1", "-o", str(tmp_path / "t.json"),
@@ -212,7 +249,7 @@ class TestSolve:
         assert code == 0
         out = capsys.readouterr().out
         assert "mode: in1=0, in2=1 " in out or "mode: in1=1, in2=0 " in out
-        assert "verdict: consistent" in out
+        assert "verdict: unchecked" in out
 
     def test_expected_sum_includes_carry(self, model_dir, capsys):
         argv = ["solve", str(model_dir / "adder1.json"), "--op", "add",
@@ -424,6 +461,16 @@ class TestDiagnose:
         assert fe[0] == "sweep,free_energy"
         assert len(fe) == 1 + 300
         assert (diag / "manifest.json").exists()
+
+    @pytest.mark.parametrize("gate", ["xor", "and", "or", "nand"])
+    def test_sharp_gates_get_exact_curves(self, tmp_path, gate):
+        # pi of the all-zero start state is near e^-50, and rounding in pi's
+        # sum puts the start's L1 distance a few ulps above its maximum, 2.
+        assert main(["build", gate, "--sharpness", "100", "-o", str(tmp_path / "g.json")]) == 0
+        assert main(["diagnose", str(tmp_path / "g.json"), "-o", str(tmp_path / "d"),
+                     "--steps", "3", "--sample-sweeps", "50"]) == 0
+        bound = (tmp_path / "d" / "bound.csv").read_text().splitlines()
+        assert len(bound) == 5 and bound[1].endswith(",1.0")
 
     def test_large_model_skips_exact_curves(self, tmp_path, monkeypatch, model_dir):
         monkeypatch.chdir(tmp_path)

@@ -148,11 +148,19 @@ def test_the_check_sees_bit_packing():
     assert _bit_packing_lines(tree) == [2, 3, 4]
 
 
+# Each module may import only modules before it in this list.
+LAYERS = ("model", "merge", "exact", "sampler", "synthesis", "training", "tasks", "cli")
+
+
 def _package_imports(tree: ast.Module) -> set[str]:
-    """Sibling modules a module imports by ``from .x import``, at module or
-    function level."""
-    return {node.module.split(".")[0] for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+    """Sibling modules a module imports by ``from .x import`` or
+    ``from . import x``, at module or function level."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module.split(".")[0]} if node.module else \
+                {alias.name for alias in node.names if alias.name in LAYERS}
+    return out
 
 
 def _import_cycle(graph: dict[str, set[str]]) -> list[str]:
@@ -191,3 +199,25 @@ def test_the_check_sees_function_level_import_cycles():
     assert graph == {"a": {"b"}, "b": {"a"}, "c": {"a", "model"}}
     assert _import_cycle(graph) == ["a", "b", "a"]
     assert _import_cycle({"a": set(), "c": {"a", "model"}}) == []
+
+
+def _layer_violations(graph: dict[str, set[str]]) -> list[str]:
+    """Each import of a module at or after the importer in LAYERS."""
+    return [f"{module} -> {imported}" for module in sorted(graph)
+            for imported in sorted(graph[module])
+            if LAYERS.index(imported) >= LAYERS.index(module)]
+
+
+def test_modules_import_only_earlier_layers():
+    graph = {p.stem: _package_imports(ast.parse(p.read_text())) for p in SOURCES}
+    assert sorted(graph) == sorted(LAYERS)
+    violations = _layer_violations(graph)
+    assert not violations, f"imports against the layer order: {', '.join(violations)}"
+
+
+def test_the_check_sees_late_layer_imports():
+    training = ast.parse("from . import exact\nfrom .model import Rbm\n"
+                         "def f():\n    from . import tasks, __version__\n")
+    graph = {"training": _package_imports(training), "model": set()}
+    assert graph["training"] == {"exact", "model", "tasks"}
+    assert _layer_violations(graph) == ["training -> tasks"]

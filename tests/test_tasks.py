@@ -403,10 +403,18 @@ class TestSolve:
             SolveSettings(burn_in=-1)
 
     @pytest.mark.parametrize("field, value", [
-        ("n_chains", 0), ("n_sweeps", 0), ("thin", 0), ("burn_in", -1), ("top_k", -3)])
+        ("n_chains", 0), ("n_sweeps", 0), ("thin", 0), ("burn_in", -1), ("top_k", -3),
+        # bools and non-integers are refused too, one case per field
+        ("n_chains", True), ("n_sweeps", 20.5), ("thin", 2.0), ("burn_in", False),
+        ("seed", 1.5), ("top_k", 2.5)])
     def test_settings_validation_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"bad sampler settings: {field} must be"):
             SolveSettings(**{field: value})
+
+    def test_numpy_integer_settings_are_accepted(self):
+        fields = ("n_chains", "n_sweeps", "thin", "burn_in", "seed", "top_k")
+        settings = SolveSettings(**{f: np.int64(3) for f in fields})
+        assert all(getattr(settings, f) == 3 for f in fields)
 
     @pytest.mark.parametrize("task, calls", [
         (TaskSpec("factor", 2, {"P": 6}), 3),

@@ -402,16 +402,37 @@ class TestEvaluateAccuracy:
         rbm = Rbm(rng.normal(0, 0.1, (5, 6)), np.zeros(5), np.zeros(6), names)
         assert evaluate_accuracy(rbm, "adder1") < 0.5
 
-    def test_sampling_path_agrees_on_sharp_model(self):
+    def test_sampling_path_agrees_on_sharp_model(self, monkeypatch):
+        # No clamp fits one pass, so every row is sampled.
+        monkeypatch.setattr(training.exact, "MAX_FREE_UNITS", 0)
         acc = evaluate_accuracy(
             builtin_model("adder1"), "adder1",
-            n_instances=8, n_chains=2, n_sweeps=500, seed=0, method="sample",
+            n_instances=8, n_chains=2, n_sweeps=500, seed=0,
         )
         assert acc == 1.0
 
-    def test_method_validation(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            evaluate_accuracy(builtin_model("adder1"), "adder1", method="bogus")
+    def test_clamps_that_fit_one_pass_are_never_sampled(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a clamp that fits one pass")
+
+        monkeypatch.setattr(training, "multistart", refuse)
+        assert evaluate_accuracy(builtin_model("mult2"), "mult2") == 1.0
+
+    def test_rows_are_scored_against_the_table(self, monkeypatch):
+        # adder1's rows in (A, B, Cin) order have outputs (S, Cout) = (0, 0),
+        # (1, 0), (1, 0), (0, 1), (1, 0), (0, 1), (0, 1), (1, 1); a sampled
+        # mode counts only when it equals its row's.
+        modes = iter([(0, 0), (0, 1), (0, 0), (0, 1), (1, 1), (0, 0), (1, 0), (1, 1)])
+        monkeypatch.setattr(training.exact, "MAX_FREE_UNITS", 0)
+        monkeypatch.setattr(training, "mode_estimate", lambda hist: (next(modes), 1))
+        acc = evaluate_accuracy(builtin_model("adder1"), "adder1", n_chains=1, n_sweeps=2)
+        assert type(acc) is float and acc == 3 / 8
+
+    def test_model_without_the_units_terminals_is_refused(self):
+        with pytest.raises(KeyError, match="lacks terminals \\['P0', 'P1', 'P2', 'P3'\\]"):
+            evaluate_accuracy(builtin_model("adder2"), "mult2")
+        with pytest.raises(KeyError, match="'A2'"):
+            evaluate_accuracy(builtin_model("adder4"), "adder2")
 
 
 # SHA-256 of the trained parameters' bytes plus repr(log), one per path
