@@ -170,10 +170,13 @@ def _netlist(raw: dict, sharpness: float) -> Netlist:
                    [tuple(p) for p in pairs], dict(exports))
 
 
+def _names_file(spec: str) -> bool:
+    """Whether a model spec names a file rather than a builtin model."""
+    return spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec)
+
+
 def _resolve_component(spec: str, sharpness: float):
-    if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
-        return load_model(spec)
-    return builtin_model(spec, sharpness)
+    return load_model(spec) if _names_file(spec) else builtin_model(spec, sharpness)
 
 
 def _write_manifest(command: str, argv: list[str], outputs: list[Path],
@@ -217,13 +220,7 @@ def _parse_clamp_items(items: list[str]) -> dict[str, int]:
 def cmd_build(args, argv) -> int:
     out = _out_path(args.output)
     spec = args.spec
-    if spec.endswith(".json") and os.path.exists(spec) and not args.base:
-        raw = _model_or_netlist(Path(spec))
-        if "components" in raw:
-            model = compose(_netlist(raw, args.sharpness))
-        else:
-            model = load_model(spec)
-    elif args.base:
+    if args.base:
         try:
             kind, width = parse_unit(spec)
         except ValueError:
@@ -234,6 +231,9 @@ def cmd_build(args, argv) -> int:
             model = build_multiplier(width, base, builtin_model("adder1", args.sharpness))
         else:
             model = build_adder(width, base)
+    elif _names_file(spec):
+        raw = _model_or_netlist(Path(spec))
+        model = compose(_netlist(raw, args.sharpness)) if "components" in raw else load_model(spec)
     else:
         model = builtin_model(spec, args.sharpness)
     outputs = save_model(model, out)
@@ -376,6 +376,7 @@ def cmd_diagnose(args, argv) -> int:
         log_w = _joint_log_weights(model, clamp)
         delta = report["delta_exact"] = float(log_w.max() - log_w.min())
         pi = np.exp(log_w - logsumexp(log_w)).reshape(-1)
+        pi /= pi.sum()  # rounding can push the sum past 1, and a TV past its bound
         mu0 = np.zeros_like(pi)
         mu0[0] = 1.0
         # At most 2, but pi's rounding can exceed it by ulps when pi[0] ~ 0.

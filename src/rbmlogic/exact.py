@@ -74,7 +74,9 @@ class ExactDistribution:
             raise ValueError("support shape does not match names/probabilities")
         if np.any(self.probabilities < 0):
             raise ValueError("negative probability")
-        if abs(float(self.probabilities.sum()) - 1.0) > 1e-9:
+        # exp(-F - log Z) rounds in proportion to |log Z|, which grows with sharpness.
+        tolerance = 1e-9 + 8 * np.finfo(np.float64).eps * abs(self.log_partition)
+        if abs(float(self.probabilities.sum()) - 1.0) > tolerance:
             raise ValueError("probabilities must sum to 1")
 
     @property

@@ -205,14 +205,6 @@ def full_adder_netlist(sharpness: float = DEFAULT_SHARPNESS) -> Netlist:
     )
 
 
-def _as_component(base) -> "Rbm | MergedModel":
-    if isinstance(base, Netlist):
-        return compose(base)
-    if isinstance(base, (Rbm, MergedModel)):
-        return base
-    raise TypeError(f"expected Rbm, Netlist or MergedModel, got {type(base).__name__}")
-
-
 def operand_width(names: Iterable[str], prefix: str) -> int:
     """Width of an operand group: plain ``prefix`` counts as width 1."""
     names = set(names)
@@ -271,25 +263,23 @@ def _interface(names: tuple[str, ...]) -> _Interface:
 def build_adder(n_bits: int, base) -> MergedModel:
     """Ripple adder over n bits: chained copies of ``base``, Cout into Cin.
 
-    ``base`` is an adder slice (Rbm, Netlist or MergedModel) whose width
-    must divide n_bits.  Exports A0..A{n-1}, B0.., S0.., Cin, Cout; the
-    inter-slice carries remain internal.
+    ``base`` is an adder slice (Rbm or MergedModel) whose width must divide
+    n_bits.  Exports the n-bit operands A, B and S, named by ``bit_names``,
+    plus Cin and Cout; the inter-slice carries remain internal.
     """
-    comp = _as_component(base)
-    iface = model_interface(comp)
+    iface = model_interface(base)
     if iface.kind != "adder":
         raise KeyError("adder slice missing terminal 'Cin'")
     w = iface.width
     if n_bits < 1 or n_bits % w != 0:
         raise ValueError(f"slice width {w} does not divide {n_bits}")
     k = n_bits // w
-    components = [(f"fa{i}", comp) for i in range(k)]
+    components = [(f"fa{i}", base) for i in range(k)]
     connections = [(f"fa{i}.Cout", f"fa{i + 1}.Cin") for i in range(k - 1)]
     exports = {"fa0.Cin": "Cin", f"fa{k - 1}.Cout": "Cout"}
-    for i in range(k):
-        for j in range(w):
-            for prefix in ("A", "B", "S"):
-                exports[f"fa{i}.{iface.bits(prefix)[j]}"] = f"{prefix}{i * w + j}"
+    for prefix in ("A", "B", "S"):
+        slices = [f"fa{i}.{t}" for i in range(k) for t in iface.bits(prefix)]
+        exports |= dict(zip(slices, bit_names(prefix, n_bits)))
     return compose(Netlist(components, connections, exports))
 
 
@@ -305,27 +295,25 @@ def build_multiplier(n_bits: int, base_mult, base_adder) -> MergedModel:
     if n_bits < 2 or n_bits % 2 != 0:
         raise ValueError("n_bits must be even and >= 2")
     m = n_bits // 2
-    mult = _as_component(base_mult)
-    mult_iface = model_interface(mult)
+    mult_iface = model_interface(base_mult)
     if mult_iface.kind != "multiplier":
         raise KeyError("base multiplier is an adder (it has a Cin terminal)")
     if mult_iface.width != m:
         raise ValueError(f"base multiplier width {mult_iface.width} != {m}")
 
-    adder = _as_component(base_adder)
-    adder_iface = model_interface(adder)
-    adder2n = adder if (adder_iface.kind, adder_iface.width) == ("adder", 2 * n_bits) else \
-        build_adder(2 * n_bits, adder)
-
     n, nn = n_bits, 2 * n_bits
+    adder_iface = model_interface(base_adder)
+    adder2n = base_adder if (adder_iface.kind, adder_iface.width) == ("adder", nn) else \
+        build_adder(nn, base_adder)
     components = [
-        ("mLL", mult), ("mLH", mult), ("mHL", mult), ("mHH", mult),
+        ("mLL", base_mult), ("mLH", base_mult), ("mHL", base_mult), ("mHH", base_mult),
         ("add1", adder2n), ("add2", adder2n), ("add3", adder2n),
     ]
 
     def mt(cid, prefix, j):  # multiplier-local terminal
         return f"{cid}.{mult_iface.bits(prefix)[j]}"
 
+    add_a, add_b, add_s = (bit_names(prefix, nn) for prefix in "ABS")  # adder operands
     connections = []
     for j in range(m):
         connections += [
@@ -336,28 +324,27 @@ def build_multiplier(n_bits: int, base_mult, base_adder) -> MergedModel:
         ]
     # add1: LL + (LH << m); add2: += HL << m; add3: += HH << n.
     for j in range(n):
-        connections.append((f"add1.A{j}", mt("mLL", "P", j)))
-        connections.append((f"add1.B{j + m}", mt("mLH", "P", j)))
-        connections.append((f"add2.B{j + m}", mt("mHL", "P", j)))
-        connections.append((f"add3.B{j + n}", mt("mHH", "P", j)))
+        connections.append((f"add1.{add_a[j]}", mt("mLL", "P", j)))
+        connections.append((f"add1.{add_b[j + m]}", mt("mLH", "P", j)))
+        connections.append((f"add2.{add_b[j + m]}", mt("mHL", "P", j)))
+        connections.append((f"add3.{add_b[j + n]}", mt("mHH", "P", j)))
     for j in range(nn):
-        connections.append((f"add2.A{j}", f"add1.S{j}"))
-        connections.append((f"add3.A{j}", f"add2.S{j}"))
+        connections.append((f"add2.{add_a[j]}", f"add1.{add_s[j]}"))
+        connections.append((f"add3.{add_a[j]}", f"add2.{add_s[j]}"))
 
+    a_out, b_out = bit_names("A", n), bit_names("B", n)
     exports = {}
     for j in range(m):
-        exports[mt("mLL", "A", j)] = f"A{j}"
-        exports[mt("mHL", "A", j)] = f"A{j + m}"
-        exports[mt("mLL", "B", j)] = f"B{j}"
-        exports[mt("mLH", "B", j)] = f"B{j + m}"
-    for j in range(nn):
-        exports[f"add3.S{j}"] = f"P{j}"
+        exports[mt("mLL", "A", j)] = a_out[j]
+        exports[mt("mHL", "A", j)] = a_out[j + m]
+        exports[mt("mLL", "B", j)] = b_out[j]
+        exports[mt("mLH", "B", j)] = b_out[j + m]
+    exports |= {f"add3.{s}": p for s, p in zip(add_s, bit_names("P", nn))}
 
     # Pads: the adders' inputs, then their carries, that no connection names.
     named = {t for pair in connections for t in pair}
-    inputs = [f"{p}{j}" for p in "AB" for j in range(nn)]
-    zero_pads = [f"{cid}.{t}" for ts in (inputs, ["Cin", "Cout"]) for cid in ("add1", "add2", "add3")
-                 for t in ts if f"{cid}.{t}" not in named]
+    zero_pads = [f"{cid}.{t}" for ts in (add_a + add_b, ["Cin", "Cout"])
+                 for cid in ("add1", "add2", "add3") for t in ts if f"{cid}.{t}" not in named]
 
     merged = compose(Netlist(components, connections, exports))
     constants = dict(merged.constants)

@@ -75,12 +75,10 @@ def encode_int(value: int, width: int) -> list[int]:
 
 def decode_int(bits: Sequence[int]) -> int:
     """Integer whose little-endian bits are ``bits``."""
-    out = 0
-    for j, b in enumerate(bits):
+    for b in bits:
         if b not in (0, 1):
             raise ValueError(f"bad bit {b!r}")
-        out |= int(b) << j
-    return out
+    return int(_bit_index(np.array(bits, dtype=np.uint8).reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,21 @@ class TestBuild:
         model = load_model(tmp_path / "m.json")
         assert sorted(model.exported_terminals) == sorted(unit_terminals("mult", 4))
 
+    def test_one_bit_adder_on_a_one_bit_base_can_be_posed(self, tmp_path, capsys):
+        # Its operands are the plain A, B and S that a 1-bit adder exports.
+        assert main(["build", "adder1", "--base", "adder1",
+                     "-o", str(tmp_path / "a.json")]) == 0
+        code = main(["solve", str(tmp_path / "a.json"), "--op", "add",
+                     "--clamp", "A=1", "--clamp", "B=1"])
+        assert code == 0
+        assert "verdict: consistent" in capsys.readouterr().out
+
+    def test_missing_model_file_is_not_a_builtin_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["build", "missing.json", "-o", "x.json"]) == 2
+        assert "No such file or directory: 'missing.json'" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_base_option_rejects_plain_gates(self, tmp_path, capsys):
         code = main(["build", "xor", "-o", str(tmp_path / "x.json"),
                      "--base", "adder1"])
@@ -471,6 +486,20 @@ class TestDiagnose:
                      "--steps", "3", "--sample-sweeps", "50"]) == 0
         bound = (tmp_path / "d" / "bound.csv").read_text().splitlines()
         assert len(bound) == 5 and bound[1].endswith(",1.0")
+        # pi is normalised by its sum, so no observed TV exceeds its bound.
+        rows = [[float(x) for x in row.split(",")] for row in bound[1:]]
+        assert all(tv_observed <= tv_bound for _, tv_observed, tv_bound in rows)
+
+    @pytest.mark.parametrize("sharpness", ["1e8", "1e12"])
+    def test_very_sharp_gate_gets_exact_curves(self, tmp_path, sharpness):
+        # -F is about c/2, so the sum of exact probabilities rounds far past 1e-9.
+        assert main(["build", "xor", "--sharpness", sharpness,
+                     "-o", str(tmp_path / "g.json")]) == 0
+        assert main(["diagnose", str(tmp_path / "g.json"), "-o", str(tmp_path / "d"),
+                     "--steps", "3", "--sample-sweeps", "50"]) == 0
+        bound = (tmp_path / "d" / "bound.csv").read_text().splitlines()
+        rows = [[float(x) for x in row.split(",")] for row in bound[1:]]
+        assert len(rows) == 4 and all(observed <= limit for _, observed, limit in rows)
 
     def test_large_model_skips_exact_curves(self, tmp_path, monkeypatch, model_dir):
         monkeypatch.chdir(tmp_path)

@@ -92,6 +92,14 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match="sum to 1"):
             ExactDistribution(("a",), support, np.array([0.6, 0.6]), 0.0, {})
 
+    @pytest.mark.parametrize("sharpness", [1e8, 1e12])
+    def test_sharp_gates_sum_to_one_within_their_rounding(self, sharpness):
+        # -F is about c/2, so exp(-F - log Z) rounds in proportion to |log Z|.
+        d = exact_visible_distribution(builtin_model("xor", sharpness))
+        assert d.log_partition == approx(sharpness / 2)
+        assert d.probabilities.sum() == approx(1.0, abs=1e-5)
+        assert d.marginal(["out"]).probabilities.sum() == approx(1.0, abs=1e-5)
+
 
 class TestVisibleDistribution:
     @given(seed=st.integers(0, 10_000), nv=st.integers(1, 3), nh=st.integers(0, 3))

@@ -111,10 +111,19 @@ def test_only_exact_builds_bit_grids():
     assert users == ["exact.py"]
 
 
+def _shifts_by_targets(expr: ast.AST, targets) -> list[int]:
+    """Lines in ``expr`` of a shift by a name that one of ``targets`` binds."""
+    bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return [n.lineno for n in ast.walk(expr)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+            and isinstance(n.right, ast.Name) and n.right.id in bound]
+
+
 def _bit_packing_lines(tree: ast.Module) -> list[int]:
     """Lines that pack bit rows into integers: a shift with an ``arange(...)``
-    operand, or a comprehension that shifts by its own loop variable
-    (``[1 << j for j in ...]``)."""
+    operand, a comprehension that shifts by its own loop variable
+    (``[1 << j for j in ...]``), or a ``for`` loop that ORs a shift by its
+    own loop variable into an accumulator (``out |= b << j``)."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift) and any(
@@ -122,11 +131,11 @@ def _bit_packing_lines(tree: ast.Module) -> list[int]:
                 == "arange" for side in (node.left, node.right) for n in ast.walk(side)):
             lines.append(node.lineno)
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            bound = {n.id for g in node.generators for n in ast.walk(g.target)
-                     if isinstance(n, ast.Name)}
-            lines += [n.lineno for n in ast.walk(node.elt)
-                      if isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
-                      and isinstance(n.right, ast.Name) and n.right.id in bound]
+            lines += _shifts_by_targets(node.elt, [g.target for g in node.generators])
+        elif isinstance(node, ast.For):
+            lines += [line for n in ast.walk(node)
+                      if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitOr)
+                      for line in _shifts_by_targets(n.value, [node.target])]
     return sorted(set(lines))
 
 
@@ -144,8 +153,13 @@ def test_the_check_sees_bit_packing():
                      "b = bits @ np.array([1 << j for j in range(n)])\n"
                      "c = sum(int(x) << j for j, x in enumerate(row))\n"
                      "d = sum(int(w) << (32 * i) for i, w in enumerate(words))\n"
-                     "e = 1 << width\n")
-    assert _bit_packing_lines(tree) == [2, 3, 4]
+                     "e = 1 << width\n"
+                     "for j, b in enumerate(row):\n"
+                     "    out |= int(b) << j\n"
+                     "for pos, i in enumerate(units):\n"
+                     "    masks.append((i, 1 << pos))\n"
+                     "    flags |= 1 << width\n")
+    assert _bit_packing_lines(tree) == [2, 3, 4, 8]
 
 
 # Each module may import only modules before it in this list.

@@ -282,6 +282,10 @@ class TestMultistart:
         with pytest.raises(ValueError, match="seeds length"):
             multistart(r, n_chains=3, n_sweeps=50, seeds=[1, 2])
 
+    def test_needs_a_chain(self):
+        with pytest.raises(ValueError, match="need at least one chain"):
+            multistart(random_rbm(np.random.default_rng(8), 2, 2), n_chains=0, n_sweeps=50)
+
 
 def _adder16_add():
     model = builtin_model("adder16", 6.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from rbmlogic.exact import ExactDistribution, exact_visible_distribution, kl_divergence
-from rbmlogic.merge import MergedModel, compose
+from rbmlogic.merge import MergedModel, compose, public_terminals
 from rbmlogic.model import Rbm
 from rbmlogic import synthesis
 from rbmlogic.synthesis import (
@@ -26,6 +26,7 @@ from rbmlogic.synthesis import (
     model_interface,
     operand_width,
     rbm_from_truth_table,
+    unit_terminals,
 )
 
 from .reference import bits_le
@@ -237,6 +238,22 @@ class TestOperandWidths:
             build_multiplier(4, mult2, rbm_from_truth_table(multiplier_table(4)))
 
 
+    def test_model_interface_refuses_a_sum_wider_than_the_inputs(self):
+        wide_sum = Rbm(np.zeros((6, 1)), np.zeros(6), np.zeros(1),
+                       ("A", "B", "Cin", "S0", "S1", "Cout"))
+        with pytest.raises(ValueError, match="adder sum width must match input width"):
+            model_interface(wide_sum)
+
+    def test_builders_take_models_only(self):
+        # A netlist is a recipe, not a model: compose it first.
+        with pytest.raises(TypeError, match="expected Rbm or MergedModel, got Netlist"):
+            build_adder(2, full_adder_netlist())
+        with pytest.raises(TypeError, match="expected Rbm or MergedModel, got Netlist"):
+            build_multiplier(2, builtin_model("mult1"), full_adder_netlist())
+        with pytest.raises(TypeError, match="expected Rbm or MergedModel, got Netlist"):
+            build_multiplier(2, full_adder_netlist(), builtin_model("adder1"))
+
+
 class TestCircuits:
     def test_ripple_adder_structure(self):
         fa = rbm_from_truth_table(full_adder_table())
@@ -246,6 +263,19 @@ class TestCircuits:
         assert add.rbm.n_visible == 9
         assert add.rbm.n_hidden == 16
         assert add.constants == {}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ripple_adder_exports_the_unit_terminals(self, n):
+        # Every slice width that divides n, the 1-bit adder on a 1-bit slice too.
+        for w in (w for w in range(1, n + 1) if n % w == 0):
+            add = build_adder(n, builtin_model(f"adder{w}", 6.0))
+            assert set(public_terminals(add)) == set(unit_terminals("adder", n))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("adder", ["adder1", "adder2"])
+    def test_composed_multiplier_exports_the_unit_terminals(self, n, adder):
+        mult = build_multiplier(n, builtin_model(f"mult{n // 2}", 6.0), builtin_model(adder, 6.0))
+        assert set(public_terminals(mult)) == set(unit_terminals("mult", n))
 
     def test_ripple_adder_width_must_divide(self):
         two = rbm_from_truth_table(adder_table(2))

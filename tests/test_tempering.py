@@ -187,6 +187,12 @@ class TestFreeEnergyTables:
         assert np.allclose(tables.free_energy(v, tables.indices(v)),
                            free_energy_batch(rbm, v), atol=1e-9)
 
+    def test_refuses_a_group_wider_than_the_table_limit(self):
+        n = sampler.MAX_TABLE_UNITS + 1
+        rbm = Rbm(np.ones((n, 1)), np.zeros(n), np.zeros(1), tuple(f"v{i}" for i in range(n)))
+        with pytest.raises(ValueError, match=f"touches {n} visible units; tables are limited"):
+            FreeEnergyTables(rbm)
+
     def test_solves_on_one_model_build_its_tables_once(self, monkeypatch):
         built = []
 
@@ -270,6 +276,10 @@ class TestReplicaExchange:
     def test_rejects_bad_ladders(self, betas):
         with pytest.raises(ValueError):
             replica_exchange(builtin_model("and"), betas=betas, n_sweeps=10)
+
+    def test_needs_a_ladder(self):
+        with pytest.raises(ValueError, match="need n_ladders >= 1"):
+            replica_exchange(builtin_model("and"), betas=(0.5, 1.0), n_ladders=0, n_sweeps=10)
 
 
 MULTISTART_DIGESTS = [
