@@ -32,10 +32,8 @@ from .model import (
     energy,
     free_energy,
     free_energy_batch,
-    hidden_conditional,
-    visible_conditional,
 )
-from .merge import MergedModel, Netlist, compose, disjoint_union, merge_pair, tie_terminals
+from .merge import MergedModel, Netlist, compose, merge_pair
 from .synthesis import (
     DEFAULT_SHARPNESS,
     TruthTable,
@@ -44,7 +42,6 @@ from .synthesis import (
     build_multiplier,
     builtin_model,
     full_adder_netlist,
-    full_adder_table,
     gate,
     multiplier_table,
     rbm_from_truth_table,
@@ -66,7 +63,6 @@ from .sampler import (
     ChainTrace,
     Histogram,
     autocorrelation,
-    gibbs_sweep,
     integrated_autocorrelation_time,
     mode_estimate,
     multistart,
@@ -88,19 +84,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryState", "Rbm", "energy", "free_energy", "free_energy_batch",
-    "hidden_conditional", "visible_conditional",
-    "MergedModel", "Netlist", "compose", "disjoint_union", "merge_pair",
-    "tie_terminals",
+    "MergedModel", "Netlist", "compose", "merge_pair",
     "DEFAULT_SHARPNESS", "TruthTable", "adder_table", "build_adder",
-    "build_multiplier", "builtin_model", "full_adder_netlist",
-    "full_adder_table", "gate", "multiplier_table", "rbm_from_truth_table",
+    "build_multiplier", "builtin_model", "full_adder_netlist", "gate",
+    "multiplier_table", "rbm_from_truth_table",
     "ExactDistribution", "convergence_bound", "delta_bound", "delta_exact",
     "exact_joint_distribution", "exact_visible_distribution",
     "gibbs_transition_matrix", "kl_divergence", "l1_distance",
     "propagate_distribution", "tv_distance",
-    "ChainTrace", "Histogram", "autocorrelation", "gibbs_sweep",
-    "integrated_autocorrelation_time", "mode_estimate", "multistart",
-    "run_chain",
+    "ChainTrace", "Histogram", "autocorrelation", "integrated_autocorrelation_time",
+    "mode_estimate", "multistart", "run_chain",
     "TrainConfig", "cd_step", "evaluate_accuracy", "generate_dataset", "train",
     "SolveResult", "SolveSettings", "TaskSpec", "decode_int", "encode_int",
     "random_task", "solve", "success_curve",

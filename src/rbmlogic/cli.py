@@ -27,17 +27,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import __version__, _is_thread_count
 from .exact import (
     MAX_JOINT_UNITS,
-    _joint_log_weights,
-    _propagated,
     convergence_bound,
     delta_bound,
+    delta_exact,
+    exact_joint_distribution,
     exact_visible_distribution,
     l1_distance,
+    propagate_distribution,
     tv_distance,
 )
 from .merge import MergedModel, Netlist, compose, model_parts, resolve_clamp
@@ -373,15 +373,14 @@ def cmd_diagnose(args, argv) -> int:
 
     exact_ok = n_free + rbm.n_hidden <= args.max_joint
     if exact_ok:
-        log_w = _joint_log_weights(model, clamp)
-        delta = report["delta_exact"] = float(log_w.max() - log_w.min())
-        pi = np.exp(log_w - logsumexp(log_w)).reshape(-1)
+        delta = report["delta_exact"] = delta_exact(model, clamp)
+        pi = exact_joint_distribution(model, clamp)[0].reshape(-1)
         pi /= pi.sum()  # rounding can push the sum past 1, and a TV past its bound
         mu0 = np.zeros_like(pi)
         mu0[0] = 1.0
         # At most 2, but pi's rounding can exceed it by ulps when pi[0] ~ 0.
         initial_l1 = min(l1_distance(mu0, pi), 2.0)
-        sweeps = _propagated(model, mu0, clamp)
+        sweeps = propagate_distribution(model, mu0, clamp)
         rows = [[n, tv_distance(mu, pi), convergence_bound(delta, initial_l1, n)]
                 for n, mu in zip(range(args.steps + 1), sweeps)]
         bound_path = outdir / "bound.csv"

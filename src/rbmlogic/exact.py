@@ -337,22 +337,13 @@ def gibbs_transition_matrix(model, clamp: Mapping[str, int] | None = None) -> np
     return _sweep(np.eye(n).reshape(n, nh_states, nf_states), ph_tab, pv_tab).reshape(n, n)
 
 
-def propagate_distribution(model, mu0: np.ndarray, n_sweeps: int,
-                           clamp: Mapping[str, int] | None = None) -> np.ndarray:
-    """Exact mu P^n over joint states without forming the dense matrix.
+def propagate_distribution(model, mu0: np.ndarray, clamp: Mapping[str, int] | None = None):
+    """Yield mu0, mu0 P, mu0 P^2, ... exactly, without forming the dense matrix.
 
-    ``mu0`` is flat in the same ``v_index + (h_index << n_free)`` order
-    as gibbs_transition_matrix; returns the flat distribution after
-    ``n_sweeps`` full sweeps.
+    Each distribution is flat in the same ``v_index + (h_index << n_free)``
+    order as gibbs_transition_matrix; the conditional tables are built
+    once, on the first ``next``.
     """
-    sweeps = _propagated(model, mu0, clamp)
-    for _ in range(int(n_sweeps)):
-        next(sweeps)
-    return next(sweeps)
-
-
-def _propagated(model, mu0: np.ndarray, clamp: Mapping[str, int] | None):
-    """Yield mu0, mu0 P, mu0 P^2, ... flat, from conditional tables built once."""
     ph_tab, pv_tab = _conditional_tables(model, clamp)
     nf_states, nh_states = ph_tab.shape
     mu = np.asarray(mu0, dtype=np.float64).reshape(nh_states, nf_states).copy()

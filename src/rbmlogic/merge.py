@@ -7,10 +7,12 @@ sum of the component energies on the corresponding sub-states, so its
 distribution is the renormalized product of the component distributions
 restricted to agreeing shared units.
 
-``_combine`` is the one place rows are summed: ``disjoint_union``,
-``tie_terminals``, ``merge_pair`` and ``compose`` only choose each unit's
-row.  ``compose`` takes a netlist of many components with multi-way
-shared terminals (a wire feeding several gates) via union-find.
+``_combine`` is the one place rows are summed: ``merge_pair`` and
+``compose`` only choose each unit's row.  ``merge_pair`` is the paper's
+merge of two models at paired terminals; ``compose`` takes a netlist of
+many components with multi-way shared terminals (a wire feeding several
+gates, or two terminals of one component) via union-find, and with no
+connections it is the disjoint union of its components.
 
 A model is a plain ``Rbm`` or a ``MergedModel``.  ``model_parts`` is the
 one place that tells them apart: a plain ``Rbm`` is a model with no
@@ -47,32 +49,6 @@ def _combine(rbms: Sequence[Rbm], rows: Sequence[int], names: Sequence[str]) -> 
         c0 += rbm.n_hidden
     hidden_bias = np.concatenate([rbm.hidden_bias for rbm in rbms] or [np.zeros(0)])
     return Rbm(w, bias, hidden_bias, names)
-
-
-def disjoint_union(a: Rbm, b: Rbm) -> Rbm:
-    """Stack two RBMs side by side with no shared units."""
-    collisions = set(a.visible_names) & set(b.visible_names)
-    if collisions:
-        raise ValueError(f"terminal name collision: {sorted(collisions)}")
-    names = a.visible_names + b.visible_names
-    return _combine((a, b), range(len(names)), names)
-
-
-def tie_terminals(rbm: Rbm, t1: str, t2: str) -> Rbm:
-    """Identify two visible units of one RBM.
-
-    The surviving unit keeps ``t1``'s name and position; its weight row and
-    bias are the sums of the two originals.  The result's energy at any
-    state equals the original's energy at the state with v(t1) == v(t2).
-    """
-    if t1 == t2:
-        raise ValueError(f"cannot tie terminal {t1!r} to itself")
-    i = rbm.terminal_index(t1)
-    j = rbm.terminal_index(t2)
-    rows = [k - (k > j) for k in range(rbm.n_visible)]
-    rows[j] = rows[i]
-    names = rbm.visible_names[:j] + rbm.visible_names[j + 1:]
-    return _combine((rbm,), rows, names)
 
 
 def merge_pair(a: Rbm, b: Rbm, pairs: Sequence[tuple[str, str]]) -> Rbm:

@@ -16,10 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
-from scipy.special import expit
 
 
 def _as_bits(x, length: int, what: str) -> np.ndarray:
@@ -88,21 +86,10 @@ class Rbm:
         except ValueError:
             raise KeyError(f"unknown terminal {name!r}") from None
 
-    def terminal_indices(self, names: Iterable[str]) -> np.ndarray:
-        return np.array([self.terminal_index(n) for n in names], dtype=np.intp)
-
     def renamed(self, mapping: dict[str, str]) -> "Rbm":
         """Return a copy with terminals renamed via ``mapping`` (partial ok)."""
         names = tuple(mapping.get(n, n) for n in self.visible_names)
         return Rbm(self.weights, self.visible_bias, self.hidden_bias, names)
-
-    def with_prefix(self, prefix: str) -> "Rbm":
-        return Rbm(
-            self.weights,
-            self.visible_bias,
-            self.hidden_bias,
-            tuple(f"{prefix}{n}" for n in self.visible_names),
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,13 +178,6 @@ class BinaryState:
     visible: np.ndarray
     hidden: np.ndarray
 
-    @classmethod
-    def checked(cls, rbm: Rbm, visible, hidden) -> "BinaryState":
-        return cls(
-            _as_bits(visible, rbm.n_visible, "visible state"),
-            _as_bits(hidden, rbm.n_hidden, "hidden state"),
-        )
-
 
 def energy(rbm: Rbm, state: BinaryState) -> float:
     """E(v, h) = -v^T W h - a^T h - b^T v."""
@@ -225,14 +205,3 @@ def free_energy_batch(rbm: Rbm, V: np.ndarray, act: np.ndarray | None = None) ->
         act = V @ rbm.weights + rbm.hidden_bias
     return -(V @ rbm.visible_bias) - np.logaddexp(0.0, act).sum(axis=1)
 
-
-def hidden_conditional(rbm: Rbm, v) -> np.ndarray:
-    """p(h_j = 1 | v) for every hidden unit; factorizes across units."""
-    v = _as_bits(v, rbm.n_visible, "visible state")
-    return expit(rbm.hidden_bias + rbm.weights.T @ v)
-
-
-def visible_conditional(rbm: Rbm, h) -> np.ndarray:
-    """p(v_i = 1 | h) for every visible unit."""
-    h = _as_bits(h, rbm.n_hidden, "hidden state")
-    return expit(rbm.visible_bias + rbm.weights @ h)

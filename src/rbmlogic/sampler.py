@@ -10,6 +10,7 @@ a block of sweeps are drawn with one call per chain (see
 SWEEP_BLOCK_BYTES); PCG64 gives the same numbers for one draw of k * n
 uniforms as for k draws of n, so blocking changes no result.
 
+_chain_sweeps is the one block Gibbs kernel.
 _recorded_states is the one run driver: it checks the schedule, resolves
 the clamp, seeds one generator per row, draws the start state and picks
 the recorded sweeps, for block Gibbs (_chain_sweeps) and for
@@ -68,7 +69,7 @@ from scipy.special import expit
 
 from .exact import _bit_index, visible_passes
 from .merge import clamp_arrays, model_parts, resolve_clamp
-from .model import BinaryState, Rbm, free_energy_batch
+from .model import Rbm, free_energy_batch
 
 
 class Histogram:
@@ -476,19 +477,6 @@ def run_chain(
         thin=thin,
     )
     return trace, recorder.histogram()
-
-
-def gibbs_sweep(model, state: BinaryState, clamp=None, rng=None) -> BinaryState:
-    """One sweep from an explicit state; draws h then v from ``rng``."""
-    rbm, _ = model_parts(model)
-    idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
-    rng = np.random.default_rng() if rng is None else rng
-    state = BinaryState.checked(rbm, state.visible, state.hidden)
-    v = np.asarray(state.visible, dtype=np.float64)[None].copy()
-    if idx.size and not np.array_equal(v[0, idx], vals):
-        raise ValueError("state disagrees with clamped values")
-    (v, h), = _chain_sweeps(rbm, free, [rng], v, 1)
-    return BinaryState(v[0].astype(np.uint8), h[0].astype(np.uint8))
 
 
 def multistart(

@@ -154,11 +154,6 @@ def _unit_table(kind: str, n_bits: int) -> TruthTable:
     return TruthTable(len(names), rows, names)
 
 
-def full_adder_table() -> TruthTable:
-    """All 8 valid (A, B, Cin, S, Cout) assignments of a full adder."""
-    return adder_table(1)
-
-
 def adder_table(n_bits: int) -> TruthTable:
     """Joint table of n-bit addition: A + B + Cin = S + 2^n * Cout."""
     return _unit_table("adder", n_bits)

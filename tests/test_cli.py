@@ -8,6 +8,7 @@ files the command leaves behind (models, CSV reports, manifests).
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 import rbmlogic
@@ -659,6 +660,21 @@ class TestModelEntries:
         path.write_text(json.dumps(
             {"visible": visible, "hidden_bias": hidden_bias, "weights": weights}))
         assert main(["inspect", str(path)]) in (0, 2)
+
+    def test_json_strategy_recurses(self):
+        # hypothesis reads the extend lambda's source to check that it
+        # recurses, and warns when it cannot; nested values must be drawn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _JSON.validate()
+
+        def nested(x):  # a list holding a non-empty list or object
+            return isinstance(x, list) and any(isinstance(kid, (list, dict)) and kid
+                                               for kid in x)
+
+        # find raises NoSuchExample when no draw is nested
+        assert nested(find(_JSON, nested, settings=settings(database=None),
+                           random=random.Random(0)))
 
 
 _ENDPOINT = st.sampled_from(["g0.out", "g0.in1", "g1.in1", "g1.in2", "g2.A", "g0.x", "g1"])

@@ -1,6 +1,7 @@
 """Exact enumeration: distributions, divergences, bounds, transition matrices."""
 
 import inspect
+import itertools
 import math
 import tracemalloc
 
@@ -319,7 +320,7 @@ class TestTransitionMatrix:
         P = gibbs_transition_matrix(r)
         mu0 = rng.dirichlet(np.ones(32))
         expected = mu0 @ np.linalg.matrix_power(P, 4)
-        got = propagate_distribution(r, mu0, 4)
+        got = next(itertools.islice(propagate_distribution(r, mu0), 4, None))
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_clamped_stationarity(self):
@@ -350,7 +351,7 @@ class TestJointDistribution:
     def test_joint_grids_refuse_over_the_module_limit(self):
         r = zero_rbm(11, 10)
         for call in (exact_joint_distribution, delta_exact,
-                     lambda m: propagate_distribution(m, np.ones(2**21) / 2**21, 1)):
+                     lambda m: next(propagate_distribution(m, np.ones(2**21) / 2**21))):
             with pytest.raises(ValueError, match="11 free \\+ 10 hidden units exceed limit 20"):
                 call(r)
 

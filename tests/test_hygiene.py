@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "rbmlogic").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "rbmlogic").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
@@ -235,3 +236,56 @@ def test_the_check_sees_late_layer_imports():
     graph = {"training": _package_imports(training), "model": set()}
     assert graph["training"] == {"exact", "model", "tasks"}
     assert _layer_violations(graph) == ["training -> tasks"]
+
+
+def _literal(tree: ast.Module, name: str):
+    """The literal value a module assigns to ``name`` at module level."""
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets))
+
+
+def _module_functions(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Functions each module binds at module level: its own ``def``s, and
+    names it imports from a sibling module that defines them."""
+    defs = {m: {node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            for m, tree in trees.items()}
+    return {m: defs[m] | {alias.asname or alias.name for node in tree.body
+                          if isinstance(node, ast.ImportFrom) and node.level == 1
+                          and node.module in defs
+                          for alias in node.names if alias.name in defs[node.module]}
+            for m, tree in trees.items()}
+
+
+def _missing_traced(pairs, functions: dict[str, set[str]]) -> list[str]:
+    return [f"{m}.{f}" for m, f in pairs if f not in functions.get(m, set())]
+
+
+def test_every_traced_name_is_a_package_function():
+    # The perfbench tracer looks each pair up with getattr when it installs,
+    # so a traced name that is gone breaks every traced benchmark run.
+    pairs = _literal(ast.parse((ROOT / "perfbench" / "tracing.py").read_text()), "TRACED")
+    functions = _module_functions({p.stem: ast.parse(p.read_text()) for p in SOURCES})
+    missing = _missing_traced(pairs, functions)
+    assert pairs and not missing, f"traced names rbmlogic does not define: {', '.join(missing)}"
+
+
+def test_the_check_sees_missing_traced_names():
+    trees = {"a": ast.parse("from .b import g, h\nfrom numpy import sum\n"
+                            "def f(): pass\nX = 1\n"),
+             "b": ast.parse("def g(): pass\nh = 2\n")}
+    tracing = ast.parse("TRACED = (('a', 'f'), ('a', 'g'), ('a', 'h'), ('a', 'X'),\n"
+                        "          ('a', 'sum'), ('b', 'gone'), ('c', 'f'))\n")
+    assert _missing_traced(_literal(tracing, "TRACED"), _module_functions(trees)) == \
+        ["a.h", "a.X", "a.sum", "b.gone", "c.f"]
+
+
+def test_all_lists_exactly_the_reexported_names():
+    tree = ast.parse((ROOT / "src" / "rbmlogic" / "__init__.py").read_text())
+    reexported = {alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                  for alias in node.names}
+    exported = _literal(tree, "__all__")
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == reexported

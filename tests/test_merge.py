@@ -14,19 +14,12 @@ from rbmlogic.exact import (
     exact_visible_distribution,
     kl_divergence,
 )
-from rbmlogic.merge import (
-    MergedModel,
-    Netlist,
-    compose,
-    disjoint_union,
-    merge_pair,
-    tie_terminals,
-)
+from rbmlogic.merge import MergedModel, Netlist, compose, merge_pair
 from rbmlogic.model import BinaryState, Rbm, dumps_model, energy
 from rbmlogic.synthesis import (
+    adder_table,
     builtin_model,
     full_adder_netlist,
-    full_adder_table,
     gate,
     rbm_from_truth_table,
 )
@@ -52,11 +45,17 @@ def energies_by_name(rbm, v, h, names):
 
 
 class TestDisjointUnion:
+    """compose with no connections stacks its components side by side."""
+
+    @staticmethod
+    def union(a, b):
+        return compose(Netlist([("a", a), ("b", b)])).rbm
+
     def test_block_structure(self):
         rng = np.random.default_rng(11)
         a = random_rbm(rng, 3, 2, "a")
         b = random_rbm(rng, 2, 3, "b")
-        u = disjoint_union(a, b)
+        u = self.union(a, b)
         assert u.weights.shape == (5, 5)
         assert np.array_equal(u.weights[:3, :2], a.weights)
         assert np.array_equal(u.weights[3:, 2:], b.weights)
@@ -64,24 +63,18 @@ class TestDisjointUnion:
         assert np.all(u.weights[3:, :2] == 0.0)
         assert np.array_equal(u.visible_bias, np.concatenate([a.visible_bias, b.visible_bias]))
         assert np.array_equal(u.hidden_bias, np.concatenate([a.hidden_bias, b.hidden_bias]))
-        assert u.visible_names == a.visible_names + b.visible_names
+        assert u.visible_names == tuple(f"{cid}.{n}" for cid, rbm in (("a", a), ("b", b))
+                                        for n in rbm.visible_names)
 
     def test_energy_splits_into_component_energies(self):
         rng = np.random.default_rng(12)
         a = random_rbm(rng, 2, 2, "a")
         b = random_rbm(rng, 2, 1, "b")
-        u = disjoint_union(a, b)
+        u = self.union(a, b)
         for v, h in all_joint_states(u):
             ea = energy(a, BinaryState(v[:2], h[:2]))
             eb = energy(b, BinaryState(v[2:], h[2:]))
             assert energy(u, BinaryState(v, h)) == approx(ea + eb, abs=ADD_TOL)
-
-    def test_name_collision_raises(self):
-        rng = np.random.default_rng(13)
-        a = random_rbm(rng, 2, 1, "t")
-        b = random_rbm(rng, 3, 1, "t")
-        with pytest.raises(ValueError, match="collision"):
-            disjoint_union(a, b)
 
 
 class TestMergePair:
@@ -166,11 +159,17 @@ class TestMergePair:
 
 
 class TestTieTerminals:
+    """compose with a connection inside one component sums the two rows."""
+
+    @staticmethod
+    def tie(rbm, t1, t2):
+        return compose(Netlist([("r", rbm)], [(f"r.{t1}", f"r.{t2}")])).rbm
+
     def test_parameter_sums(self):
         rng = np.random.default_rng(31)
         r = random_rbm(rng, 4, 3, "v")
-        t = tie_terminals(r, "v1", "v3")
-        assert t.visible_names == ("v0", "v1", "v2")
+        t = self.tie(r, "v1", "v3")
+        assert t.visible_names == ("r.v0", "r.v1", "r.v2")
         assert np.array_equal(t.weights[0], r.weights[0])
         assert np.array_equal(t.weights[2], r.weights[2])
         assert np.array_equal(t.weights[1], r.weights[1] + r.weights[3])
@@ -180,28 +179,12 @@ class TestTieTerminals:
     def test_energy_matches_equal_bit_constraint(self):
         rng = np.random.default_rng(32)
         r = random_rbm(rng, 3, 2, "v")
-        t = tie_terminals(r, "v0", "v2")
+        t = self.tie(r, "v0", "v2")
         for v, h in all_joint_states(t):
             expanded = np.array([v[0], v[1], v[0]])
             assert energy(t, BinaryState(v, h)) == approx(
                 energy(r, BinaryState(expanded, h)), abs=ADD_TOL
             )
-
-    def test_later_t1_keeps_its_name_and_position(self):
-        rng = np.random.default_rng(36)
-        r = random_rbm(rng, 4, 3, "v")
-        t = tie_terminals(r, "v3", "v1")
-        assert t.visible_names == ("v0", "v2", "v3")
-        assert np.array_equal(t.weights[:2], r.weights[[0, 2]])
-        assert np.array_equal(t.weights[2], r.weights[3] + r.weights[1])
-        assert t.visible_bias[2] == r.visible_bias[3] + r.visible_bias[1]
-        assert np.array_equal(t.visible_bias[:2], r.visible_bias[[0, 2]])
-
-    def test_self_tie_raises(self):
-        rng = np.random.default_rng(33)
-        r = random_rbm(rng, 2, 1, "v")
-        with pytest.raises(ValueError, match="itself"):
-            tie_terminals(r, "v0", "v0")
 
     def test_merge_pair_equals_tie_of_union(self):
         rng = np.random.default_rng(34)
@@ -209,10 +192,9 @@ class TestTieTerminals:
         b = random_rbm(rng, 3, 2, "b")
         pairs = [("a0", "b1"), ("a2", "b0")]
         m = merge_pair(a, b, pairs)
-        t = disjoint_union(a, b)
-        for ta, tb in pairs:
-            t = tie_terminals(t, ta, tb)
-        assert t.visible_names == m.visible_names
+        t = compose(Netlist([("a", a), ("b", b)],
+                            [(f"a.{ta}", f"b.{tb}") for ta, tb in pairs])).rbm
+        assert tuple(n.split(".")[1] for n in t.visible_names) == m.visible_names
         assert np.array_equal(t.weights, m.weights)
         assert np.array_equal(t.visible_bias, m.visible_bias)
         assert np.array_equal(t.hidden_bias, m.hidden_bias)
@@ -286,7 +268,7 @@ class TestCompose:
     def test_full_adder_valid_mass_and_direct_comparison(self):
         mm = compose(full_adder_netlist())
         merged_mass = self._adder_truth_mass(exact_visible_distribution(mm.rbm))
-        direct = rbm_from_truth_table(full_adder_table())
+        direct = rbm_from_truth_table(adder_table(1))
         direct_mass = self._adder_truth_mass(exact_visible_distribution(direct))
         assert merged_mass == approx(0.9889024244305604, abs=1e-12)
         assert direct_mass == approx(0.9926065107403327, abs=1e-12)
@@ -428,13 +410,8 @@ class TestMergeOutputsPinned:
         "mult8": "a1a5e0b99e20caf2b4615487bc5d748e49aaaef5d34568d4ff9b1fb9a0fc5407",
     }
 
-    # dumps_model bytes; the ties chain a three-unit sum and a later t1.
+    # dumps_model bytes.
     OPERATIONS = {
-        "disjoint_union": (lambda a, b: disjoint_union(a, b),
-                           "a12f7c03602ad0657f06faf88471248d07230884f637023f8d3938a3af447e37"),
-        "tie_terminals": (lambda a, b: tie_terminals(
-            tie_terminals(disjoint_union(a, b), "a1", "a3"), "b0", "a1"),
-            "39234c709fbaadcdcf5b71658c04b3040f4af28df16d7f3a05da3da85a3aa8f6"),
         "merge_pair": (lambda a, b: merge_pair(a, b, [("a4", "b1"), ("a0", "b3")]),
                        "69258466ab9e5fac65b138847a6e6ffd26d7629cb0c7cee1f915ccd462fd6e73"),
     }

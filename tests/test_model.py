@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rbmlogic.merge import model_parts
+from rbmlogic.exact import _conditional_tables
+from rbmlogic.merge import Netlist, compose, model_parts
 from rbmlogic.model import (
     BinaryState,
     Rbm,
@@ -17,9 +18,7 @@ from rbmlogic.model import (
     energy,
     free_energy,
     free_energy_batch,
-    hidden_conditional,
     loads_model,
-    visible_conditional,
 )
 from rbmlogic.synthesis import builtin_model
 
@@ -129,22 +128,27 @@ class TestFreeEnergy:
 
 
 class TestConditionals:
+    """The layer conditionals, as exact._conditional_tables enumerates them:
+    row k of p(h | v) is visible state k, row k of p(v | h) hidden state k."""
+
     def test_zero_parameters_give_half(self):
         rbm = Rbm(np.zeros((2, 3)), np.zeros(2), np.zeros(3), ("x", "y"))
-        assert np.array_equal(hidden_conditional(rbm, [0, 1]), [0.5, 0.5, 0.5])
-        assert np.array_equal(visible_conditional(rbm, [1, 0, 1]), [0.5, 0.5])
+        ph, pv = _conditional_tables(rbm, None)
+        # each joint entry is exp(-n log 2), not a product of exact halves
+        assert ph.shape == (4, 8) and ph == pytest.approx(np.full((4, 8), 0.5**3), abs=1e-15)
+        assert pv.shape == (8, 4) and pv == pytest.approx(np.full((8, 4), 0.5**2), abs=1e-15)
 
     def test_saturated_hidden_bias(self):
         rbm = Rbm(np.zeros((1, 1)), np.zeros(1), np.array([50.0]), ("x",))
-        assert hidden_conditional(rbm, [0])[0] == pytest.approx(1.0, abs=1e-15)
+        assert _conditional_tables(rbm, None)[0][0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_saturated_negative_visible_bias(self):
         rbm = Rbm(np.zeros((1, 1)), np.array([-50.0]), np.zeros(1), ("x",))
-        assert visible_conditional(rbm, [0])[0] == pytest.approx(0.0, abs=1e-15)
+        assert _conditional_tables(rbm, None)[1][0, 1] == pytest.approx(0.0, abs=1e-15)
 
     @given(small_rbm(n_visible=3, n_hidden=(1, 3)))
     def test_hidden_matches_joint_enumeration(self, rbm):
-        nh = rbm.n_hidden
+        nh, (ph_tab, _) = rbm.n_hidden, _conditional_tables(rbm, None)
         for vk in range(2**rbm.n_visible):
             v = bits_le(vk, rbm.n_visible)
             weights = {
@@ -153,14 +157,15 @@ class TestConditionals:
                 for hk in range(2**nh)
             }
             z = math.fsum(weights.values())
-            probs = hidden_conditional(rbm, v)
+            ph = ph_tab[vk]
             for j in range(nh):
                 marg = math.fsum(w for hk, w in weights.items() if (hk >> j) & 1) / z
-                assert probs[j] == pytest.approx(marg, rel=1e-10)
+                prob = math.fsum(p for hk, p in enumerate(ph) if (hk >> j) & 1)
+                assert prob == pytest.approx(marg, rel=1e-10)
 
     @given(small_rbm(n_visible=3, n_hidden=(1, 3)))
-    def test_joint_hidden_conditional_factorizes(self, rbm):
-        nh = rbm.n_hidden
+    def test_joint_hidden_distribution_factorizes(self, rbm):
+        nh, (ph_tab, _) = rbm.n_hidden, _conditional_tables(rbm, None)
         for vk in range(2**rbm.n_visible):
             v = bits_le(vk, rbm.n_visible)
             weights = {
@@ -169,11 +174,9 @@ class TestConditionals:
                 for hk in range(2**nh)
             }
             z = math.fsum(weights.values())
-            probs = hidden_conditional(rbm, v)
+            ph = ph_tab[vk]
             for hk, w in weights.items():
-                h = bits_le(hk, nh)
-                product = math.prod(p if b else 1 - p for p, b in zip(probs, h))
-                assert w / z == pytest.approx(product, rel=1e-9, abs=1e-15)
+                assert w / z == pytest.approx(ph[hk], rel=1e-9, abs=1e-15)
 
 
 class TestValidation:
@@ -209,21 +212,20 @@ class TestValidation:
     def test_terminal_lookup(self):
         rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
         assert rbm.terminal_index("y") == 1
-        assert list(rbm.terminal_indices(["y", "x"])) == [1, 0]
         with pytest.raises(KeyError):
             rbm.terminal_index("z")
 
     def test_renamed_and_prefixed(self):
         rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
         assert rbm.renamed({"x": "u"}).visible_names == ("u", "y")
-        assert rbm.with_prefix("g0.").visible_names == ("g0.x", "g0.y")
+        assert compose(Netlist([("g0", rbm)])).rbm.visible_names == ("g0.x", "g0.y")
 
     def test_binary_state_checked_rejects_bad_bits(self):
         rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
         with pytest.raises(ValueError):
-            BinaryState.checked(rbm, [0, 2], [0])
+            energy(rbm, BinaryState([0, 2], [0]))
         with pytest.raises(ValueError):
-            BinaryState.checked(rbm, [0, 1], [0, 1])
+            energy(rbm, BinaryState([0, 1], [0, 1]))
 
 
 class TestSerialization:

@@ -16,12 +16,11 @@ from rbmlogic.exact import (
 )
 from rbmlogic import sampler
 from rbmlogic.merge import MergedModel, clamp_arrays, compose, model_parts, resolve_clamp
-from rbmlogic.model import BinaryState, Rbm
+from rbmlogic.model import Rbm
 from rbmlogic.sampler import (
     ChainTrace,
     Histogram,
     autocorrelation,
-    gibbs_sweep,
     integrated_autocorrelation_time,
     mode_estimate,
     multistart,
@@ -235,26 +234,19 @@ class TestRunChain:
 
 class TestGibbsSweep:
     def test_matches_transition_matrix_row(self):
+        # One sweep of the kernel from v = (1, 0); the hidden start, (1, 0)
+        # in row 1 + (1 << 2), is resampled before it is read.
         r = Rbm([[1.2, -0.7], [0.4, 0.9]], [0.1, -0.2], [0.3, -0.1], ("v0", "v1"))
         P = gibbs_transition_matrix(r)
-        start = BinaryState(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         rng = np.random.default_rng(42)
         counts = np.zeros(16)
         for _ in range(40_000):
-            out = gibbs_sweep(r, start, rng=rng)
-            vi = int(out.visible[0]) + 2 * int(out.visible[1])
-            hi = int(out.hidden[0]) + 2 * int(out.hidden[1])
+            (v, h), = sampler._chain_sweeps(r, np.arange(2), [rng], np.array([[1.0, 0.0]]), 1)
+            vi = int(v[0, 0]) + 2 * int(v[0, 1])
+            hi = int(h[0, 0]) + 2 * int(h[0, 1])
             counts[vi + (hi << 2)] += 1
         emp = counts / counts.sum()
         assert np.max(np.abs(emp - P[1 + (1 << 2)])) < 0.01
-
-    def test_state_must_agree_with_clamp(self):
-        r = zero_rbm(2, 1)
-        state = BinaryState(np.array([1.0, 0.0]), np.array([0.0]))
-        with pytest.raises(ValueError, match="disagrees"):
-            gibbs_sweep(r, state, clamp={"v0": 0})
-        out = gibbs_sweep(r, state, clamp={"v0": 1}, rng=np.random.default_rng(0))
-        assert out.visible[0] == 1
 
 
 class TestMultistart:

@@ -19,7 +19,6 @@ from rbmlogic.synthesis import (
     build_multiplier,
     builtin_model,
     full_adder_netlist,
-    full_adder_table,
     gate,
     gate_table,
     multiplier_table,
@@ -62,15 +61,14 @@ class TestTruthTable:
         with pytest.raises(ValueError, match="unknown gate"):
             gate_table("xnor")
 
-    def test_full_adder_table(self):
-        t = full_adder_table()
+    def test_one_bit_adder_table(self):
+        t = adder_table(1)
         assert t.names == ("A", "B", "Cin", "S", "Cout")
         assert len(t.rows) == 8
         for a, b, cin, s, cout in t.rows:
             assert a + b + cin == s + 2 * cout
 
     def test_adder_table(self):
-        assert adder_table(1).rows == full_adder_table().rows
         t = adder_table(2)
         assert t.arity == 8
         assert len(t.rows) == 32
@@ -198,7 +196,7 @@ class TestOperandWidths:
             operand_width(["A0", "A2"], "A")
 
     def test_model_interface_reads_slice_widths(self):
-        fa = rbm_from_truth_table(full_adder_table())
+        fa = rbm_from_truth_table(adder_table(1))
         assert (model_interface(fa).kind, model_interface(fa).width) == ("adder", 1)
         assert model_interface(rbm_from_truth_table(adder_table(2))).width == 2
         assert model_interface(compose(full_adder_netlist())).width == 1
@@ -211,8 +209,8 @@ class TestOperandWidths:
     def test_model_interface_classifies_each_name_tuple_once(self):
         # Models with the same public terminals share one classification,
         # from a bounded cache; a refusal is raised again on every call.
-        fa = rbm_from_truth_table(full_adder_table())
-        assert model_interface(fa) is model_interface(fa.with_prefix("")) is \
+        fa = rbm_from_truth_table(adder_table(1))
+        assert model_interface(fa) is model_interface(fa.renamed({})) is \
             model_interface(compose(full_adder_netlist()))
         assert synthesis._interface.cache_info().maxsize is not None
         coutless = Rbm(np.zeros((4, 1)), np.zeros(4), np.zeros(1), ("A", "B", "S", "Cin"))
@@ -221,7 +219,7 @@ class TestOperandWidths:
                 model_interface(coutless)
 
     def test_builders_validate_their_bases(self):
-        fa = rbm_from_truth_table(full_adder_table())
+        fa = rbm_from_truth_table(adder_table(1))
         mult2 = rbm_from_truth_table(multiplier_table(2))
         with pytest.raises(KeyError, match="no terminals"):
             build_adder(2, gate("and"))
@@ -256,7 +254,7 @@ class TestOperandWidths:
 
 class TestCircuits:
     def test_ripple_adder_structure(self):
-        fa = rbm_from_truth_table(full_adder_table())
+        fa = rbm_from_truth_table(adder_table(1))
         add = build_adder(2, fa)
         public = set(add.exported_terminals)
         assert public == {"A0", "A1", "B0", "B1", "S0", "S1", "Cin", "Cout"}
@@ -283,7 +281,7 @@ class TestCircuits:
             build_adder(3, two)
 
     def test_ripple_adder_exhaustively_sound(self):
-        add = build_adder(2, rbm_from_truth_table(full_adder_table()))
+        add = build_adder(2, rbm_from_truth_table(adder_table(1)))
         for a in range(4):
             for b in range(4):
                 for cin in (0, 1):
@@ -325,7 +323,7 @@ class TestCircuits:
 
     def test_composed_multiplier_structure(self):
         mult = build_multiplier(
-            4, builtin_model("mult2"), rbm_from_truth_table(full_adder_table())
+            4, builtin_model("mult2"), rbm_from_truth_table(adder_table(1))
         )
         assert set(mult.exported_terminals) == {
             f"{p}{j}" for p in ("A", "B") for j in range(4)
@@ -337,7 +335,7 @@ class TestCircuits:
 
     def test_composed_multiplier_validation(self):
         m2 = builtin_model("mult2")
-        fa = rbm_from_truth_table(full_adder_table())
+        fa = rbm_from_truth_table(adder_table(1))
         with pytest.raises(ValueError, match="even"):
             build_multiplier(3, m2, fa)
         with pytest.raises(ValueError, match="width"):

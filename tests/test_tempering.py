@@ -21,7 +21,7 @@ from rbmlogic.exact import exact_visible_distribution, tv_distance
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm, free_energy_batch
 from rbmlogic.sampler import FreeEnergyTables, multistart, replica_exchange, run_chain
-from rbmlogic.synthesis import (build_multiplier, builtin_model, full_adder_table,
+from rbmlogic.synthesis import (adder_table, build_multiplier, builtin_model,
                                 rbm_from_truth_table)
 from rbmlogic.tasks import (SolveSettings, TaskSpec, answer_terminals, clamp_assignments, solve,
                             success_curve)
@@ -66,7 +66,7 @@ def solve_digests() -> list[str]:
 @functools.cache
 def composed_mult4():
     """4-bit multiplier composed of mult2 and full adders: 22 zero constants."""
-    return build_multiplier(4, builtin_model("mult2"), rbm_from_truth_table(full_adder_table()))
+    return build_multiplier(4, builtin_model("mult2"), rbm_from_truth_table(adder_table(1)))
 
 
 def replica_digests() -> list[str]:

@@ -9,7 +9,7 @@ from scipy.special import expit
 
 from rbmlogic.exact import exact_joint_distribution, exact_visible_distribution
 from rbmlogic.model import Rbm
-from rbmlogic.synthesis import builtin_model, full_adder_table, parse_unit
+from rbmlogic.synthesis import adder_table, builtin_model, parse_unit
 from rbmlogic import exact, training
 from rbmlogic.training import (
     EXACT_LEARNING_RATE,
@@ -95,10 +95,10 @@ class TestTaskParsing:
 
 
 class TestDataset:
-    def test_adder1_rows_are_the_full_adder_table(self):
+    def test_adder1_rows_are_the_one_bit_adder_table(self):
         rows, names = generate_dataset("adder1")
         assert names == ("A", "B", "Cin", "S", "Cout")
-        assert set(map(tuple, rows.tolist())) == set(full_adder_table().rows)
+        assert set(map(tuple, rows.tolist())) == set(adder_table(1).rows)
 
     def test_mult2_rows_verify_arithmetic(self):
         rows, names = generate_dataset("mult2")
