@@ -116,36 +116,33 @@ def load_model(path: str):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     side = _sidecar(path)
-    if side.exists():
-        info = _json_object(side, "a terminals sidecar")
-        return MergedModel(rbm, _terminal_map(info["terminal_map"], rbm.n_visible, side),
-                           _constants(info.get("constants", {}), side))
-    return rbm
+    return _with_sidecar(rbm, side) if side.exists() else rbm
 
 
-def _terminal_map(raw, n_visible: int, side: Path) -> dict[str, int]:
-    """A sidecar's terminal map: names to visible indices in [0, n_visible).
+def _with_sidecar(rbm: Rbm, side: Path) -> MergedModel:
+    """``rbm`` with the terminal map and constants of its sidecar, each field checked.
 
-    Several names may share an index (a merged terminal keeps the names
-    of every unit it joined).
+    terminal_map maps names to visible indices in [0, n_visible); several
+    names may share an index (a merged terminal keeps the names of every
+    unit it joined).  constants maps terminals of the model to the bits
+    they are held at.
     """
-    if not isinstance(raw, dict):
-        raise ValueError(f"{side}: terminal_map must be an object of name -> index")
-    for name, index in raw.items():
-        if type(index) is not int or not 0 <= index < n_visible:
+    info = _json_object(side, "a terminals sidecar")
+    terminal_map, constants = info.get("terminal_map"), info.get("constants", {})
+    for field, raw, shape in (("terminal_map", terminal_map, "name -> index"),
+                              ("constants", constants, "name -> 0 or 1")):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{side}: {field} must be an object of {shape}, got {raw!r}")
+    for name, index in terminal_map.items():
+        if type(index) is not int or not 0 <= index < rbm.n_visible:
             raise ValueError(f"{side}: terminal_map[{name!r}] = {index!r} is not "
-                             f"a visible index in [0, {n_visible})")
-    return dict(raw)
-
-
-def _constants(raw, side: Path) -> dict[str, int]:
-    """A sidecar's constants: terminal names to the bits they are held at."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{side}: constants must be an object of name -> 0 or 1")
-    for name, bit in raw.items():
+                             f"a visible index in [0, {rbm.n_visible})")
+    for name, bit in constants.items():
+        if name not in rbm.visible_names:
+            raise ValueError(f"{side}: constants[{name!r}] is not a terminal of the model")
         if type(bit) is not int or bit not in (0, 1):
             raise ValueError(f"{side}: constants[{name!r}] = {bit!r} must be 0 or 1")
-    return dict(raw)
+    return MergedModel(rbm, dict(terminal_map), dict(constants))
 
 
 def _netlist(raw: dict, sharpness: float) -> Netlist:
@@ -448,8 +445,13 @@ def cmd_inspect(args, argv) -> int:
 
 
 def cmd_replay(args, argv) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    return main(list(manifest["argv"]))
+    path = Path(args.manifest)
+    replayed = _json_object(path, "a manifest").get("argv")
+    if not (isinstance(replayed, list) and replayed
+            and all(isinstance(a, str) for a in replayed)) or replayed[0] == "replay":
+        raise ValueError(f"{path}: argv must be a list of strings that runs a command "
+                         f"other than replay, got {replayed!r}")
+    return main(replayed)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,13 @@
-"""Exact enumeration tools for small models.
+"""Exact enumeration tools for small models, and the component plan.
 
 Everything here is brute force over binary state spaces, gated by this
 module's own size limits.  States are indexed little-endian: unit i holds
 bit i of the index (``_bit_grid``, and its inverse ``_bit_index``).
 Joint states are indexed as ``v_index + (h_index << n_free)``.
+
+A composed model's free energy is a sum of component terms, F(v) = -b.v
++ sum_g T_g[v_g]: ``component_plan`` finds the components once per model
+(_hidden_groups), and enumerates each distinct T_g on first request.
 
 The convergence bound implemented by :func:`convergence_bound` contracts
 the L1 distance between an initial distribution and the stationary one by
@@ -14,6 +18,8 @@ the model.  The returned value is in total-variation units (half L1), so
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
@@ -176,6 +182,84 @@ def visible_passes(weights: np.ndarray, visible_bias: np.ndarray, hidden_bias: n
     part = SimpleNamespace(weights=weights, visible_bias=visible_bias, hidden_bias=hidden_bias,
                            n_visible=len(weights), n_hidden=len(hidden_bias))
     return next(_scores(part, *_shared_clamp(part, [{}]), _passes))
+
+
+def _distinct_rows(rows: np.ndarray, **unique_args):
+    """The distinct rows of a 2-D array of bytes, as uint8, in bytewise order.
+
+    ``unique_args`` go to ``np.unique``, which sees each row as one
+    opaque (void) value: that sorts like the row, and is about 20x faster
+    than comparing column by column (``axis=0``).
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    keys, *rest = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                            **unique_args)
+    return keys.view(np.uint8).reshape(len(keys), rows.shape[1]), *rest
+
+
+def _hidden_groups(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Hidden units grouped by identical visible support.
+
+    Returns one (support, hidden units) pair of increasing index arrays
+    per group, in ``np.unique`` order of the supports.  A composed
+    circuit gets one group per component.
+    """
+    keys, group_of, sizes = _distinct_rows(w.T != 0, return_inverse=True,
+                                           return_counts=True)
+    members = np.split(np.argsort(group_of, kind="stable"), np.cumsum(sizes)[:-1])
+    return [(np.flatnonzero(key), hidden) for key, hidden in zip(keys, members)]
+
+
+# Largest visible support a group may have for its free-energy table (2^n entries).
+MAX_TABLE_UNITS = 20
+
+
+class ComponentPlan:
+    """A model's components: ``groups``, those of _hidden_groups, and
+    their free-energy ``tables``, built on first read."""
+
+    def __init__(self, rbm):
+        self.groups = _hidden_groups(rbm.weights)
+        self._parts = rbm.weights, rbm.hidden_bias
+
+    @functools.cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, table): T_g starts at ``offsets[g]`` in the flat ``table``.
+
+        T_g holds -sum_j softplus(a_j + W_j . x) for every assignment x of
+        group g's support, its bits packed little-endian: exact, as the
+        hidden layer factorizes given v, and scored by visible_passes as
+        the free energy of the group's sub-model with zero visible bias.
+        Groups with the same local weight block (shape and bytes) and
+        hidden biases, such as the copies of one unit, share one table.
+        """
+        weights, hidden_bias = self._parts
+        tables, offsets, offset_of = [], [], {}
+        for units, hidden in self.groups:
+            if units.size > MAX_TABLE_UNITS:
+                raise ValueError(f"a hidden group touches {units.size} visible units; "
+                                 f"tables are limited to {MAX_TABLE_UNITS}")
+            local, bias = weights[np.ix_(units, hidden)], hidden_bias[hidden]
+            key = (local.shape, local.tobytes(), bias.tobytes())
+            if key not in offset_of:
+                offset_of[key] = sum(t.size for t in tables)
+                tables.append(-np.concatenate([neg_f for *_, neg_f in visible_passes(
+                    local, np.zeros(len(local)), bias)]))
+            offsets.append(offset_of[key])
+        return np.array(offsets, dtype=np.int64), np.concatenate(tables or [np.zeros(0)])
+
+
+# ComponentPlans by id of their Rbm, each dropped when its Rbm is collected.
+# An Rbm's arrays are read-only, so its plan never goes stale.
+_PLANS: dict[int, ComponentPlan] = {}
+
+
+def component_plan(rbm) -> ComponentPlan:
+    """ComponentPlan(rbm), built once per model."""
+    if id(rbm) not in _PLANS:
+        _PLANS[id(rbm)] = ComponentPlan(rbm)
+        weakref.finalize(rbm, _PLANS.pop, id(rbm), None)
+    return _PLANS[id(rbm)]
 
 
 def exact_visible_distribution(model, clamp: Mapping[str, int] | None = None) -> ExactDistribution:

@@ -19,13 +19,13 @@ and _pooled_histograms the one record loop: it feeds the recorded rows
 to a _Recorder and yields the pooled Histogram at given counts of
 recorded sweeps, for multistart, replica_exchange and the success curves
 of tasks; run_chain keeps its own loop, as it returns every sample.
-_hidden_groups is the one component finder (for the block products and
-the free-energy tables); it and _Recorder scan rows with _distinct_rows.
-A Histogram is arrays end to end: sorted distinct uint8 keys and their
-int64 counts.  Recording, pooling and marginals all re-tally
-concatenated keys with their weights (_tally).  Keys stay sorted, so the
-first largest count is the mode and a stable sort of the counts orders
-the top keys, ties to the least.
+The components a sweep works on come from exact.component_plan, found
+once per model: block Gibbs reads their groups, replica exchange their
+free-energy tables.  A Histogram is arrays end to end: sorted distinct
+uint8 keys and their int64 counts.  Recording, pooling and marginals all
+re-tally concatenated keys with their weights (_tally).  Keys stay
+sorted, so the first largest count is the mode and a stable sort of the
+counts orders the top keys, ties to the least.
 
 Every update is the decision u < p.  Sweeps below BLOCK_MIN_ENTRIES
 units take the contract probabilities expit(v @ W + a) and
@@ -60,14 +60,13 @@ each on its own seeds under the same contract.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .exact import _bit_index, visible_passes
+from .exact import _bit_index, _distinct_rows, component_plan
 from .merge import clamp_arrays, model_parts, resolve_clamp
 from .model import Rbm, free_energy_batch
 
@@ -216,19 +215,6 @@ def _fast_sigmoid(a: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
-def _distinct_rows(rows: np.ndarray, **unique_args):
-    """The distinct rows of a 2-D array of bytes, as uint8, in bytewise order.
-
-    ``unique_args`` go to ``np.unique``, which sees each row as one
-    opaque (void) value: that sorts like the row, and is about 20x faster
-    than comparing column by column (``axis=0``).
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    keys, *rest = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
-                            **unique_args)
-    return keys.view(np.uint8).reshape(len(keys), rows.shape[1]), *rest
-
-
 def _tally(rows: np.ndarray, weights: np.ndarray):
     """The distinct rows of a 2-D uint8 array, in bytewise order, and the
     summed int64 ``weights`` of each."""
@@ -241,26 +227,13 @@ def _tally(rows: np.ndarray, weights: np.ndarray):
     return keys, counts
 
 
-def _hidden_groups(w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Hidden units grouped by identical visible support.
-
-    Returns one (support, hidden units) pair of increasing index arrays
-    per group, in ``np.unique`` order of the supports.  A composed
-    circuit gets one group per component.
-    """
-    keys, group_of, sizes = _distinct_rows(w.T != 0, return_inverse=True,
-                                           return_counts=True)
-    members = np.split(np.argsort(group_of, kind="stable"), np.cumsum(sizes)[:-1])
-    return [(np.flatnonzero(key), hidden) for key, hidden in zip(keys, members)]
-
-
 class _BlockProducts:
     """The fast products v -> v @ w and h -> h @ w[free].T, block by block.
 
-    Each group of _hidden_groups is cut into blocks, runs of adjacent
-    hidden columns, and the blocks are ordered by column.  A class is a
-    maximal run of neighbouring blocks of equal (support size s, hidden
-    count n), so its G blocks fill one column slice.  It keeps their
+    Each of the ``groups`` (exact._hidden_groups of w) is cut into blocks,
+    runs of adjacent hidden columns, and the blocks are ordered by column.
+    A class is a maximal run of neighbouring blocks of equal (support size
+    s, hidden count n), so its G blocks fill one column slice.  It keeps their
     supports ``units`` (G, s), that slice, its weight blocks (G, s, n)
     and their transposes (G, n, s), and takes each product with one
     batched matmul.  The visible product writes every class's (G, s)
@@ -272,9 +245,9 @@ class _BlockProducts:
     over the unit, and a quarter of that after the sigmoid.
     """
 
-    def __init__(self, w: np.ndarray, free: np.ndarray):
+    def __init__(self, w: np.ndarray, free: np.ndarray, groups):
         self.n_hidden = w.shape[1]
-        blocks = sorted(((support, run) for support, hidden in _hidden_groups(w)
+        blocks = sorted(((support, run) for support, hidden in groups
                          for run in np.split(hidden, np.flatnonzero(np.diff(hidden) > 1) + 1)),
                         key=lambda block: block[1][0])
         self.classes = []
@@ -342,7 +315,7 @@ def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int
     w, hb = rbm.weights, rbm.hidden_bias
     vb_free, u_free = rbm.visible_bias[free], nh + free
     if len(v) * (nh + rbm.n_visible) >= BLOCK_MIN_ENTRIES:
-        products = _BlockProducts(w, free)
+        products = _BlockProducts(w, free, component_plan(rbm).groups)
 
         def hidden_p():
             return _fast_sigmoid(products.hidden(v) + hb)
@@ -528,99 +501,45 @@ def integrated_autocorrelation_time(series: np.ndarray, max_lag: int | None = No
     return float(tau)
 
 
-# Largest visible support a group of hidden units may have for
-# replica_exchange to tabulate its free-energy term (2^n entries).
-MAX_TABLE_UNITS = 20
+def _table_indices(supports: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """(rows, groups) table index of every group for rows of v."""
+    index = np.zeros((len(v), len(supports)), dtype=np.int64)
+    for g, units in enumerate(supports):
+        index[:, g] = _bit_index(v[:, units])
+    return index
 
 
-class FreeEnergyTables:
-    """F(v) = -b.v + sum_g T_g[index_g(v)], one table per distinct hidden group.
+def _color_classes(supports: Sequence[np.ndarray], n_visible: int, free: np.ndarray):
+    """Free units split into classes that share no group.
 
-    The groups are those of _hidden_groups, so a composed circuit gets
-    one group per component.  Group g's table holds
-    -sum_j softplus(a_j + W_j . x) for every assignment x of its visible
-    support; ``index_g(v)`` packs those bits little-endian, and T_g
-    starts at ``offsets[g]`` in the flat ``table``.  The sum is exact
-    because the hidden layer factorizes given v; exact scores it as the
-    free energy of the group's sub-model with zero visible bias.  Groups
-    with the same local weight block (shape and bytes) and hidden biases,
-    such as the copies of one unit in a composition, share one table.
+    Units of one class are conditionally independent given the rest,
+    so a class updates in parallel exactly as it would one unit at a
+    time.  Greedy coloring, most-connected units first.
     """
-
-    def __init__(self, rbm: Rbm):
-        self.visible_bias = rbm.visible_bias
-        self.supports: list[np.ndarray] = []
-        self.groups_of = [[] for _ in range(rbm.n_visible)]  # (group, bit mask)
-        tables, offsets, offset_of = [], [], {}
-        for units, hidden in _hidden_groups(rbm.weights):
-            if units.size > MAX_TABLE_UNITS:
-                raise ValueError(
-                    f"a hidden group touches {units.size} visible units; "
-                    f"tables are limited to {MAX_TABLE_UNITS}")
-            local, bias = rbm.weights[np.ix_(units, hidden)], rbm.hidden_bias[hidden]
-            key = (local.shape, local.tobytes(), bias.tobytes())
-            if key not in offset_of:
-                offset_of[key] = sum(t.size for t in tables)
-                tables.append(-np.concatenate([neg_f for *_, neg_f in visible_passes(
-                    local, np.zeros(len(local)), bias)]))
-            offsets.append(offset_of[key])
-            for pos, i in enumerate(units):
-                self.groups_of[i].append((len(self.supports), 1 << pos))
-            self.supports.append(units)
-        self.offsets = np.array(offsets, dtype=np.int64)
-        self.table = np.concatenate(tables) if tables else np.zeros(0)
-
-    def indices(self, v: np.ndarray) -> np.ndarray:
-        """(rows, groups) table index of every group for rows of v."""
-        index = np.zeros((len(v), len(self.supports)), dtype=np.int64)
-        for g, units in enumerate(self.supports):
-            index[:, g] = _bit_index(v[:, units])
-        return index
-
-    def free_energy(self, v: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return -(v @ self.visible_bias) + self.table[self.offsets + index].sum(axis=1)
-
-    def color_classes(self, free: np.ndarray):
-        """Free units split into classes that share no group.
-
-        Units of one class are conditionally independent given the rest,
-        so a class updates in parallel exactly as it would one unit at a
-        time.  Greedy coloring, most-connected units first.
-        """
-        classes: list[tuple[list[int], set[int]]] = []
-        for i in sorted(free.tolist(), key=lambda i: (-len(self.groups_of[i]), i)):
-            groups = {g for g, _ in self.groups_of[i]}
-            for units, used in classes:
-                if not used & groups:
-                    units.append(i)
-                    used |= groups
-                    break
-            else:
-                classes.append(([i], groups))
-        out = []
-        for units, _ in classes:
-            units = sorted(units)
-            pairs = np.array([(k, g, m) for k, i in enumerate(units)
-                              for g, m in self.groups_of[i]], dtype=np.int64).reshape(-1, 3)
-            slot, group, mask = pairs.T
-            spread = np.zeros((len(pairs), len(units)))
-            spread[np.arange(len(pairs)), slot] = 1.0
-            out.append((np.array(units), slot, group, mask, spread))
-        return out
-
-
-# FreeEnergyTables by id of their Rbm, dropped when that Rbm is
-# collected.  An Rbm's arrays are read-only, so its tables never go stale.
-_TABLES: dict[int, FreeEnergyTables] = {}
-
-
-def _tables_of(rbm: Rbm) -> FreeEnergyTables:
-    """FreeEnergyTables(rbm), built once per model."""
-    tables = _TABLES.get(id(rbm))
-    if tables is None:
-        tables = _TABLES[id(rbm)] = FreeEnergyTables(rbm)
-        weakref.finalize(rbm, _TABLES.pop, id(rbm), None)
-    return tables
+    groups_of = [[] for _ in range(n_visible)]  # (group, bit mask) of each unit
+    for g, units in enumerate(supports):
+        for pos, i in enumerate(units):
+            groups_of[i].append((g, 1 << pos))
+    classes: list[tuple[list[int], set[int]]] = []
+    for i in sorted(free.tolist(), key=lambda i: (-len(groups_of[i]), i)):
+        groups = {g for g, _ in groups_of[i]}
+        for units, used in classes:
+            if not used & groups:
+                units.append(i)
+                used |= groups
+                break
+        else:
+            classes.append(([i], groups))
+    out = []
+    for units, _ in classes:
+        units = sorted(units)
+        pairs = np.array([(k, g, m) for k, i in enumerate(units)
+                          for g, m in groups_of[i]], dtype=np.int64).reshape(-1, 3)
+        slot, group, mask = pairs.T
+        spread = np.zeros((len(pairs), len(units)))
+        spread[np.arange(len(pairs)), slot] = 1.0
+        out.append((np.array(units), slot, group, mask, spread))
+    return out
 
 
 def replica_exchange(
@@ -639,8 +558,9 @@ def replica_exchange(
     Each of ``n_ladders`` independent ladders holds one replica per entry
     of ``betas`` (increasing, last entry 1.0).  A sweep updates every free
     visible unit once by heat bath on p_beta(v) ∝ exp(-beta F(v)) with
-    the hidden layer summed out (tabulated by FreeEnergyTables, built
-    once per model); then neighbouring rungs swap states with probability
+    the hidden layer summed out, F(v) = -b.v + sum_g T_g[index_g(v)] over
+    the tables of exact.component_plan, built once per model; then
+    neighbouring rungs swap states with probability
     min(1, exp((beta_i - beta_j) (F(v_i) - F(v_j)))).  The run costs
     n_ladders * len(betas) * n_sweeps chain-sweeps.  See the module
     docstring for the stream contract.
@@ -656,11 +576,11 @@ def replica_exchange(
     beta = np.tile(betas, n_ladders)[:, None]
 
     def tempered_sweeps(rbm, free, gens, v, n_sweeps):
-        tables = _tables_of(rbm)
-        classes = tables.color_classes(free)
+        plan, vb = component_plan(rbm), rbm.visible_bias
+        (offsets, table), supports = plan.tables, [units for units, _ in plan.groups]
+        classes = _color_classes(supports, rbm.n_visible, free)
         swap_gen = np.random.default_rng(seed + n_rows)
-        index = tables.indices(v)
-        table, offsets, vb = tables.table, tables.offsets, tables.visible_bias
+        index = _table_indices(supports, v)
         for t, u in enumerate(_sweep_uniforms(gens, rbm.n_visible, n_sweeps)):
             for units, slot, group, mask, spread in classes:
                 cur = index[:, group]
@@ -672,7 +592,7 @@ def replica_exchange(
                 v[:, units] = new
                 index[:, group] = np.where(new[:, slot], on, off)
             if n_rungs > 1:
-                energy = tables.free_energy(v, index)
+                energy = -(v @ vb) + table[offsets + index].sum(axis=1)
                 lower = np.arange(t % 2, n_rungs - 1, 2)
                 i = (np.arange(n_ladders)[:, None] * n_rungs + lower).ravel()
                 j = i + 1

@@ -369,19 +369,21 @@ class TestSolve:
         assert code == 2
         assert "bad clamp 'A'; expected NAME=INTEGER" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("terminal_map, message", [
-        ({"A": 99}, "terminal_map['A'] = 99 is not a visible index in [0, 5)"),
-        ({"A": -1}, "terminal_map['A'] = -1 is not a visible index in [0, 5)"),
-        (["A", 0], "terminal_map must be an object"),
-    ], ids=["index_99", "index_minus_1", "not_an_object"])
+    @pytest.mark.parametrize("sidecar, message", [
+        ({"terminal_map": {"A": 99}}, "terminal_map['A'] = 99 is not a visible index in [0, 5)"),
+        ({"terminal_map": {"A": -1}}, "terminal_map['A'] = -1 is not a visible index in [0, 5)"),
+        ({"terminal_map": ["A", 0]}, "terminal_map must be an object"),
+        ({"constants": {}}, "terminal_map must be an object"),
+    ], ids=["index_99", "index_minus_1", "not_an_object", "missing"])
     def test_bad_sidecar_terminal_map_is_an_input_error(self, tmp_path, model_dir, capsys,
-                                                         terminal_map, message):
+                                                         sidecar, message):
         (tmp_path / "m.json").write_bytes((model_dir / "adder1.json").read_bytes())
-        (tmp_path / "m.terminals.json").write_text(json.dumps({"terminal_map": terminal_map}))
+        (tmp_path / "m.terminals.json").write_text(json.dumps(sidecar))
         code = main(["solve", str(tmp_path / "m.json"), "--op", "add",
                      "--clamp", "A=1", "--clamp", "B=1", "--chains", "2", "--sweeps", "10"])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'm.terminals.json'}: {message}" in err
 
     def test_sidecar_terminals_may_share_a_unit(self, tmp_path, model_dir):
         (tmp_path / "m.json").write_bytes((model_dir / "adder1.json").read_bytes())
@@ -569,7 +571,8 @@ class TestDiagnose:
         ({"x": 0.5}, "constants['x'] = 0.5 must be 0 or 1"),
         ({"x": "1"}, "constants['x'] = '1' must be 0 or 1"),
         (["x", 0], "constants must be an object"),
-    ], ids=["half", "string", "list"])
+        ({"zz": 0}, "constants['zz'] is not a terminal of the model"),
+    ], ids=["half", "string", "list", "unknown_terminal"])
     def test_sidecar_constants_are_validated_on_load(self, tmp_path, capsys, constants,
                                                      message):
         rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
@@ -578,7 +581,7 @@ class TestDiagnose:
             {"terminal_map": {"x": 0, "y": 1}, "constants": constants}))
         code = main(["diagnose", str(tmp_path / "m.json"), "-o", str(tmp_path / "out")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert f"{tmp_path / 'm.terminals.json'}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -767,6 +770,21 @@ class TestReplay:
         assert main(["replay", "ans.manifest.json"]) == 0
         for name, payload in originals.items():
             assert (tmp_path / name).read_bytes() == payload
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({"argv": ["replay", "m.json"]}, "argv must be a list of strings"),
+        ({"command": "inspect"}, "argv must be a list of strings"),
+        (["inspect", "x.json"], "a manifest must be a JSON object, got list"),
+        ({"argv": "inspect"}, "argv must be a list of strings"),
+        ({"argv": ["inspect", 3]}, "argv must be a list of strings"),
+        ({"argv": []}, "argv must be a list of strings"),
+    ], ids=["replays_itself", "no_argv", "list", "string_argv", "number_in_argv", "empty_argv"])
+    def test_bad_manifest_is_an_input_error(self, tmp_path, monkeypatch, capsys, manifest,
+                                            message):
+        monkeypatch.chdir(tmp_path)
+        Path("m.json").write_text(json.dumps(manifest))
+        assert main(["replay", "m.json"]) == 2
+        assert f"m.json: {message}" in capsys.readouterr().err
 
 
 class TestEnvironment:

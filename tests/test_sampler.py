@@ -14,7 +14,7 @@ from rbmlogic.exact import (
     gibbs_transition_matrix,
     tv_distance,
 )
-from rbmlogic import sampler
+from rbmlogic import exact, sampler
 from rbmlogic.merge import MergedModel, clamp_arrays, compose, model_parts, resolve_clamp
 from rbmlogic.model import Rbm
 from rbmlogic.sampler import (
@@ -348,7 +348,7 @@ def _non_dyadic(make, seed):
 
 
 def _one_group(w):
-    """_hidden_groups with every hidden unit in one group over every visible unit."""
+    """exact._hidden_groups with every hidden unit in one group over every visible unit."""
     return [(np.arange(w.shape[0]), np.arange(w.shape[1]))] if w.shape[1] else []
 
 
@@ -360,14 +360,18 @@ def _forced(monkeypatch, dense=False):
     """
     monkeypatch.setattr(sampler, "BLOCK_MIN_ENTRIES", 0)
     if dense:
-        monkeypatch.setattr(sampler, "_hidden_groups", _one_group)
+        monkeypatch.setattr(exact, "_hidden_groups", _one_group)
+
+
+def _block_products(w, free):
+    return sampler._BlockProducts(w, free, exact._hidden_groups(w))
 
 
 def _plan_classes(w, free=None):
     """(groups, support size, hidden count, hidden columns) of each class of the block plan."""
     free = np.arange(w.shape[0]) if free is None else free
     return [(units.shape[0], units.shape[1], blocks.shape[2], cols)
-            for units, cols, blocks, _, _ in sampler._BlockProducts(w, free).classes]
+            for units, cols, blocks, _, _ in _block_products(w, free).classes]
 
 
 def _composed_rbm(draw, nv):
@@ -391,14 +395,14 @@ def _composed_rbm(draw, nv):
 
 
 def _reference_groups(w):
-    """The groups as found before _hidden_groups scanned byte rows: np.unique(axis=0)."""
+    """The groups as found before exact._hidden_groups scanned byte rows: np.unique(axis=0)."""
     keys, group_of = np.unique(w.T != 0, axis=0, return_inverse=True)
     group_of = group_of.reshape(-1)
     return [(np.flatnonzero(key), np.flatnonzero(group_of == g)) for g, key in enumerate(keys)]
 
 
 class TestHiddenGroups:
-    """_hidden_groups finds the supports, members and order of np.unique(axis=0)."""
+    """exact._hidden_groups finds the supports, members and order of np.unique(axis=0)."""
 
     @pytest.mark.parametrize("case", ["adder16", "mult8", "dense", "empty_columns",
                                       "no_hidden"])
@@ -413,7 +417,7 @@ class TestHiddenGroups:
             w[:, [0, 4, 8]] = 0.0
         else:
             w = np.zeros((5, 0))
-        got, want = sampler._hidden_groups(w), _reference_groups(w)
+        got, want = exact._hidden_groups(w), _reference_groups(w)
         assert len(got) == len(want)
         for (support, members), (ref_support, ref_members) in zip(got, want):
             assert support.tolist() == ref_support.tolist()
@@ -477,12 +481,12 @@ class TestDecisionFilter:
         classes = _plan_classes(w, free)
         assert classes == [(6, 3, 1, slice(0, 6)), (1, 1, 1, slice(6, 7)),
                            (1, 0, 1, slice(7, 8)), (1, 1, 1, slice(8, 9))]
-        plan = sampler._BlockProducts(w, free)
+        plan = _block_products(w, free)
         v = (rng.random((5, 6)) < 0.5).astype(float)
         h = (rng.random((5, 9)) < 0.5).astype(float)
         assert np.allclose(plan.hidden(v), v @ w, rtol=0, atol=1e-12)
         assert np.allclose(plan.visible(h), h @ w[free].T, rtol=0, atol=1e-12)
-        empty = sampler._BlockProducts(np.zeros((3, 0)), np.array([0, 2]))
+        empty = _block_products(np.zeros((3, 0)), np.array([0, 2]))
         assert empty.classes == []
         assert empty.hidden(v[:, :3]).shape == (5, 0)
         assert np.array_equal(empty.visible(np.zeros((5, 0))), np.zeros((5, 2)))
@@ -495,7 +499,7 @@ class TestDecisionFilter:
         assert [c[3].start for c in classes] == \
             [0] + [c[3].stop for c in classes[:-1]]
         assert classes[-1][3].stop == w.shape[1]
-        plan = sampler._BlockProducts(w, free)
+        plan = _block_products(w, free)
         rng = np.random.default_rng(16)
         v = (rng.random((3, w.shape[0])) < 0.5).astype(float)
         h = (rng.random((3, w.shape[1])) < 0.5).astype(float)

@@ -16,11 +16,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from rbmlogic import sampler
+from rbmlogic import exact, sampler
 from rbmlogic.exact import exact_visible_distribution, tv_distance
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm, free_energy_batch
-from rbmlogic.sampler import FreeEnergyTables, multistart, replica_exchange, run_chain
+from rbmlogic.sampler import multistart, replica_exchange, run_chain
 from rbmlogic.synthesis import (adder_table, build_multiplier, builtin_model,
                                 rbm_from_truth_table)
 from rbmlogic.tasks import (SolveSettings, TaskSpec, answer_terminals, clamp_assignments, solve,
@@ -152,22 +152,34 @@ class TestDefaultPathUnchanged:
         assert r.total == 4 * 200
 
 
+def _supports(plan):
+    return [units for units, _ in plan.groups]
+
+
+def _tabulated_free_energy(rbm, v):
+    """F(v) as the tempered sweep reads it: -b.v plus each group's table entry."""
+    plan = exact.component_plan(rbm)
+    offsets, table = plan.tables
+    index = sampler._table_indices(_supports(plan), v)
+    return -(v @ rbm.visible_bias) + table[offsets + index].sum(axis=1)
+
+
 class TestFreeEnergyTables:
     def test_tables_reproduce_free_energy(self):
         rng = np.random.default_rng(3)
         for rbm in (builtin_model("adder4", 6.0).rbm, builtin_model("mult2", 6.0),
                     random_rbm(rng, 7, 70)):
-            tables = FreeEnergyTables(rbm)
             v = (rng.random((20, rbm.n_visible)) < 0.5).astype(float)
-            assert np.allclose(tables.free_energy(v, tables.indices(v)),
-                               free_energy_batch(rbm, v), atol=1e-9)
+            assert np.allclose(_tabulated_free_energy(rbm, v), free_energy_batch(rbm, v),
+                               atol=1e-9)
 
     def test_one_table_per_distinct_component(self):
         """The 52 groups of sharpness-12 mult8 share 7 tables: 2 of 2^16 and 5 of 2^5 entries."""
-        tables = FreeEnergyTables(builtin_model("mult8", 12.0).rbm)
-        assert len(tables.supports) == 52
-        assert len(set(tables.offsets.tolist())) == 7
-        assert tables.table.size == 131_232
+        plan = exact.component_plan(builtin_model("mult8", 12.0).rbm)
+        offsets, table = plan.tables
+        assert len(plan.groups) == 52
+        assert len(set(offsets.tolist())) == 7
+        assert table.size == 131_232
 
     def test_equal_support_sizes_with_different_weights_get_separate_tables(self):
         rng = np.random.default_rng(5)
@@ -179,49 +191,82 @@ class TestFreeEnergyTables:
         bias = np.tile(rng.normal(size=3), 4)
         bias[9:12] += 1.0
         rbm = Rbm(weights, rng.normal(size=8), bias, tuple(f"v{i}" for i in range(8)))
-        tables = FreeEnergyTables(rbm)
-        assert tables.table.size == 3 * 4
-        assert [s.tolist() for s in tables.supports] == [[6, 7], [4, 5], [2, 3], [0, 1]]
-        assert tables.offsets.tolist() == [0, 4, 8, 8]
+        plan = exact.component_plan(rbm)
+        offsets, table = plan.tables
+        assert table.size == 3 * 4
+        assert [s.tolist() for s in _supports(plan)] == [[6, 7], [4, 5], [2, 3], [0, 1]]
+        assert offsets.tolist() == [0, 4, 8, 8]
         v = (rng.random((20, 8)) < 0.5).astype(float)
-        assert np.allclose(tables.free_energy(v, tables.indices(v)),
-                           free_energy_batch(rbm, v), atol=1e-9)
+        assert np.allclose(_tabulated_free_energy(rbm, v), free_energy_batch(rbm, v), atol=1e-9)
 
     def test_refuses_a_group_wider_than_the_table_limit(self):
-        n = sampler.MAX_TABLE_UNITS + 1
+        n = exact.MAX_TABLE_UNITS + 1
         rbm = Rbm(np.ones((n, 1)), np.zeros(n), np.zeros(1), tuple(f"v{i}" for i in range(n)))
         with pytest.raises(ValueError, match=f"touches {n} visible units; tables are limited"):
-            FreeEnergyTables(rbm)
+            exact.component_plan(rbm).tables
 
     def test_solves_on_one_model_build_its_tables_once(self, monkeypatch):
-        built = []
+        built, passes = [], exact.visible_passes
 
-        class Counting(sampler.FreeEnergyTables):
-            def __init__(self, rbm):
-                built.append(rbm.n_visible)
-                super().__init__(rbm)
+        def counting(weights, *biases):
+            built.append(len(weights))
+            return passes(weights, *biases)
 
-        monkeypatch.setattr(sampler, "FreeEnergyTables", Counting)
+        monkeypatch.setattr(exact, "visible_passes", counting)
         model = builtin_model("mult2", 6.0)
         settings = SolveSettings(n_chains=2, n_sweeps=50, seed=1, betas=(0.5, 1.0))
         for p in (6, 4):
             solve(model, TaskSpec("factor", 2, {"P": p}), settings)
         assert built == [model.n_visible]
         key = id(model)
-        assert key in sampler._TABLES
+        assert key in exact._PLANS
         del model
         gc.collect()
-        assert key not in sampler._TABLES  # dropped with its model
+        assert key not in exact._PLANS  # dropped with its model
 
     def test_color_classes_partition_free_units_without_shared_groups(self):
         model = builtin_model("adder4", 6.0)
-        tables = FreeEnergyTables(model.rbm)
         free = np.arange(model.rbm.n_visible)
-        classes = tables.color_classes(free)
+        classes = sampler._color_classes(_supports(exact.component_plan(model.rbm)),
+                                         model.rbm.n_visible, free)
         units = np.sort(np.concatenate([c[0] for c in classes]))
         assert np.array_equal(units, free)
         for members, _, groups, _, _ in classes:
             assert len(set(groups.tolist())) == len(groups)
+
+
+class TestComponentPlan:
+    """Block Gibbs reads a model's groups, found once; only replica exchange builds tables."""
+
+    def test_block_gibbs_solve_builds_no_table(self, monkeypatch):
+        def refuse(plan):
+            raise AssertionError("a free-energy table was built")
+
+        monkeypatch.setattr(exact.ComponentPlan, "tables", property(refuse))
+        model = builtin_model("mult8", 12.0)
+        task = TaskSpec("factor", 8, {"P": 143})
+        settings = SolveSettings(n_chains=16, n_sweeps=20)
+        assert settings.n_chains * (model.rbm.n_visible + model.rbm.n_hidden) \
+            >= sampler.BLOCK_MIN_ENTRIES  # the block path
+        solve(model, task, settings)
+        with pytest.raises(AssertionError, match="table was built"):
+            solve(model, task, SolveSettings(n_chains=1, n_sweeps=1, betas=(0.5, 1.0)))
+
+    def test_block_gibbs_solves_on_one_model_find_its_groups_once(self, monkeypatch):
+        scanned, find = [], exact._hidden_groups
+
+        def counting(w):
+            scanned.append(w.shape)
+            return find(w)
+
+        monkeypatch.setattr(exact, "_hidden_groups", counting)
+        model = builtin_model("adder16", 6.0)
+        settings = SolveSettings(n_chains=32, n_sweeps=20)
+        assert settings.n_chains * (model.rbm.n_visible + model.rbm.n_hidden) \
+            >= sampler.BLOCK_MIN_ENTRIES  # the block path
+        for a in (3, 5):
+            solve(model, TaskSpec("add", 16, {"A": a, "B": 7}), settings)
+        assert scanned == [model.rbm.weights.shape]
 
 
 class TestReplicaExchange:
