@@ -75,7 +75,6 @@ def save_model(model, path: Path) -> list[Path]:
         side.write_text(json.dumps({
             "terminal_map": {k: int(v) for k, v in sorted(model.terminal_map.items())},
             "constants": {k: int(v) for k, v in sorted(model.constants.items())},
-            "exports": sorted(model.exported_terminals),
         }, indent=1, sort_keys=True) + "\n")
         written.append(side)
     else:
@@ -451,11 +450,21 @@ def cmd_replay(args, argv) -> int:
             and all(isinstance(a, str) for a in replayed)) or replayed[0] == "replay":
         raise ValueError(f"{path}: argv must be a list of strings that runs a command "
                          f"other than replay, got {replayed!r}")
+    try:
+        _build_parser(_RaisingParser).parse_args(replayed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: argv {replayed!r} does not parse: {exc}") from None
     return main(replayed)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _RaisingParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error raises instead of exiting
+        raise ValueError(message)
+
+
+def _build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The rbmlogic parser; its subcommand parsers are ``parser_class`` too."""
+    parser = parser_class(
         prog="rbmlogic",
         description="Build, train, merge and sample RBM logic circuits.",
     )

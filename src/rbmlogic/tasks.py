@@ -21,10 +21,12 @@ one integer:
 Integers map to terminal bits little-endian: bit j of operand X lives on
 terminal Xj (plain X when the operand is one bit wide).
 
+``pose`` poses a task on a model once: its clamp bits, the answer
+terminals of each operand, their decoding and the answer's checker.
 ``solve`` samples one task and ``success_curve`` scores many at several
-sample budgets; both read the answer off the pooled histogram through
-one readout, ``_readout``: the mode under the operation's rule and the
-``assignment_checker`` verdict on it.
+sample budgets; both pose each task once and read the answer off the
+pooled histogram through one readout, ``_readout``: the mode under the
+operation's rule and the ``Posed.check`` verdict on it.
 """
 
 from __future__ import annotations
@@ -107,7 +109,9 @@ class TaskSpec:
         if self.cout is not None and self.operation != "subtract":
             raise ValueError(f"cout applies to subtract only, not to {self.operation!r}")
         for name, value in self.clamps.items():
-            if int(value) < 0:
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"clamp {name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"clamp {name}={value} is negative")
         if self.expected is not None and not _OPS[self.operation].integer:
             raise ValueError(f"operation {self.operation!r} has no single-integer "
@@ -136,19 +140,42 @@ def _clamped_operands(task: TaskSpec) -> dict[str, int]:
     return {o: int(values[o]) for o in clamped if values[o] != "free"}
 
 
-def clamp_assignments(model, task: TaskSpec) -> dict[str, int]:
-    """Per-terminal clamp bits realizing a task on a model."""
+class Posed(NamedTuple):
+    """A task posed on a model: what to clamp, what to read and how to judge it."""
+
+    clamp: dict[str, int]  # terminal -> bit
+    answer: dict[str, tuple[str, ...]]  # answer operand -> its terminals, LSB first
+    check: Callable[[Mapping[str, int]], bool]  # verdict on decoded operand values
+    record: tuple[str, ...]  # the answer terminals, in recording order
+
+    def decode(self, bits: Sequence[int]) -> dict[str, int]:
+        """Each answer operand's integer, from bits given in ``record`` order."""
+        by_terminal = dict(zip(self.record, bits))
+        return {operand: decode_int([by_terminal[t] for t in terms])
+                for operand, terms in self.answer.items()}
+
+
+def pose(model, task: TaskSpec) -> Posed:
+    """A task on a model, which is classified once.
+
+    The checker takes the decoded answer operands, which with the clamped
+    ones must satisfy A + B + Cin = S + 2^n Cout or A * B = P and the
+    operation's lower bounds; a subtract Cout left free may be either bit.
+    sat clamps terminals by name and reads each free public terminal as a
+    one-bit operand; any answer passes its checker.
+    """
     op = _OPS[task.operation]
-    out: dict[str, int] = {}
-    if op.kind is None:  # sat clamps terminals by name
-        names = set(public_terminals(model))
+    if op.kind is None:
+        names = public_terminals(model)
+        known = set(names)
         for term, bit in task.clamps.items():
-            if term not in names:
+            if term not in known:
                 raise KeyError(f"unknown terminal {term!r}")
-            if int(bit) not in (0, 1):
+            if bit not in (0, 1):
                 raise ValueError(f"sat clamps take bits, got {term}={bit}")
-            out[term] = int(bit)
-        return out
+        answer = {t: (t,) for t in names if t not in task.clamps}
+        return Posed({t: int(b) for t, b in task.clamps.items()}, answer,
+                     lambda values: True, tuple(answer))
     iface = model_interface(model)
     if task.bit_width is not None and task.bit_width != iface.width:
         raise ValueError(
@@ -157,60 +184,19 @@ def clamp_assignments(model, task: TaskSpec) -> dict[str, int]:
     if iface.kind != op.kind:
         article = "an" if op.kind == "adder" else "a"
         raise ValueError(f"operation {task.operation!r} needs {article} {op.kind} model")
-    for operand, value in _clamped_operands(task).items():
-        terms = iface.bits(operand)
-        out |= dict(zip(terms, encode_int(value, len(terms))))
-    return out
-
-
-def answer_terminals(model, task: TaskSpec) -> tuple[str, ...]:
-    """Free terminals whose mode constitutes the answer, LSB first."""
-    op = _OPS[task.operation]
-    if op.kind is None:
-        clamped = set(clamp_assignments(model, task))
-        return tuple(n for n in public_terminals(model) if n not in clamped)
-    iface = model_interface(model)
-    return tuple(t for operand in op.answer for t in iface.bits(operand))
-
-
-def group_operands(names: Sequence[str], bits: Sequence[int]) -> dict[str, int]:
-    """Decode named bit columns back into integers per operand."""
-    groups: dict[str, dict[int, int]] = {}
-    singles: dict[str, int] = {}
-    for name, bit in zip(names, bits):
-        head = name.rstrip("0123456789")
-        tail = name[len(head):]
-        if tail:
-            groups.setdefault(head, {})[int(tail)] = int(bit)
-        else:
-            singles[name] = int(bit)
-    out = dict(singles)
-    for head, by_index in groups.items():
-        ordered = [by_index[j] for j in sorted(by_index)]
-        if sorted(by_index) != list(range(len(by_index))):
-            raise ValueError(f"operand {head!r} has missing bit indices")
-        out[head] = decode_int(ordered)
-    return out
-
-
-def assignment_checker(model, task: TaskSpec) -> Callable[[Mapping[str, int]], bool]:
-    """Predicate on a decoded answer assignment (terminal name -> bit).
-
-    The clamped operands and the decoded answer must satisfy the unit's
-    relation, A + B + Cin = S + 2^n Cout or A * B = P, and the
-    operation's lower bounds.  A subtract Cout left free may be either bit.
-    """
-    op = _OPS[task.operation]
-    if op.kind is None:
-        return lambda answer: True
-    iface = model_interface(model)
     clamped = _clamped_operands(task)
-    answer_bits = {operand: iface.bits(operand) for operand in op.answer}
+    clamp: dict[str, int] = {}
+    for operand, value in clamped.items():
+        terms = iface.bits(operand)
+        clamp |= dict(zip(terms, encode_int(value, len(terms))))
+    answer = {operand: tuple(iface.bits(operand)) for operand in op.answer}
+    record = tuple(t for terms in answer.values() for t in terms)
+    # Decoded answers list one-bit operands first ({"Cout": .., "S": ..}).
+    answer = dict(sorted(answer.items(), key=lambda item: len(item[1]) > 1))
     modulus = 2**iface.width
 
-    def check(answer: Mapping[str, int]) -> bool:
-        v = clamped | {operand: decode_int([int(answer[t]) for t in terms])
-                       for operand, terms in answer_bits.items()}
+    def check(values: Mapping[str, int]) -> bool:
+        v = {**clamped, **values}
         if any(v[operand] < low for operand, low in op.least.items()):
             return False
         if op.kind == "multiplier":
@@ -218,7 +204,7 @@ def assignment_checker(model, task: TaskSpec) -> Callable[[Mapping[str, int]], b
         carries = (v["Cout"],) if "Cout" in v else (0, 1)
         return any(v["A"] + v["B"] + v["Cin"] == v["S"] + modulus * c for c in carries)
 
-    return check
+    return Posed(clamp, answer, check, record)
 
 
 @dataclass(frozen=True)
@@ -265,68 +251,63 @@ class SolveResult:
 
 
 def _nontrivial_factor_mode(hist: Histogram, a_terms: Sequence[str], b_terms: Sequence[str]):
-    """(A, B) pairs with both factors > 1, by falling count, then (A, B),
-    and the histogram key of the first (None when there is none).
-    ``a_terms`` and ``b_terms`` name the bits of A and B, LSB first."""
-    a_bits = hist.keys[:, [hist.names.index(t) for t in a_terms]]
-    b_bits = hist.keys[:, [hist.names.index(t) for t in b_terms]]
-    rows = np.flatnonzero(a_bits[:, 1:].any(axis=1) & b_bits[:, 1:].any(axis=1))
-    a, b, counts = _bit_index(a_bits[rows]), _bit_index(b_bits[rows]), hist.key_counts[rows]
+    """(A, B) pairs within factor's ``least`` bounds (both factors > 1), by
+    falling count, then (A, B), and the histogram key of the first (None
+    when there is none).  ``a_terms`` and ``b_terms`` name the bits of A
+    and B, LSB first."""
+    a, b = (_bit_index(hist.keys[:, [hist.names.index(t) for t in terms]])
+            for terms in (a_terms, b_terms))
+    least = _OPS["factor"].least
+    rows = np.flatnonzero((a >= least["A"]) & (b >= least["B"]))
+    a, b, counts = a[rows], b[rows], hist.key_counts[rows]
     order = np.lexsort((b, a, -counts))  # the last key is primary
     pairs = list(zip(zip(a[order].tolist(), b[order].tolist()), counts[order].tolist()))
     return pairs, tuple(hist.keys[rows[order[0]]].tolist()) if pairs else None
 
 
-def _readout(model, task: TaskSpec, hist: Histogram, record: Sequence[str]):
-    """The task's answer read off a pooled histogram of ``record``, its
-    ``answer_terminals``: (mode bits, their count, the nontrivial factor
-    pairs or None unless factoring, the ``assignment_checker`` verdict).
+def _readout(task: TaskSpec, posed: Posed, hist: Histogram):
+    """The task's answer read off a pooled histogram of ``posed.record``:
+    (mode bits, their count, the nontrivial factor pairs or None unless
+    factoring, the ``posed.check`` verdict on the decoded mode).
 
     Factorization ignores assignments with a factor of 1: the trivial
     rows 1 * P and P * 1 are valid for every product, so the plain mode
-    would answer them whenever P fits in one operand.  It reads A's bits,
-    then B's, which have the same width, and falls back to the plain mode
-    when no pair is nontrivial.
+    would answer them whenever P fits in one operand.  It falls back to
+    the plain mode when no pair is nontrivial.
     """
     pairs = key = None
     if task.operation == "factor":
-        half = len(record) // 2
-        pairs, key = _nontrivial_factor_mode(hist, record[:half], record[half:])
+        pairs, key = _nontrivial_factor_mode(hist, posed.answer["A"], posed.answer["B"])
     bits, count = mode_estimate(hist) if key is None else (key, pairs[0][1])
-    return bits, count, pairs, assignment_checker(model, task)(dict(zip(record, bits)))
+    return bits, count, pairs, posed.check(posed.decode(bits))
 
 
 def solve(model, task: TaskSpec, settings: SolveSettings = SolveSettings()) -> SolveResult:
     """Sample the clamped model and read the answer off the mode."""
-    clamp = clamp_assignments(model, task)
-    record = answer_terminals(model, task)
+    posed = pose(model, task)
     if settings.betas is None:
         hist = multistart(
-            model, clamp,
+            model, posed.clamp,
             n_chains=settings.n_chains, n_sweeps=settings.n_sweeps,
             burn_in=settings.burn_in, thin=settings.thin, seed=settings.seed,
-            record_terminals=record,
+            record_terminals=posed.record,
         )
     else:
         hist = replica_exchange(
-            model, clamp, betas=settings.betas, n_ladders=settings.n_chains,
+            model, posed.clamp, betas=settings.betas, n_ladders=settings.n_chains,
             n_sweeps=settings.n_sweeps, burn_in=settings.burn_in,
-            thin=settings.thin, seed=settings.seed, record_terminals=record,
+            thin=settings.thin, seed=settings.seed, record_terminals=posed.record,
         )
-    bits, count, factor_pairs, success = _readout(model, task, hist, record)
-    terminals = dict(zip(record, (int(b) for b in bits)))
-    # sat reads raw terminals, which need not form whole operands
-    decode = group_operands if _OPS[task.operation].kind else (
-        lambda names, key: dict(zip(names, map(int, key))))
+    bits, count, factor_pairs, success = _readout(task, posed, hist)
     total = hist.total
     return SolveResult(
         task=task,
-        terminals=terminals,
-        operands=decode(record, bits),
+        terminals=dict(zip(posed.record, (int(b) for b in bits))),
+        operands=posed.decode(bits),
         count=int(count),
         total=int(total),
         frequency=count / total if total else 0.0,
-        top=[(decode(record, k), c) for k, c in hist.top(settings.top_k)],
+        top=[(posed.decode(k), c) for k, c in hist.top(settings.top_k)],
         success=success,
         factor_pairs=factor_pairs,
         chain_sweeps=settings.n_chains * len(settings.betas or (1.0,)) * settings.n_sweeps,
@@ -345,7 +326,8 @@ def success_curve(
 
     Chains for task i use seeds seed + i * n_chains + [0..n_chains); the
     pooled sample count after sweep t is n_chains * (t - burn_in).  Each
-    checkpoint reads the pooled histogram as ``solve`` does.
+    task is posed once, and each checkpoint reads its pooled histogram
+    as ``solve`` does.
     """
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints or checkpoints[0] < 1:
@@ -357,11 +339,11 @@ def success_curve(
     successes = [0] * len(checkpoints)
     for i, task in enumerate(tasks):
         seeds = [seed + i * n_chains + c for c in range(n_chains)]
-        clamp, record = clamp_assignments(model, task), answer_terminals(model, task)
-        hists = _pooled_histograms(model, clamp, seeds, burn_in + marks[-1], burn_in, 1,
-                                   record, marks)
+        posed = pose(model, task)
+        hists = _pooled_histograms(model, posed.clamp, seeds, burn_in + marks[-1], burn_in, 1,
+                                   posed.record, marks)
         for k, hist in enumerate(hists):
-            *_, solved = _readout(model, task, hist, record)
+            *_, solved = _readout(task, posed, hist)
             successes[k] += solved
     return [(c, s / len(tasks)) for c, s in zip(checkpoints, successes)]
 

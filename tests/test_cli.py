@@ -64,14 +64,22 @@ class TestBuild:
 
     def test_merged_model_round_trips_through_sidecar(self, model_dir):
         sidecar = json.loads((model_dir / "fa1.terminals.json").read_text())
-        assert sorted(sidecar) == ["constants", "exports", "terminal_map"]
-        assert sidecar["exports"] == ["A", "B", "Cin", "Cout", "S"]
+        assert sorted(sidecar) == ["constants", "terminal_map"]
         assert len(sidecar["terminal_map"]) == 15
         assert sidecar["constants"] == {}
         model = load_model(model_dir / "fa1.json")
         assert isinstance(model, MergedModel)
-        assert sorted(model.exported_terminals) == sidecar["exports"]
+        assert sorted(model.exported_terminals) == ["A", "B", "Cin", "Cout", "S"]
         assert model.terminal_map == sidecar["terminal_map"]
+
+    def test_sidecar_with_an_old_exports_list_loads(self, tmp_path, model_dir):
+        # Sidecars once carried an exports list; it is ignored on load.
+        (tmp_path / "fa1.json").write_text((model_dir / "fa1.json").read_text())
+        sidecar = json.loads((model_dir / "fa1.terminals.json").read_text())
+        (tmp_path / "fa1.terminals.json").write_text(json.dumps(sidecar | {"exports": ["A"]}))
+        model = load_model(tmp_path / "fa1.json")
+        assert model.terminal_map == sidecar["terminal_map"]
+        assert sorted(model.exported_terminals) == ["A", "B", "Cin", "Cout", "S"]
 
     def test_base_option_stacks_narrow_adders(self, model_dir, capsys):
         main(["inspect", str(model_dir / "adder4.json")])
@@ -778,7 +786,10 @@ class TestReplay:
         ({"argv": "inspect"}, "argv must be a list of strings"),
         ({"argv": ["inspect", 3]}, "argv must be a list of strings"),
         ({"argv": []}, "argv must be a list of strings"),
-    ], ids=["replays_itself", "no_argv", "list", "string_argv", "number_in_argv", "empty_argv"])
+        ({"argv": ["nope"]}, "argv ['nope'] does not parse: argument command: invalid choice"),
+        ({"argv": ["inspect", "--bogus"]}, "argv ['inspect', '--bogus'] does not parse"),
+    ], ids=["replays_itself", "no_argv", "list", "string_argv", "number_in_argv", "empty_argv",
+            "unknown_command", "unknown_option"])
     def test_bad_manifest_is_an_input_error(self, tmp_path, monkeypatch, capsys, manifest,
                                             message):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -289,3 +290,51 @@ def test_all_lists_exactly_the_reexported_names():
     exported = _literal(tree, "__all__")
     assert len(set(exported)) == len(exported)
     assert set(exported) == reexported
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """Names a module binds at module level: its functions, classes,
+    assignment targets and imports."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
+
+
+# ``exact.py`` and ``model.json`` name files, not attributes.
+FILE_SUFFIXES = ("py", "json")
+
+
+def _unresolved_citations(text: str, bindings: dict[str, set[str]]) -> list[str]:
+    """Each ``module.name`` in ``text`` (module one of LAYERS) that the module
+    does not bind, then each bare private ``_name`` no module binds."""
+    cited = re.findall(rf"\b({'|'.join(LAYERS)})\.([A-Za-z_]\w*)", text)
+    missing = [f"{m}.{n}" for m, n in cited
+               if n not in FILE_SUFFIXES and n not in bindings.get(m, set())]
+    defined = set().union(*bindings.values())
+    return missing + [n for n in re.findall(r"(?<![\w.])_[A-Za-z]\w*", text) if n not in defined]
+
+
+def test_every_name_the_readme_cites_is_defined():
+    bindings = {p.stem: _module_bindings(ast.parse(p.read_text())) for p in SOURCES}
+    missing = _unresolved_citations((ROOT / "README.md").read_text(), bindings)
+    assert not missing, f"README cites names rbmlogic does not define: {', '.join(missing)}"
+
+
+def test_the_check_sees_missing_readme_names():
+    tree = ast.parse("from .model import Rbm\nimport numpy as _np\n"
+                     "_LIMIT: int = 3\ndef _scores():\n    from .sampler import _inner\n"
+                     "class Plan:\n    def _method(self): pass\n")
+    bindings = {"exact": _module_bindings(tree), "sampler": {"run_chain"}}
+    assert bindings["exact"] == {"Rbm", "_np", "_LIMIT", "_scores", "Plan"}
+    text = ("`exact._scores` and exact.Rbm in exact.py; sampler.run_chain reads\n"
+            "model.json (_scores, `_LIMIT`). Gone: exact._gone, tasks.pose,\n"
+            "`_method`, _inner, _missing and __init__; not names: foo_bar, a._b.\n")
+    assert _unresolved_citations(text, bindings) == [
+        "exact._gone", "tasks.pose", "_method", "_inner", "_missing"]

@@ -33,7 +33,7 @@ from rbmlogic.synthesis import (
     gate,
     rbm_from_truth_table,
 )
-from rbmlogic.tasks import TaskSpec, clamp_assignments, success_curve
+from rbmlogic.tasks import TaskSpec, pose, success_curve
 
 from .reference import random_rbm, ref_block_gibbs
 
@@ -281,7 +281,7 @@ class TestMultistart:
 
 def _adder16_add():
     model = builtin_model("adder16", 6.0)
-    return model, clamp_assignments(model, TaskSpec("add", 16, {"A": 40503, "B": 9999}))
+    return model, pose(model, TaskSpec("add", 16, {"A": 40503, "B": 9999})).clamp
 
 
 def _random_clamped(seed, nv, nh, clamp):
@@ -331,7 +331,7 @@ class TestKernelMatchesReference:
 
 def _mult8_factor():
     model = builtin_model("mult8", 6.0)
-    return model, clamp_assignments(model, TaskSpec("factor", 8, {"P": 143 * 211}))
+    return model, pose(model, TaskSpec("factor", 8, {"P": 143 * 211})).clamp
 
 
 def _non_dyadic(make, seed):

@@ -17,18 +17,17 @@ from rbmlogic.model import Rbm
 from rbmlogic.sampler import Histogram
 from rbmlogic.synthesis import bit_names, builtin_model
 from rbmlogic.tasks import (
+    Posed,
     SolveSettings,
     TaskSpec,
-    answer_terminals,
-    assignment_checker,
-    clamp_assignments,
     decode_int,
     encode_int,
-    group_operands,
     model_interface,
+    pose,
     public_terminals,
     random_task,
     solve,
+    success_curve,
 )
 
 
@@ -65,6 +64,16 @@ class TestTaskSpec:
             TaskSpec("add", 2, {"A": -1, "B": 0})
         spec = TaskSpec("add", 2, {"A": 1, "B": 2})
         assert spec.cout is None and spec.expected is None
+
+    @pytest.mark.parametrize("operation, clamps", [
+        ("multiply", {"A": 1.9, "B": 3}), ("multiply", {"A": "2", "B": 3}),
+        ("multiply", {"A": True, "B": 3}), ("sat", {"A0": 1.0}),
+    ], ids=["float", "string", "bool", "sat_float"])
+    def test_clamps_must_be_integers(self, operation, clamps):
+        name = next(iter(clamps))
+        with pytest.raises(ValueError, match=f"clamp {name} must be an integer"):
+            TaskSpec(operation, 2, clamps)
+        assert TaskSpec(operation, 2, clamps | {name: np.int64(1)}).clamps[name] == 1
 
     @pytest.mark.parametrize("operation", ["add", "reverse_carry", "multiply", "factor", "sat"])
     def test_cout_is_for_subtract_only(self, operation):
@@ -104,34 +113,31 @@ class TestModelInterface:
 
 
 class TestClampAssignments:
+    """The clamp bits ``pose`` gives each operation."""
+
     def test_add(self):
         adder = builtin_model("adder2")
-        got = clamp_assignments(adder, TaskSpec("add", 2, {"A": 2, "B": 1}))
+        got = pose(adder, TaskSpec("add", 2, {"A": 2, "B": 1})).clamp
         assert got == {"A0": 0, "A1": 1, "B0": 1, "B1": 0, "Cin": 0}
-        with_cin = clamp_assignments(adder, TaskSpec("add", 2, {"A": 0, "B": 0, "Cin": 1}))
+        with_cin = pose(adder, TaskSpec("add", 2, {"A": 0, "B": 0, "Cin": 1})).clamp
         assert with_cin["Cin"] == 1
 
     def test_subtract_carry_out_modes(self):
         adder = builtin_model("adder2")
-        default = clamp_assignments(adder, TaskSpec("subtract", 2, {"S": 3, "B": 1}))
+        default = pose(adder, TaskSpec("subtract", 2, {"S": 3, "B": 1})).clamp
         assert default["Cout"] == 0
         assert default["S0"] == 1 and default["S1"] == 1 and default["B0"] == 1
-        free = clamp_assignments(
-            adder, TaskSpec("subtract", 2, {"S": 3, "B": 1}, cout="free")
-        )
+        free = pose(adder, TaskSpec("subtract", 2, {"S": 3, "B": 1}, cout="free")).clamp
         assert "Cout" not in free
-        pinned = clamp_assignments(
-            adder, TaskSpec("subtract", 2, {"S": 3, "B": 1}, cout=1)
-        )
+        pinned = pose(adder, TaskSpec("subtract", 2, {"S": 3, "B": 1}, cout=1)).clamp
         assert pinned["Cout"] == 1
         for cout in (None, 1):
-            clamped = clamp_assignments(
-                adder, TaskSpec("subtract", 2, {"S": 0, "B": 1, "Cout": 1}, cout=cout))
+            clamped = pose(
+                adder, TaskSpec("subtract", 2, {"S": 0, "B": 1, "Cout": 1}, cout=cout)).clamp
             assert clamped["Cout"] == 1
         for cout in (0, "free"):
             with pytest.raises(ValueError, match="contradicts clamp Cout=1"):
-                clamp_assignments(
-                    adder, TaskSpec("subtract", 2, {"S": 0, "B": 1, "Cout": 1}, cout=cout))
+                pose(adder, TaskSpec("subtract", 2, {"S": 0, "B": 1, "Cout": 1}, cout=cout))
 
     @pytest.mark.parametrize("model, task, unread", [
         ("adder2", TaskSpec("add", 2, {"A": 1, "B": 2, "S": 3}), ["S"]),
@@ -141,129 +147,130 @@ class TestClampAssignments:
     ])
     def test_clamps_the_operation_does_not_read_are_rejected(self, model, task, unread):
         with pytest.raises(ValueError, match=re.escape(f"does not read clamps {unread}")):
-            clamp_assignments(builtin_model(model), task)
+            pose(builtin_model(model), task)
 
     def test_reverse_carry(self):
         adder = builtin_model("adder2")
-        got = clamp_assignments(
-            adder, TaskSpec("reverse_carry", 2, {"S": 1, "Cout": 1})
-        )
+        got = pose(adder, TaskSpec("reverse_carry", 2, {"S": 1, "Cout": 1})).clamp
         assert got == {"S0": 1, "S1": 0, "Cin": 0, "Cout": 1}
 
     def test_multiplier_operations(self):
         mult = builtin_model("mult2")
-        mul = clamp_assignments(mult, TaskSpec("multiply", 2, {"A": 3, "B": 2}))
+        mul = pose(mult, TaskSpec("multiply", 2, {"A": 3, "B": 2})).clamp
         assert mul == {"A0": 1, "A1": 1, "B0": 0, "B1": 1}
-        div = clamp_assignments(mult, TaskSpec("divide", 2, {"P": 6, "A": 2}))
+        div = pose(mult, TaskSpec("divide", 2, {"P": 6, "A": 2})).clamp
         assert div == {"P0": 0, "P1": 1, "P2": 1, "P3": 0, "A0": 0, "A1": 1}
-        fac = clamp_assignments(mult, TaskSpec("factor", 2, {"P": 9}))
+        fac = pose(mult, TaskSpec("factor", 2, {"P": 9})).clamp
         assert fac == {"P0": 1, "P1": 0, "P2": 0, "P3": 1}
 
     def test_sat_clamps_raw_terminals(self):
         g = builtin_model("xor")
-        got = clamp_assignments(g, TaskSpec("sat", clamps={"in1": 1, "out": 0}))
+        got = pose(g, TaskSpec("sat", clamps={"in1": 1, "out": 0})).clamp
         assert got == {"in1": 1, "out": 0}
         with pytest.raises(KeyError, match="unknown terminal"):
-            clamp_assignments(g, TaskSpec("sat", clamps={"zap": 1}))
+            pose(g, TaskSpec("sat", clamps={"zap": 1}))
         with pytest.raises(ValueError, match="bits"):
-            clamp_assignments(g, TaskSpec("sat", clamps={"in1": 2}))
+            pose(g, TaskSpec("sat", clamps={"in1": 2}))
 
     def test_missing_operand(self):
         with pytest.raises(ValueError, match=r"needs clamps for \['B'\]"):
-            clamp_assignments(builtin_model("adder2"), TaskSpec("add", 2, {"A": 1}))
+            pose(builtin_model("adder2"), TaskSpec("add", 2, {"A": 1}))
 
     def test_task_and_model_must_agree(self):
         with pytest.raises(ValueError, match="4-bit"):
-            clamp_assignments(builtin_model("adder2"),
-                              TaskSpec("add", 4, {"A": 1, "B": 1}))
+            pose(builtin_model("adder2"), TaskSpec("add", 4, {"A": 1, "B": 1}))
         with pytest.raises(ValueError, match="needs an adder"):
-            clamp_assignments(builtin_model("mult2"),
-                              TaskSpec("add", 2, {"A": 1, "B": 1}))
+            pose(builtin_model("mult2"), TaskSpec("add", 2, {"A": 1, "B": 1}))
         with pytest.raises(ValueError, match="needs a multiplier"):
-            clamp_assignments(builtin_model("adder2"),
-                              TaskSpec("factor", 2, {"P": 9}))
+            pose(builtin_model("adder2"), TaskSpec("factor", 2, {"P": 9}))
 
     def test_operand_overflow_is_rejected(self):
         with pytest.raises(ValueError, match="does not fit"):
-            clamp_assignments(builtin_model("adder2"),
-                              TaskSpec("add", 2, {"A": 4, "B": 0}))
+            pose(builtin_model("adder2"), TaskSpec("add", 2, {"A": 4, "B": 0}))
 
 
 class TestAnswerTerminals:
+    """The answer terminals ``pose`` records, LSB first per operand."""
+
     def test_per_operation(self):
         adder = builtin_model("adder2")
         mult = builtin_model("mult2")
-        assert answer_terminals(adder, TaskSpec("add", 2, {"A": 0, "B": 0})) == (
+        assert pose(adder, TaskSpec("add", 2, {"A": 0, "B": 0})).record == (
             "S0", "S1", "Cout")
-        assert answer_terminals(adder, TaskSpec("subtract", 2, {"S": 0, "B": 0})) == (
+        assert pose(adder, TaskSpec("subtract", 2, {"S": 0, "B": 0})).record == (
             "A0", "A1")
-        assert answer_terminals(
+        assert pose(
             adder, TaskSpec("reverse_carry", 2, {"S": 0, "Cout": 0})
-        ) == ("A0", "A1", "B0", "B1")
-        assert answer_terminals(mult, TaskSpec("multiply", 2, {"A": 0, "B": 0})) == (
+        ).record == ("A0", "A1", "B0", "B1")
+        assert pose(mult, TaskSpec("multiply", 2, {"A": 0, "B": 0})).record == (
             "P0", "P1", "P2", "P3")
-        assert answer_terminals(mult, TaskSpec("divide", 2, {"P": 0, "A": 1})) == (
+        assert pose(mult, TaskSpec("divide", 2, {"P": 0, "A": 1})).record == (
             "B0", "B1")
-        assert answer_terminals(mult, TaskSpec("factor", 2, {"P": 4})) == (
+        assert pose(mult, TaskSpec("factor", 2, {"P": 4})).record == (
             "A0", "A1", "B0", "B1")
 
     def test_sat_answers_are_the_unclamped_publics(self):
         g = builtin_model("xor")
-        got = answer_terminals(g, TaskSpec("sat", clamps={"in1": 1}))
+        got = pose(g, TaskSpec("sat", clamps={"in1": 1})).record
         assert got == ("in2", "out")
 
 
 class TestGroupOperands:
-    def test_grouping(self):
-        assert group_operands(("S0", "S1", "Cout"), (1, 0, 1)) == {"S": 1, "Cout": 1}
-        assert group_operands(("A", "B"), (1, 0)) == {"A": 1, "B": 0}
-        assert group_operands(("P0", "P1", "P2", "P3"), (0, 0, 1, 1)) == {"P": 12}
+    """``Posed.decode`` groups answer bits, in record order, into operands."""
 
-    def test_missing_index_rejected(self):
-        with pytest.raises(ValueError, match="missing bit indices"):
-            group_operands(("S0", "S2"), (1, 1))
+    def test_grouping(self):
+        add = pose(builtin_model("adder2"), TaskSpec("add", 2, {"A": 0, "B": 0}))
+        assert add.decode((1, 0, 1)) == {"S": 1, "Cout": 1}
+        # one-bit operands come first, then the wider ones
+        assert list(add.decode((1, 0, 1))) == ["Cout", "S"]
+        split = pose(builtin_model("adder1"), TaskSpec("reverse_carry", 1, {"S": 0, "Cout": 0}))
+        assert split.decode((1, 0)) == {"A": 1, "B": 0}
+        mul = pose(builtin_model("mult2"), TaskSpec("multiply", 2, {"A": 0, "B": 0}))
+        assert mul.decode((0, 0, 1, 1)) == {"P": 12}
+
+    def test_sat_reads_each_free_terminal_as_a_bit(self):
+        sat = pose(builtin_model("xor"), TaskSpec("sat", clamps={"in1": 1}))
+        assert sat.answer == {"in2": ("in2",), "out": ("out",)}
+        assert sat.decode((0, 1)) == {"in2": 0, "out": 1}
 
 
 class TestAssignmentChecker:
+    """``Posed.check`` on decoded answer operands."""
+
     def test_add(self):
-        check = assignment_checker(
-            builtin_model("adder2"), TaskSpec("add", 2, {"A": 3, "B": 2})
-        )
-        assert check({"S0": 1, "S1": 0, "Cout": 1})  # 3 + 2 = 5 = 1 + 4
-        assert not check({"S0": 0, "S1": 0, "Cout": 1})
+        check = pose(builtin_model("adder2"), TaskSpec("add", 2, {"A": 3, "B": 2})).check
+        assert check({"S": 1, "Cout": 1})  # 3 + 2 = 5 = 1 + 4
+        assert not check({"S": 0, "Cout": 1})
 
     def test_subtract_default_requires_no_borrow(self):
         adder = builtin_model("adder2")
-        check = assignment_checker(adder, TaskSpec("subtract", 2, {"S": 1, "B": 3}))
-        assert not check({"A0": 0, "A1": 1})  # 1 - 3 < 0: unsatisfiable
-        free = assignment_checker(
-            adder, TaskSpec("subtract", 2, {"S": 1, "B": 3}, cout="free")
-        )
-        assert free({"A0": 0, "A1": 1})  # (1 - 3) mod 4 = 2
+        check = pose(adder, TaskSpec("subtract", 2, {"S": 1, "B": 3})).check
+        assert not check({"A": 2})  # 1 - 3 < 0: unsatisfiable
+        free = pose(adder, TaskSpec("subtract", 2, {"S": 1, "B": 3}, cout="free")).check
+        assert free({"A": 2})  # (1 - 3) mod 4 = 2
 
     def test_reverse_carry_accepts_any_split(self):
-        check = assignment_checker(
-            builtin_model("adder2"), TaskSpec("reverse_carry", 2, {"S": 1, "Cout": 1})
-        )
-        assert check({"A0": 0, "A1": 1, "B0": 1, "B1": 1})  # 2 + 3 = 5
-        assert check({"A0": 1, "A1": 1, "B0": 0, "B1": 1})  # 3 + 2 = 5
-        assert not check({"A0": 0, "A1": 0, "B0": 1, "B1": 0})
+        check = pose(builtin_model("adder2"),
+                       TaskSpec("reverse_carry", 2, {"S": 1, "Cout": 1})).check
+        assert check({"A": 2, "B": 3})  # 2 + 3 = 5
+        assert check({"A": 3, "B": 2})  # 3 + 2 = 5
+        assert not check({"A": 0, "B": 1})
 
     def test_multiplier_checks(self):
         mult = builtin_model("mult2")
-        mul = assignment_checker(mult, TaskSpec("multiply", 2, {"A": 3, "B": 3}))
-        assert mul({"P0": 1, "P1": 0, "P2": 0, "P3": 1})
-        div = assignment_checker(mult, TaskSpec("divide", 2, {"P": 6, "A": 2}))
-        assert div({"B0": 1, "B1": 1})
-        assert not div({"B0": 0, "B1": 1})
-        zero_div = assignment_checker(mult, TaskSpec("divide", 2, {"P": 0, "A": 0}))
-        assert not zero_div({"B0": 0, "B1": 0})
-        fac = assignment_checker(mult, TaskSpec("factor", 2, {"P": 9}))
-        assert fac({"A0": 1, "A1": 1, "B0": 1, "B1": 1})
-        assert not fac({"A0": 1, "A1": 0, "B0": 1, "B1": 1})  # 1 * 3 is trivial
+        mul = pose(mult, TaskSpec("multiply", 2, {"A": 3, "B": 3})).check
+        assert mul({"P": 9})
+        div = pose(mult, TaskSpec("divide", 2, {"P": 6, "A": 2})).check
+        assert div({"B": 3})
+        assert not div({"B": 2})
+        zero_div = pose(mult, TaskSpec("divide", 2, {"P": 0, "A": 0})).check
+        assert not zero_div({"B": 0})
+        fac = pose(mult, TaskSpec("factor", 2, {"P": 9})).check
+        assert fac({"A": 3, "B": 3})
+        assert not fac({"A": 1, "B": 3})  # 1 * 3 is trivial
 
     def test_sat_accepts_anything(self):
-        check = assignment_checker(builtin_model("xor"), TaskSpec("sat", clamps={}))
+        check = pose(builtin_model("xor"), TaskSpec("sat", clamps={})).check
         assert check({"whatever": 1})
 
 
@@ -327,25 +334,31 @@ def _outcome(fn):
 class TestOperationSemanticsPinned:
     """Clamps, answer terminals and checker verdicts of every operation,
     against a digest first computed when each operation had its own
-    branch in clamp_assignments, answer_terminals and assignment_checker.
-    It was recomputed when subtract began to apply a Cout clamp instead
-    of clamping Cout to 0, which changed exactly the four subtract cases
-    that clamp Cout=1 with ``cout`` None."""
+    branch in three functions: one for the clamps, one for the answer
+    terminals and one for the checker.  It was recomputed when subtract
+    began to apply a Cout clamp instead of clamping Cout to 0, which
+    changed exactly the four subtract cases that clamp Cout=1 with
+    ``cout`` None.  It was recomputed again when ``pose`` replaced the
+    three: 796 of the 1326 cases are unchanged, and the other 530 are
+    exactly the cases whose clamp raises (``add`` on a multiplier, Cin=2,
+    ...).  Each keeps its clamp error and its verdict (None), and its
+    record now holds the same error instead of the answer terminals the
+    old function returned without checking the task."""
 
-    DIGEST = "119dad722d36da95ff003e3932cf8e259c4bb51c6be21ab1156d00dc64f6c7ea"
+    DIGEST = "4ce6721b7cb642d63b1b84c7ef8dc9499fc2a44341278595a8d3ba7ed3c60833"
 
     def test_every_operation_and_clamp_value(self):
         models = {n: builtin_model(n) for n in ("adder1", "adder2", "mult1", "mult2")}
         out = []
         for name, task in _semantics_cases():
             model = models[name]
-            clamp = _outcome(lambda: list(clamp_assignments(model, task).items()))
-            record = _outcome(lambda: list(answer_terminals(model, task)))
+            posed = _outcome(lambda: pose(model, task))
+            clamp = record = posed
             verdicts = None
-            if isinstance(clamp, list):
-                check = assignment_checker(model, task)
+            if isinstance(posed, Posed):
+                clamp, record = list(posed.clamp.items()), list(posed.record)
                 verdicts = "".join(
-                    str(int(check(dict(zip(record, bits)))))
+                    str(int(posed.check(posed.decode(bits))))
                     for bits in itertools.product((0, 1), repeat=len(record)))
             out.append([name, task.operation, task.bit_width, sorted(task.clamps.items()),
                         task.cout, clamp, record, verdicts])
@@ -361,7 +374,7 @@ class TestAnswerMode:
         hist.add((1, 0, 1, 1), weight=10)  # A=1, B=3: trivial
         hist.add((1, 1, 1, 1), weight=4)   # A=3, B=3
         hist.add((0, 1, 0, 1), weight=3)   # A=2, B=2
-        bits, count, pairs, solved = tasks._readout(mult, task, hist, hist.names)
+        bits, count, pairs, solved = tasks._readout(task, pose(mult, task), hist)
         assert bits == (1, 1, 1, 1)
         assert count == 4
         assert pairs == [((3, 3), 4), ((2, 2), 3)] and solved
@@ -371,7 +384,7 @@ class TestAnswerMode:
         task = TaskSpec("factor", 2, {"P": 3})
         hist = Histogram(("A0", "A1", "B0", "B1"))
         hist.add((1, 0, 1, 1), weight=7)  # A=1, B=3
-        bits, count, pairs, solved = tasks._readout(mult, task, hist, hist.names)
+        bits, count, pairs, solved = tasks._readout(task, pose(mult, task), hist)
         assert bits == (1, 0, 1, 1)
         assert count == 7
         assert pairs == [] and not solved
@@ -382,7 +395,19 @@ class TestAnswerMode:
         hist = Histogram(("S", "Cout"))
         hist.add((0, 1), weight=5)
         hist.add((1, 0), weight=2)
-        assert tasks._readout(adder, task, hist, hist.names) == ((0, 1), 5, None, True)
+        assert tasks._readout(task, pose(adder, task), hist) == ((0, 1), 5, None, True)
+
+
+def _count_classifications(monkeypatch) -> list:
+    """The models ``tasks`` classifies from now on, one entry per call."""
+    seen = []
+
+    def counting(model):
+        seen.append(model)
+        return model_interface(model)
+
+    monkeypatch.setattr(tasks, "model_interface", counting)
+    return seen
 
 
 class TestSolve:
@@ -416,22 +441,20 @@ class TestSolve:
         settings = SolveSettings(**{f: np.int64(3) for f in fields})
         assert all(getattr(settings, f) == 3 for f in fields)
 
-    @pytest.mark.parametrize("task, calls", [
-        (TaskSpec("factor", 2, {"P": 6}), 3),
-        (TaskSpec("multiply", 2, {"A": 2, "B": 3}), 3),
-    ])
-    def test_classifies_the_model_three_times(self, monkeypatch, task, calls):
-        # clamp, answer terminals and checker; the factor mode reads A and B
-        # off the answer terminals instead of classifying the model again.
-        seen = []
-
-        def counting(model):
-            seen.append(model)
-            return model_interface(model)
-
-        monkeypatch.setattr(tasks, "model_interface", counting)
+    @pytest.mark.parametrize("task", [TaskSpec("factor", 2, {"P": 6}),
+                                      TaskSpec("multiply", 2, {"A": 2, "B": 3})])
+    def test_classifies_the_model_once(self, monkeypatch, task):
+        # pose classifies it; the factor mode reads A and B off the posed
+        # answer instead of classifying the model again.
+        seen = _count_classifications(monkeypatch)
         solve(builtin_model("mult2"), task, SolveSettings(n_chains=2, n_sweeps=20))
-        assert len(seen) == calls
+        assert len(seen) == 1
+
+    def test_success_curve_classifies_once_per_task(self, monkeypatch):
+        seen = _count_classifications(monkeypatch)
+        factors = [TaskSpec("factor", 2, {"P": p}) for p in (4, 6)]
+        success_curve(builtin_model("mult2"), factors, [2, 8, 40], n_chains=2)
+        assert len(seen) == len(factors)
 
     def test_sat_with_part_of_an_operand_clamped(self):
         # A0 alone is clamped, so the answer holds A1 but not A0: it is read
@@ -439,7 +462,7 @@ class TestSolve:
         adder = builtin_model("adder2")
         task = TaskSpec("sat", None, {"A0": 1})
         result = solve(adder, task, SolveSettings(n_chains=4, n_sweeps=200))
-        record = answer_terminals(adder, task)
+        record = pose(adder, task).record
         assert result.operands == result.terminals
         assert list(result.terminals) == list(record)
         assert all(list(d) == list(record) for d, _ in result.top)
@@ -571,32 +594,28 @@ class TestRandomTask:
         adder = model([("A", width), ("B", width), ("Cin", 1), ("S", width), ("Cout", 1)])
         mult = model([("A", width), ("B", width), ("P", 2 * width)])
 
-        def bits(operand, value, n=width):
-            return dict(zip(bit_names(operand, n), encode_int(value, n)))
-
         rng = np.random.default_rng(width)
         seen = []
         for _ in range(20):
             add = random_task("add", width, rng)
             total = add.expected
-            assert assignment_checker(adder, add)(
-                bits("S", total % top) | {"Cout": total >> width})
+            assert pose(adder, add).check({"S": total % top, "Cout": total >> width})
             sub = random_task("subtract", width, rng)
-            assert assignment_checker(adder, sub)(bits("A", sub.expected))
+            assert pose(adder, sub).check({"A": sub.expected})
             rc = random_task("reverse_carry", width, rng)
             rest = rc.clamps["S"] + top * rc.clamps["Cout"] - rc.clamps["Cin"]
             a = min(rest, top - 1)
-            assert assignment_checker(adder, rc)(bits("A", a) | bits("B", rest - a))
+            assert pose(adder, rc).check({"A": a, "B": rest - a})
             mul = random_task("multiply", width, rng)
-            assert assignment_checker(mult, mul)(bits("P", mul.expected, 2 * width))
+            assert pose(mult, mul).check({"P": mul.expected})
             div = random_task("divide", width, rng)
             assert div.clamps["A"] >= 1
-            assert assignment_checker(mult, div)(bits("B", div.expected))
+            assert pose(mult, div).check({"B": div.expected})
             fac = random_task("factor", width, rng)
             assert 4 <= fac.clamps["P"] < top**2
             for task, model_ in ((add, adder), (sub, adder), (rc, adder),
                                  (mul, mult), (div, mult), (fac, mult)):
-                clamp_assignments(model_, task)  # every operand fits its terminals
+                pose(model_, task)  # every operand fits its terminals
             seen += [add.clamps["A"], add.clamps["B"], mul.clamps["A"], div.clamps["A"]]
         assert 0 <= min(seen) and max(seen) < top
         assert max(seen) >= top // 2  # the top word is drawn too

@@ -23,8 +23,7 @@ from rbmlogic.model import Rbm, free_energy_batch
 from rbmlogic.sampler import multistart, replica_exchange, run_chain
 from rbmlogic.synthesis import (adder_table, build_multiplier, builtin_model,
                                 rbm_from_truth_table)
-from rbmlogic.tasks import (SolveSettings, TaskSpec, answer_terminals, clamp_assignments, solve,
-                            success_curve)
+from rbmlogic.tasks import SolveSettings, TaskSpec, pose, solve, success_curve
 
 from .reference import random_rbm
 
@@ -70,11 +69,10 @@ def composed_mult4():
 
 
 def replica_digests() -> list[str]:
-    factor = TaskSpec("factor", 4, {"P": 15})
+    factor = pose(composed_mult4(), TaskSpec("factor", 4, {"P": 15}))
     grid = [(builtin_model("fa1", 6.0), {"A": 1, "B": 0}, (0.5, 1.0), 2, 2, None),
             (builtin_model("mult2", 6.0), {"P1": 1, "P2": 1}, (0.4, 0.7, 1.0), 2, 1, None),
-            (composed_mult4(), clamp_assignments(composed_mult4(), factor), (0.3, 0.6, 1.0),
-             2, 3, answer_terminals(composed_mult4(), factor))]
+            (composed_mult4(), factor.clamp, (0.3, 0.6, 1.0), 2, 3, factor.record)]
     out = []
     for model, clamp, betas, n_ladders, thin, record in grid:
         for seed in (0, 7):
@@ -110,7 +108,7 @@ def run_chain_digests() -> list[str]:
     grid = [(random_rbm(np.random.default_rng(11), 5, 4), None, 120, 10, 3, None),
             (builtin_model("fa1", 6.0), {"A": 1, "B": 1}, 200, 0, 1, ["S", "Cout"]),
             (builtin_model("adder2", 6.0), {"A0": 1, "B1": 1, "Cin": 0}, 90, 25, 4, None),
-            (composed_mult4(), clamp_assignments(composed_mult4(), TaskSpec("factor", 4, {"P": 35})),
+            (composed_mult4(), pose(composed_mult4(), TaskSpec("factor", 4, {"P": 35})).clamp,
              150, 40, 2, None)]
     out = []
     for model, clamp, n_sweeps, burn_in, thin, record in grid:
