@@ -22,8 +22,10 @@ def _is_thread_count(value: str | None) -> bool:
     return value is not None and value.isascii() and value.isdigit() and int(value) > 0
 
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 if _is_thread_count(os.environ.get("RBMLOGIC_THREADS")):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _var in _BLAS_THREAD_VARS:
         os.environ.setdefault(_var, os.environ["RBMLOGIC_THREADS"])
 
 from .model import (

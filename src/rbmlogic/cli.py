@@ -23,12 +23,14 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__, _is_thread_count
+from . import _BLAS_THREAD_VARS, __version__, _is_thread_count
 from .exact import (
     MAX_JOINT_UNITS,
     convergence_bound,
@@ -175,6 +177,19 @@ def _resolve_component(spec: str, sharpness: float):
     return load_model(spec) if _names_file(spec) else builtin_model(spec, sharpness)
 
 
+def _environment() -> dict:
+    """The versions and thread settings a run depended on (replay ignores them)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # a numpy without the config dicts
+        blas = {"name": None, "version": None}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas,
+            "threads": {var: os.environ.get(var)
+                        for var in ("RBMLOGIC_THREADS", *_BLAS_THREAD_VARS)}}
+
+
 def _write_manifest(command: str, argv: list[str], outputs: list[Path],
                     primary: Path) -> Path:
     manifest = primary / "manifest.json" if primary.is_dir() else \
@@ -182,6 +197,7 @@ def _write_manifest(command: str, argv: list[str], outputs: list[Path],
     manifest.write_text(json.dumps({
         "argv": list(argv),
         "command": command,
+        "environment": _environment(),
         "outputs": [str(p) for p in outputs],
         "version": __version__,
     }, indent=1, sort_keys=True) + "\n")

@@ -30,13 +30,14 @@ counts orders the top keys, ties to the least.
 Every update is the decision u < p.  Sweeps below BLOCK_MIN_ENTRIES
 units take the contract probabilities expit(v @ W + a) and
 expit((h @ W.T)[:, free] + b_free), each product taken by BLAS over
-every column.  Larger sweeps take p = _fast_sigmoid(block product +
-bias) (_BlockProducts: one batched matmul per column slice of equally
-shaped component blocks, the visible product over the free columns
-only), which lies within 2**-47 plus the summation-order bound of the
-contract probability.  So a decision can differ from the contract's
-only where its uniform lies that close to p.  The stream contract is
-the same on both paths.
+every column.  Larger sweeps decide u (1 + exp(-P - bias)) < 1 on the
+negated block products -P (_BlockProducts: one batched matmul per column
+slice of equally shaped component blocks, the visible product over the
+free columns only) without forming p (_decide).  That is u < p but for
+the rounding of one product, so within 2**-52 of p, which lies within
+2**-47 plus the summation-order bound of the contract probability.  So a
+decision can differ from the contract's only where its uniform lies that
+close to p.  The stream contract is the same on both paths.
 
 multistart with seeds [s, s+1, ...] pools exactly the histograms that
 run_chain would produce for each seed individually.
@@ -200,19 +201,23 @@ def _sweep_uniforms(gens, width: int, n_sweeps: int):
 
 
 # Sweeps over at least BLOCK_MIN_ENTRIES units (chains x (n_hidden +
-# n_visible)) decide on the fast sigmoid of block products.  Below it the
-# dense product and expit are faster: 1.5-2x on xor, full-adder and
-# adder8 sweeps, with the crossover near 3k entries on adder16 and mult4.
+# n_visible)) decide on negated block products (_decide).  Small sweeps
+# are faster dense, with expit: 1.5-2x on xor and full-adder sweeps.  The
+# measured crossover is near 2.2k entries (README's size-fork table).
 BLOCK_MIN_ENTRIES = 4096
 
 
-def _fast_sigmoid(a: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-a)): a few times cheaper than expit, within 2**-47 of it."""
-    x = np.negative(a)
-    with np.errstate(over="ignore"):  # exp(745+) = inf gives 1 / inf = 0
-        np.exp(x, out=x)
-    x += 1.0
-    return np.divide(1.0, x, out=x)
+def _decide(neg: np.ndarray, bias: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u < expit(bias - neg) as u (1 + exp(neg - bias)) < 1, in neg's buffer.
+
+    Where exp overflows, u * inf is inf or (u = 0) NaN: not < 1, as p = 0.
+    """
+    neg -= bias
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(neg, out=neg)
+        neg += 1.0
+        neg *= u
+        return neg < 1.0
 
 
 def _tally(rows: np.ndarray, weights: np.ndarray):
@@ -228,15 +233,16 @@ def _tally(rows: np.ndarray, weights: np.ndarray):
 
 
 class _BlockProducts:
-    """The fast products v -> v @ w and h -> h @ w[free].T, block by block.
+    """The negated products v -> -(v @ w) and h -> -(h @ w[free].T), block by block.
 
     Each of the ``groups`` (exact._hidden_groups of w) is cut into blocks,
     runs of adjacent hidden columns, and the blocks are ordered by column.
     A class is a maximal run of neighbouring blocks of equal (support size
     s, hidden count n), so its G blocks fill one column slice.  It keeps their
-    supports ``units`` (G, s), that slice, its weight blocks (G, s, n)
-    and their transposes (G, n, s), and takes each product with one
-    batched matmul.  The visible product writes every class's (G, s)
+    supports ``units`` (G, s), that slice, its negated weight blocks
+    (G, s, n) and their transposes (G, n, s), and takes each product with
+    one batched matmul: exactly the negated product, as rounding to
+    nearest is sign-symmetric.  The visible product writes every class's (G, s)
     outputs into slots and sums the slots of each free unit through the
     padded (n_free, max_degree) index ``gather``; padding points at a
     slot that stays zero.  A dense model is one block.  Either product
@@ -254,7 +260,7 @@ class _BlockProducts:
         slot_units, n_slots = [np.zeros(0, np.intp)], 0
         for _, same in itertools.groupby(blocks, key=lambda b: (b[0].size, b[1].size)):
             units, hidden = (np.array(arrays, dtype=np.intp) for arrays in zip(*same))
-            weights = w[units[:, :, None], hidden[:, None, :]]
+            weights = np.negative(w[units[:, :, None], hidden[:, None, :]])
             cols = slice(int(hidden[0, 0]), int(hidden[-1, -1]) + 1)
             slots = slice(n_slots, n_slots + units.size)
             self.classes.append((units, cols, weights,
@@ -276,7 +282,7 @@ class _BlockProducts:
         self.gather[owner[order], rank] = slot[order]
 
     def hidden(self, v: np.ndarray) -> np.ndarray:
-        """v @ w for rows of v."""
+        """-(v @ w) for rows of v."""
         out = np.empty((len(v), self.n_hidden))
         for units, cols, blocks, _, _ in self.classes:
             np.matmul(v[:, units].transpose(1, 0, 2), blocks,
@@ -284,7 +290,7 @@ class _BlockProducts:
         return out
 
     def visible(self, h: np.ndarray) -> np.ndarray:
-        """h @ w[free].T for rows of h."""
+        """-(h @ w[free].T) for rows of h."""
         slots = np.empty((len(h), self.n_slots + 1))
         slots[:, -1] = 0.0
         for units, cols, _, blocks_t, at in self.classes:
@@ -309,30 +315,24 @@ def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int
     Row c draws from ``gens[c]``: n_hidden then n_visible uniforms per
     sweep.  Only the ``free`` visible units change; the uniforms of
     clamped units are drawn and left unused.  The size of the sweep
-    picks the path to the probabilities (see the module docstring).
+    picks the path to the decisions (see the module docstring).
     """
     nh = rbm.n_hidden
     w, hb = rbm.weights, rbm.hidden_bias
     vb_free, u_free = rbm.visible_bias[free], nh + free
-    if len(v) * (nh + rbm.n_visible) >= BLOCK_MIN_ENTRIES:
-        products = _BlockProducts(w, free, component_plan(rbm).groups)
-
-        def hidden_p():
-            return _fast_sigmoid(products.hidden(v) + hb)
-
-        def visible_p():
-            return _fast_sigmoid(products.visible(h) + vb_free)
-    else:
-        def hidden_p():
-            return expit(v @ w + hb)
-
-        def visible_p():
-            return expit((h @ w.T)[:, free] + vb_free)
-
-    for u in _sweep_uniforms(gens, nh + rbm.n_visible, n_sweeps):
-        h = (u[:, :nh] < hidden_p()).astype(np.float64)
+    uniforms = _sweep_uniforms(gens, nh + rbm.n_visible, n_sweeps)
+    if len(v) * (nh + rbm.n_visible) < BLOCK_MIN_ENTRIES:
+        for u in uniforms:
+            h = (u[:, :nh] < expit(v @ w + hb)).astype(np.float64)
+            if free.size:
+                v[:, free] = u[:, u_free] < expit((h @ w.T)[:, free] + vb_free)
+            yield v, h
+        return
+    products = _BlockProducts(w, free, component_plan(rbm).groups)
+    for u in uniforms:
+        h = _decide(products.hidden(v), hb, u[:, :nh]).astype(np.float64)
         if free.size:
-            v[:, free] = u[:, u_free] < visible_p()
+            v[:, free] = _decide(products.visible(h), vb_free, u[:, u_free])
         yield v, h
 
 

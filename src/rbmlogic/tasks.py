@@ -83,6 +83,11 @@ def decode_int(bits: Sequence[int]) -> int:
     return int(_bit_index(np.array(bits, dtype=np.uint8).reshape(1, -1))[0])
 
 
+def _integer(value) -> bool:
+    """An Integral (numpy integers too) that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One problem instance: an operation plus clamped operand values.
@@ -104,12 +109,16 @@ class TaskSpec:
     def __post_init__(self):
         if self.operation not in OPERATIONS:
             raise ValueError(f"unknown operation {self.operation!r}")
-        if self.cout not in (None, "free", 0, 1):
-            raise ValueError("cout must be None, 'free', 0 or 1")
+        if self.cout not in (None, "free") and not (_integer(self.cout) and self.cout in (0, 1)):
+            raise ValueError(f"cout must be None, 'free', 0 or 1, got {self.cout!r}")
+        if self.bit_width is not None and not (_integer(self.bit_width) and self.bit_width >= 1):
+            raise ValueError(f"bit_width must be an integer >= 1, got {self.bit_width!r}")
+        if self.expected is not None and not _integer(self.expected):
+            raise ValueError(f"expected must be an integer, got {self.expected!r}")
         if self.cout is not None and self.operation != "subtract":
             raise ValueError(f"cout applies to subtract only, not to {self.operation!r}")
         for name, value in self.clamps.items():
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not _integer(value):
                 raise ValueError(f"clamp {name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"clamp {name}={value} is negative")
@@ -229,7 +238,7 @@ class SolveSettings:
         for name, low in (("n_chains", 1), ("n_sweeps", 1), ("thin", 1), ("burn_in", 0),
                           ("seed", 0), ("top_k", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            if not _integer(value) or value < low:
                 raise ValueError(f"bad sampler settings: {name} must be an integer "
                                  f">= {low}, got {value!r}")
         if self.betas is not None:

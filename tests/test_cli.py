@@ -58,7 +58,7 @@ class TestBuild:
         # plain single units carry no terminal sidecar
         assert not (tmp_path / "xor.terminals.json").exists()
         manifest = json.loads((tmp_path / "xor.manifest.json").read_text())
-        assert sorted(manifest) == ["argv", "command", "outputs", "version"]
+        assert sorted(manifest) == ["argv", "command", "environment", "outputs", "version"]
         assert manifest["command"] == "build"
         assert manifest["argv"] == ["build", "xor", "-o", "xor.json"]
 
@@ -778,6 +778,24 @@ class TestReplay:
         assert main(["replay", "ans.manifest.json"]) == 0
         for name, payload in originals.items():
             assert (tmp_path / name).read_bytes() == payload
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        """Versions, BLAS and thread settings are recorded; replay reads only argv."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RBMLOGIC_THREADS", "1")
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert main(["build", "xor", "-o", "xor.json"]) == 0
+        env = json.loads(Path("xor.manifest.json").read_text())["environment"]
+        assert sorted(env) == ["blas", "numpy", "python", "scipy", "threads"]
+        assert env["numpy"] == np.__version__
+        assert sorted(env["blas"]) == ["name", "version"]
+        assert env["threads"] == {"RBMLOGIC_THREADS": "1", "MKL_NUM_THREADS": "3",
+                                  "OMP_NUM_THREADS": None,
+                                  "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+        model = Path("xor.json").read_bytes()
+        assert main(["replay", "xor.manifest.json"]) == 0
+        assert Path("xor.json").read_bytes() == model
 
     @pytest.mark.parametrize("manifest, message", [
         ({"argv": ["replay", "m.json"]}, "argv must be a list of strings"),

@@ -1,6 +1,7 @@
 """Clamped block Gibbs sampling: chains, pooling, diagnostics, success curves."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -427,11 +428,11 @@ class TestHiddenGroups:
 
 
 class TestDecisionFilter:
-    """Block-path decisions, u < _fast_sigmoid(block product + bias), against the contract.
+    """Block-path decisions, u (1 + exp(-a)) < 1 on negated block products, against the contract.
 
     Every case runs through the block path (BLOCK_MIN_ENTRIES = 0, so
     run_chain's single chain takes it too) and is checked against the
-    per-sweep reference sampler, which decides on expit of the dense
+    per-sweep reference sampler, which decides u < expit(a) on the dense
     product.  No uniform of these runs lies within the module
     docstring's bound of its probability, so every decision agrees.
     """
@@ -484,8 +485,8 @@ class TestDecisionFilter:
         plan = _block_products(w, free)
         v = (rng.random((5, 6)) < 0.5).astype(float)
         h = (rng.random((5, 9)) < 0.5).astype(float)
-        assert np.allclose(plan.hidden(v), v @ w, rtol=0, atol=1e-12)
-        assert np.allclose(plan.visible(h), h @ w[free].T, rtol=0, atol=1e-12)
+        assert np.allclose(plan.hidden(v), -(v @ w), rtol=0, atol=1e-12)
+        assert np.allclose(plan.visible(h), -(h @ w[free].T), rtol=0, atol=1e-12)
         empty = _block_products(np.zeros((3, 0)), np.array([0, 2]))
         assert empty.classes == []
         assert empty.hidden(v[:, :3]).shape == (5, 0)
@@ -503,8 +504,8 @@ class TestDecisionFilter:
         rng = np.random.default_rng(16)
         v = (rng.random((3, w.shape[0])) < 0.5).astype(float)
         h = (rng.random((3, w.shape[1])) < 0.5).astype(float)
-        assert np.allclose(plan.hidden(v), v @ w, rtol=0, atol=1e-9)
-        assert np.allclose(plan.visible(h), h @ w[free].T, rtol=0, atol=1e-9)
+        assert np.allclose(plan.hidden(v), -(v @ w), rtol=0, atol=1e-9)
+        assert np.allclose(plan.visible(h), -(h @ w[free].T), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "blocks"])
     @given(seed=st.integers(0, 2**32 - 1), nv=st.integers(1, 7), nh=st.integers(0, 9),
@@ -540,13 +541,51 @@ class TestDecisionFilter:
         assert hist.counts == ref_hist
         assert trace.samples.tolist() == [list(row) for row in traces[0]]
 
-    def test_fast_sigmoid_within_margin_sigmoid_term(self):
+    def test_decisions_match_expit_off_the_margin(self):
+        """_decide(-P, b, u) is u < expit(P + b) wherever u lies over 2**-47 from expit."""
         rng = np.random.default_rng(0)
-        a = np.concatenate([rng.uniform(-750, 750, 500_000), rng.uniform(-40, 40, 500_000)])
-        err = np.abs(sampler._fast_sigmoid(a) - expit(a))
-        assert err.max() <= 2.0**-47
-        assert np.array_equal(sampler._fast_sigmoid(np.array([-800.0, 0.0, 800.0])),
-                              [0.0, 0.5, 1.0])
+        n = 500_000
+        products = np.concatenate([rng.uniform(-750, 750, n), rng.uniform(-40, 40, n)])
+        bias = rng.normal(size=2 * n)
+        p = expit(products + bias)
+        near = np.clip(p + rng.uniform(-2.0**-40, 2.0**-40, 2 * n), 0.0, 1.0 - 2.0**-53)
+        u = np.where(rng.random(2 * n) < 0.5, near, rng.random(2 * n))
+        decided = sampler._decide(-products, bias, u)
+        far = np.abs(u - p) > 2.0**-47
+        assert (far & (np.abs(u - p) < 2.0**-40)).sum() > 300_000  # close calls are tested
+        assert np.array_equal(decided[far], (u < p)[far])
+
+    def test_extreme_decisions_are_exact(self):
+        a = np.array([-800.0, -709.5, 0.0, 709.5, 800.0])[:, None]
+        u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])[None, :]
+        decided = sampler._decide(np.repeat(-a, u.size, axis=1), 0.0, u)
+        assert np.array_equal(decided, u < expit(a))
+
+    def test_zero_uniforms_overflow_without_a_warning(self, monkeypatch):
+        """u = 0 on a sharpness-1000 adder16: exp(-a) overflows and 0 * inf
+        is NaN, with no RuntimeWarning, and each unit is on exactly where
+        0 < expit(a), sweep by sweep."""
+
+        class Zeros:
+            def random(self, out):
+                out[...] = 0.0
+
+        rbm = builtin_model("adder16", 1000.0).rbm
+        w, hb, vb = rbm.weights, rbm.hidden_bias, rbm.visible_bias
+        free = np.arange(0, rbm.n_visible, 2)
+        v = (np.random.default_rng(5).random((4, rbm.n_visible)) < 0.5).astype(np.float64)
+        _forced(monkeypatch)
+        want_v = v.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for got_v, got_h in sampler._chain_sweeps(rbm, free, [Zeros()] * 4, v, 5):
+                a = want_v @ w + hb
+                want_h = (0.0 < expit(a)).astype(np.float64)
+                b = (want_h @ w.T)[:, free] + vb[free]
+                want_v[:, free] = 0.0 < expit(b)
+                assert (a < -745.0).any() and (b < -745.0).any()  # exp overflows
+                assert np.array_equal(got_h, want_h)
+                assert np.array_equal(got_v, want_v)
 
 
 class TestSamplingAccuracy:

@@ -75,6 +75,18 @@ class TestTaskSpec:
             TaskSpec(operation, 2, clamps)
         assert TaskSpec(operation, 2, clamps | {name: np.int64(1)}).clamps[name] == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("cout", True), ("cout", 1.0), ("expected", 2.5), ("expected", True),
+        ("expected", "3"), ("bit_width", 2.0), ("bit_width", True), ("bit_width", 0),
+    ], ids=["cout_bool", "cout_float", "expected_float", "expected_bool", "expected_string",
+            "bit_width_float", "bit_width_bool", "bit_width_zero"])
+    def test_fields_must_be_integers(self, field, value):
+        fields = {"bit_width": 2, "expected": None, "cout": None}
+        with pytest.raises(ValueError, match=f"{field} must be "):
+            TaskSpec("subtract", **(fields | {field: value}), clamps={"S": 3, "B": 1})
+        accepted = TaskSpec("subtract", **(fields | {field: np.int64(1)}), clamps={"S": 3, "B": 1})
+        assert getattr(accepted, field) == 1
+
     @pytest.mark.parametrize("operation", ["add", "reverse_carry", "multiply", "factor", "sat"])
     def test_cout_is_for_subtract_only(self, operation):
         for cout in (0, 1, "free"):
