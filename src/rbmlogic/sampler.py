@@ -27,17 +27,18 @@ re-tally concatenated keys with their weights (_tally).  Keys stay
 sorted, so the first largest count is the mode and a stable sort of the
 counts orders the top keys, ties to the least.
 
-Every update is the decision u < p.  Sweeps below BLOCK_MIN_ENTRIES
-units take the contract probabilities expit(v @ W + a) and
-expit((h @ W.T)[:, free] + b_free), each product taken by BLAS over
-every column.  Larger sweeps decide u (1 + exp(-P - bias)) < 1 on the
-negated block products -P (_BlockProducts: one batched matmul per column
-slice of equally shaped component blocks, the visible product over the
-free columns only) without forming p (_decide).  That is u < p but for
-the rounding of one product, so within 2**-52 of p, which lies within
-2**-47 plus the summation-order bound of the contract probability.  So a
-decision can differ from the contract's only where its uniform lies that
-close to p.  The stream contract is the same on both paths.
+Every update is the decision u < p, made one way: _decide tests u (1 +
+exp(-a)) < 1 on the negated activation -a, in its buffer, and never
+forms p.  In block Gibbs the fork picks only the product: sweeps under
+BLOCK_MIN_ENTRIES multiply-adds (chains x n_visible x n_hidden) take
+v @ -W and (h @ -W.T)[:, free] densely, larger ones the negated block
+products (_BlockProducts: one batched matmul per column slice of equally
+shaped component blocks, the visible product over the free columns
+only).  Replica exchange decides on -a = beta (F(v_i = 1) - F(v_i = 0)).
+Round-to-nearest is sign-symmetric, so exp sees exactly -a, and the
+decision is u < p but for the rounding of one product: within 2**-52 of
+p, which lies within 2**-47 plus the summation-order bound of the
+sigmoid.  The stream contract is the same on every path.
 
 multistart with seeds [s, s+1, ...] pools exactly the histograms that
 run_chain would produce for each seed individually.
@@ -65,7 +66,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .exact import _bit_index, _distinct_rows, component_plan
 from .merge import clamp_arrays, model_parts, resolve_clamp
@@ -200,24 +200,25 @@ def _sweep_uniforms(gens, width: int, n_sweeps: int):
             yield buf[:, s]
 
 
-# Sweeps over at least BLOCK_MIN_ENTRIES units (chains x (n_hidden +
-# n_visible)) decide on negated block products (_decide).  Small sweeps
-# are faster dense, with expit: 1.5-2x on xor and full-adder sweeps.  The
-# measured crossover is near 2.2k entries (README's size-fork table).
-BLOCK_MIN_ENTRIES = 4096
+# Sweeps of at least BLOCK_MIN_ENTRIES dense multiply-adds per product
+# (chains x n_visible x n_hidden) take the block products; smaller ones
+# are faster dense.  The crossover is measured in the README's size-fork
+# table.
+BLOCK_MIN_ENTRIES = 150_000
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _decide(neg: np.ndarray, bias: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u < expit(bias - neg) as u (1 + exp(neg - bias)) < 1, in neg's buffer.
+    """u < 1 / (1 + exp(neg - bias)) as u (1 + exp(neg - bias)) < 1, in neg's buffer.
 
     Where exp overflows, u * inf is inf or (u = 0) NaN: not < 1, as p = 0.
+    The decorator enters one errstate per call, cheaper than a with block.
     """
     neg -= bias
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.exp(neg, out=neg)
-        neg += 1.0
-        neg *= u
-        return neg < 1.0
+    np.exp(neg, out=neg)
+    neg += 1.0
+    neg *= u
+    return neg < 1.0
 
 
 def _tally(rows: np.ndarray, weights: np.ndarray):
@@ -314,25 +315,22 @@ def _chain_sweeps(rbm: Rbm, free: np.ndarray, gens, v: np.ndarray, n_sweeps: int
 
     Row c draws from ``gens[c]``: n_hidden then n_visible uniforms per
     sweep.  Only the ``free`` visible units change; the uniforms of
-    clamped units are drawn and left unused.  The size of the sweep
-    picks the path to the decisions (see the module docstring).
+    clamped units are drawn and left unused.  The dense work of the sweep
+    picks how the negated products are taken (see the module docstring).
     """
     nh = rbm.n_hidden
     w, hb = rbm.weights, rbm.hidden_bias
     vb_free, u_free = rbm.visible_bias[free], nh + free
-    uniforms = _sweep_uniforms(gens, nh + rbm.n_visible, n_sweeps)
-    if len(v) * (nh + rbm.n_visible) < BLOCK_MIN_ENTRIES:
-        for u in uniforms:
-            h = (u[:, :nh] < expit(v @ w + hb)).astype(np.float64)
-            if free.size:
-                v[:, free] = u[:, u_free] < expit((h @ w.T)[:, free] + vb_free)
-            yield v, h
-        return
-    products = _BlockProducts(w, free, component_plan(rbm).groups)
-    for u in uniforms:
-        h = _decide(products.hidden(v), hb, u[:, :nh]).astype(np.float64)
+    if len(v) * w.size < BLOCK_MIN_ENTRIES:
+        neg_w = np.negative(w)
+        hidden, visible = (lambda rows: rows @ neg_w), (lambda h: (h @ neg_w.T)[:, free])
+    else:
+        products = _BlockProducts(w, free, component_plan(rbm).groups)
+        hidden, visible = products.hidden, products.visible
+    for u in _sweep_uniforms(gens, nh + rbm.n_visible, n_sweeps):
+        h = _decide(hidden(v), hb, u[:, :nh]).astype(np.float64)
         if free.size:
-            v[:, free] = _decide(products.visible(h), vb_free, u[:, u_free])
+            v[:, free] = _decide(visible(h), vb_free, u[:, u_free])
         yield v, h
 
 
@@ -587,8 +585,7 @@ def replica_exchange(
                 on, off = cur | mask, cur & ~mask
                 d_free = (table[offsets[group] + on] - table[offsets[group] + off]) @ spread
                 d_free -= vb[units]  # F(v_i = 1) - F(v_i = 0), per unit
-                p_on = expit(-beta * d_free)
-                new = u[:, units] < p_on
+                new = _decide(beta * d_free, 0.0, u[:, units])
                 v[:, units] = new
                 index[:, group] = np.where(new[:, slot], on, off)
             if n_rungs > 1:

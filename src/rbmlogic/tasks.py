@@ -113,8 +113,8 @@ class TaskSpec:
             raise ValueError(f"cout must be None, 'free', 0 or 1, got {self.cout!r}")
         if self.bit_width is not None and not (_integer(self.bit_width) and self.bit_width >= 1):
             raise ValueError(f"bit_width must be an integer >= 1, got {self.bit_width!r}")
-        if self.expected is not None and not _integer(self.expected):
-            raise ValueError(f"expected must be an integer, got {self.expected!r}")
+        if self.expected is not None and not (_integer(self.expected) and self.expected >= 0):
+            raise ValueError(f"expected must be an integer >= 0, got {self.expected!r}")
         if self.cout is not None and self.operation != "subtract":
             raise ValueError(f"cout applies to subtract only, not to {self.operation!r}")
         for name, value in self.clamps.items():

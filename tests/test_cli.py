@@ -313,6 +313,14 @@ class TestSolve:
         assert f"operation {op!r} has no single-integer answer" in captured.err
         assert "mode:" not in captured.out
 
+    def test_negative_expected_exits_2(self, model_dir, capsys):
+        argv = ["solve", str(model_dir / "adder1.json"), "--op", "add", "--clamp", "A=1",
+                "--clamp", "B=1", "--chains", "2", "--sweeps", "10", "--expected", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "expected must be an integer >= 0, got -1" in captured.err
+        assert "mode:" not in captured.out
+
     def test_subtract_applies_a_cout_clamp(self, tmp_path, capsys):
         assert main(["build", "adder2", "-o", str(tmp_path / "adder2.json")]) == 0
         code = main(["solve", str(tmp_path / "adder2.json"), "--op", "subtract",

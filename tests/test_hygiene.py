@@ -113,6 +113,33 @@ def test_only_exact_builds_bit_grids():
     assert users == ["exact.py"]
 
 
+def _external_packages(tree: ast.Module) -> set[str]:
+    """Top-level packages a module imports from outside rbmlogic, at any level."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_sampler_imports_nothing_from_scipy():
+    # Every Gibbs decision goes through sampler._decide, which needs only
+    # numpy's exp: the sampler has no sigmoid of its own to import.
+    tree = ast.parse((ROOT / "src" / "rbmlogic" / "sampler.py").read_text())
+    assert "scipy" not in _external_packages(tree)
+
+
+def test_the_check_sees_scipy_imports():
+    for source in ("from scipy.special import expit\n", "import scipy.special as sp\n",
+                   "def f():\n    import scipy\n"):
+        assert "scipy" in _external_packages(ast.parse(source))
+    assert _external_packages(ast.parse("import numpy as np\nfrom .exact import component_plan\n"
+                                        "from __future__ import annotations\n")) == \
+        {"numpy", "__future__"}
+
+
 def _shifts_by_targets(expr: ast.AST, targets) -> list[int]:
     """Lines in ``expr`` of a shift by a name that one of ``targets`` binds."""
     bound = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}

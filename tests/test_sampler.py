@@ -588,6 +588,102 @@ class TestDecisionFilter:
                 assert np.array_equal(got_v, want_v)
 
 
+class TestOneDecisionRule:
+    """Every Gibbs update, dense, block and tempered, decides through sampler._decide."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each _decide call's (inputs, decisions) and each block plan built."""
+        calls, plans = [], []
+        decide, block_products = sampler._decide, sampler._BlockProducts
+
+        def decide_spy(neg, bias, u):
+            inputs = (neg.copy(), np.copy(bias), np.copy(u))
+            decided = decide(neg, bias, u)
+            calls.append((inputs, decided))
+            return decided
+
+        def plan_spy(*args):
+            plans.append(block_products(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(sampler, "_decide", decide_spy)
+        monkeypatch.setattr(sampler, "_BlockProducts", plan_spy)
+        return calls, plans
+
+    @pytest.mark.parametrize("name, n_chains, n_plans", [
+        ("xor", 8, 0), ("adder16", 100, 1), ("mult8", 1, 1), ("mult4", 32, 0),
+    ], ids=["dense", "blocks", "sparse_few_chains", "dense_unit_many_chains"])
+    def test_block_gibbs_decides_twice_per_sweep(self, monkeypatch, name, n_chains, n_plans):
+        """The dense work of a sweep, chains x n_visible x n_hidden, picks the product."""
+        model = builtin_model(name, 6.0)
+        rbm, _ = model_parts(model)
+        n_free = clamp_arrays(rbm, resolve_clamp(model, None))[2].size
+        assert (n_chains * rbm.weights.size >= sampler.BLOCK_MIN_ENTRIES) == bool(n_plans)
+        calls, plans = self._spy(monkeypatch)
+        multistart(model, n_chains=n_chains, n_sweeps=7, seed=1)
+        assert len(plans) == n_plans
+        assert [decided.shape for _, decided in calls] == \
+            [(n_chains, rbm.n_hidden), (n_chains, n_free)] * 7
+
+    def test_replica_exchange_decides_once_per_color_class(self, monkeypatch):
+        model = builtin_model("adder4", 6.0)
+        rbm, _ = model_parts(model)
+        free = np.arange(1, rbm.n_visible)
+        supports = [units for units, _ in exact.component_plan(rbm).groups]
+        classes = sampler._color_classes(supports, rbm.n_visible, free)
+        calls, _ = self._spy(monkeypatch)
+        sampler.replica_exchange(model, {rbm.visible_names[0]: 1}, betas=(0.5, 1.0),
+                                 n_ladders=3, n_sweeps=7, seed=2)
+        assert len(classes) > 1
+        assert [decided.shape for _, decided in calls] == \
+            [(6, units.size) for units, *_ in classes] * 7
+
+    def test_zero_uniforms_on_the_dense_path(self):
+        """u = 0 on a sharpness-1000 full adder, small enough for dense products:
+        no RuntimeWarning, and each unit is on exactly where 0 < expit(a)."""
+
+        class Zeros:
+            def random(self, out):
+                out[...] = 0.0
+
+        rbm = builtin_model("fa1", 1000.0).rbm
+        w, hb, vb = rbm.weights, rbm.hidden_bias, rbm.visible_bias
+        free = np.arange(1, rbm.n_visible, 2)
+        v = (np.random.default_rng(6).random((4, rbm.n_visible)) < 0.5).astype(np.float64)
+        assert len(v) * w.size < sampler.BLOCK_MIN_ENTRIES  # the dense path
+        want_v = v.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for got_v, got_h in sampler._chain_sweeps(rbm, free, [Zeros()] * 4, v, 5):
+                a = want_v @ w + hb
+                want_h = (0.0 < expit(a)).astype(np.float64)
+                b = (want_h @ w.T)[:, free] + vb[free]
+                want_v[:, free] = 0.0 < expit(b)
+                assert (a < -745.0).any() and (b < -745.0).any()  # exp overflows
+                assert np.array_equal(got_h, want_h)
+                assert np.array_equal(got_v, want_v)
+
+    def test_zero_uniforms_on_the_tempered_path(self, monkeypatch):
+        """u = 0 in every tempered sweep of a sharpness-2000 adder (beta dF
+        reaches 1000): no RuntimeWarning, and each decision is 0 < expit(-beta dF)."""
+
+        def zero_uniforms(gens, width, n_sweeps):
+            return (np.zeros((len(gens), width)) for _ in range(n_sweeps))
+
+        monkeypatch.setattr(sampler, "_sweep_uniforms", zero_uniforms)
+        calls, _ = self._spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sampler.replica_exchange(builtin_model("adder2", 2000.0), {"A0": 1},
+                                     betas=(0.25, 1.0), n_ladders=2, n_sweeps=5, seed=4)
+        assert calls
+        for (beta_df, bias, u), decided in calls:
+            assert not u.any() and not bias.any()
+            assert np.array_equal(decided, 0.0 < expit(-beta_df))
+        assert any((beta_df > 745.0).any() for (beta_df, _, _), _ in calls)  # exp overflows
+
+
 class TestSamplingAccuracy:
     def test_sharp_gate_output_conditional(self):
         _, hist = run_chain(

@@ -77,9 +77,10 @@ class TestTaskSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("cout", True), ("cout", 1.0), ("expected", 2.5), ("expected", True),
-        ("expected", "3"), ("bit_width", 2.0), ("bit_width", True), ("bit_width", 0),
+        ("expected", "3"), ("expected", -1), ("bit_width", 2.0), ("bit_width", True),
+        ("bit_width", 0),
     ], ids=["cout_bool", "cout_float", "expected_float", "expected_bool", "expected_string",
-            "bit_width_float", "bit_width_bool", "bit_width_zero"])
+            "expected_negative", "bit_width_float", "bit_width_bool", "bit_width_zero"])
     def test_fields_must_be_integers(self, field, value):
         fields = {"bit_width": 2, "expected": None, "cout": None}
         with pytest.raises(ValueError, match=f"{field} must be "):

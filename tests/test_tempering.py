@@ -244,7 +244,7 @@ class TestComponentPlan:
         model = builtin_model("mult8", 12.0)
         task = TaskSpec("factor", 8, {"P": 143})
         settings = SolveSettings(n_chains=16, n_sweeps=20)
-        assert settings.n_chains * (model.rbm.n_visible + model.rbm.n_hidden) \
+        assert settings.n_chains * model.rbm.weights.size \
             >= sampler.BLOCK_MIN_ENTRIES  # the block path
         solve(model, task, settings)
         with pytest.raises(AssertionError, match="table was built"):
@@ -260,7 +260,7 @@ class TestComponentPlan:
         monkeypatch.setattr(exact, "_hidden_groups", counting)
         model = builtin_model("adder16", 6.0)
         settings = SolveSettings(n_chains=32, n_sweeps=20)
-        assert settings.n_chains * (model.rbm.n_visible + model.rbm.n_hidden) \
+        assert settings.n_chains * model.rbm.weights.size \
             >= sampler.BLOCK_MIN_ENTRIES  # the block path
         for a in (3, 5):
             solve(model, TaskSpec("add", 16, {"A": a, "B": 7}), settings)
