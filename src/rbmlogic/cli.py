@@ -234,15 +234,15 @@ def cmd_build(args, argv) -> int:
     spec = args.spec
     if args.base:
         try:
-            kind, width = parse_unit(spec)
+            unit = parse_unit(spec)
         except ValueError:
             raise ValueError(
                 f"--base only applies to adder<n>/mult<n>, got {spec!r}") from None
         base = _resolve_component(args.base, args.sharpness)
-        if kind == "mult":
-            model = build_multiplier(width, base, builtin_model("adder1", args.sharpness))
+        if unit.kind == "multiplier":
+            model = build_multiplier(unit.width, base, builtin_model("adder1", args.sharpness))
         else:
-            model = build_adder(width, base)
+            model = build_adder(unit.width, base)
     elif _names_file(spec):
         raw = _model_or_netlist(Path(spec))
         model = compose(_netlist(raw, args.sharpness)) if "components" in raw else load_model(spec)

@@ -111,11 +111,6 @@ class MergedModel:
     terminal_map: dict[str, int]
     constants: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def exported_terminals(self) -> tuple[str, ...]:
-        """Terminals with public (dot-free) names, in visible order."""
-        return tuple(n for n in self.rbm.visible_names if "." not in n)
-
 
 def model_parts(model) -> tuple[Rbm, dict[str, int]]:
     """A model's RBM and a copy of the constants it carries."""

@@ -10,14 +10,21 @@ converges to uniform over the table rows.
 On top of that sit circuit generators: logic gates, the 5-gate full adder,
 ripple-carry adders of arbitrary width, and shift-and-add multipliers
 assembled from narrower multipliers plus adders.
+
+An adder or multiplier is a ``Unit``: its operands are stated once, in row
+order, and its terminals, rows and table derive from them.  Unit names
+(``parse_unit``) and models (``model_interface``) both resolve to a Unit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from numbers import Integral
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,69 +106,88 @@ def gate(kind: str, sharpness: float = DEFAULT_SHARPNESS) -> Rbm:
 
 
 # Unit kinds by the names they go by; "fa" is an adder slice.
-_UNIT_KINDS = {"adder": "adder", "fa": "adder", "mult": "mult", "multiplier": "mult"}
+_UNIT_KINDS = {"adder": "adder", "fa": "adder", "mult": "multiplier", "multiplier": "multiplier"}
 
 
-def parse_unit(unit) -> tuple[str, int]:
-    """("adder" | "mult", width) of a unit such as "adder4", "fa2", "mult8"
-    or a (kind, width) pair such as ("multiplier", 8)."""
+class Unit(NamedTuple):
+    """An adder or a multiplier over ``width``-bit operands.  Its table has
+    one row per input combination, the inputs then the outputs, each operand
+    LSB first: A, B, Cin, S, Cout with A + B + Cin = S + 2^width Cout, or
+    A, B, P with A * B = P."""
+
+    kind: str  # "adder" or "multiplier"
+    width: int
+
+    def _layout(self):
+        """(inputs, outputs, result): (operand, bits) pairs in row order,
+        and the function of the input values whose bits the outputs hold."""
+        w = self.width
+        if self.kind == "adder":
+            return (("A", w), ("B", w), ("Cin", 1)), (("S", w), ("Cout", 1)), sum
+        return (("A", w), ("B", w)), (("P", 2 * w),), math.prod
+
+    @property
+    def inputs(self) -> tuple[tuple[str, int], ...]:
+        """(operand, bits) of each input, in row order."""
+        return self._layout()[0]
+
+    @property
+    def terminals(self) -> tuple[str, ...]:
+        """Terminal names in row order."""
+        inputs, outputs, _ = self._layout()
+        return tuple(t for operand, n in inputs + outputs for t in bit_names(operand, n))
+
+    def bits(self, operand: str) -> list[str]:
+        """Terminal names of one operand, LSB first."""
+        inputs, outputs, _ = self._layout()
+        return bit_names(operand, dict(inputs + outputs)[operand])
+
+    @property
+    def size(self) -> int:
+        """Number of table rows: one per input combination."""
+        return 2 ** sum(n for _, n in self.inputs)
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """Every input combination in table row order, the last input fastest."""
+        return list(itertools.product(*(range(2**n) for _, n in self.inputs)))
+
+    def row(self, inputs: Sequence[int]) -> tuple[int, ...]:
+        """The valid row for one input combination, bits LSB first."""
+        ins, outs, result = self._layout()
+        fields = [*zip(inputs, (n for _, n in ins), strict=True),
+                  (result(inputs), sum(n for _, n in outs))]
+        return tuple(value >> i & 1 for value, n in fields for i in range(n))
+
+    def table(self) -> TruthTable:
+        """The unit's truth table, one row per input combination."""
+        return TruthTable(len(self.terminals), tuple(map(self.row, self.rows())), self.terminals)
+
+
+def parse_unit(unit) -> Unit:
+    """The Unit of a name such as "adder4", "fa2", "mult8", or of a
+    (kind, width) pair such as ("multiplier", 8)."""
     if isinstance(unit, str):
         m = re.fullmatch(r"([a-z]+)([0-9]+)", unit)
-        kind, width = m.groups() if m else (None, None)
+        kind, width = (m.group(1), int(m.group(2))) if m else (None, None)
     elif isinstance(unit, (tuple, list)) and len(unit) == 2:
         kind, width = unit
     else:
         raise TypeError(f"bad unit spec {unit!r}")
     if kind not in _UNIT_KINDS:
         raise ValueError(f"cannot parse unit {unit!r}")
-    if int(width) < 1:
-        raise ValueError("unit width must be >= 1")
-    return _UNIT_KINDS[kind], int(width)
-
-
-def unit_terminals(kind: str, width: int) -> tuple[str, ...]:
-    """Terminal names of an adder or multiplier unit, in row order."""
-    if kind == "adder":
-        return tuple(bit_names("A", width) + bit_names("B", width) + ["Cin"]
-                     + bit_names("S", width) + ["Cout"])
-    return tuple(bit_names("A", width) + bit_names("B", width) + bit_names("P", 2 * width))
-
-
-def unit_inputs(kind: str, width: int) -> list[tuple[int, ...]]:
-    """Every input combination, (A, B, Cin) or (A, B), in table row order."""
-    top = range(2**width)
-    if kind == "adder":
-        return [(a, b, cin) for a in top for b in top for cin in (0, 1)]
-    return [(a, b) for a in top for b in top]
-
-
-def unit_row(kind: str, width: int, inputs: Sequence[int]) -> tuple[int, ...]:
-    """The valid row of a unit for one input combination, bits LSB first."""
-    if kind == "adder":
-        a, b, cin = inputs
-        fields = ((a, width), (b, width), (cin, 1), (a + b + cin, width + 1))  # S, Cout
-    else:
-        a, b = inputs
-        fields = ((a, width), (b, width), (a * b, 2 * width))
-    return tuple(value >> i & 1 for value, n in fields for i in range(n))
-
-
-def _unit_table(kind: str, n_bits: int) -> TruthTable:
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    names = unit_terminals(kind, n_bits)
-    rows = tuple(unit_row(kind, n_bits, x) for x in unit_inputs(kind, n_bits))
-    return TruthTable(len(names), rows, names)
+    if isinstance(width, bool) or not isinstance(width, Integral) or width < 1:
+        raise ValueError(f"unit width must be an integer >= 1, got {width!r}")
+    return Unit(_UNIT_KINDS[kind], int(width))
 
 
 def adder_table(n_bits: int) -> TruthTable:
     """Joint table of n-bit addition: A + B + Cin = S + 2^n * Cout."""
-    return _unit_table("adder", n_bits)
+    return parse_unit(("adder", n_bits)).table()
 
 
 def multiplier_table(n_bits: int) -> TruthTable:
     """Joint table of n-bit multiplication: A * B = P, P over 2n bits."""
-    return _unit_table("mult", n_bits)
+    return parse_unit(("multiplier", n_bits)).table()
 
 
 def full_adder_netlist(sharpness: float = DEFAULT_SHARPNESS) -> Netlist:
@@ -214,27 +240,13 @@ def operand_width(names: Iterable[str], prefix: str) -> int:
     return len(indices)
 
 
-@dataclass(frozen=True)
-class _Interface:
-    """Operand widths a model exposes."""
-
-    kind: str  # "adder" or "multiplier"
-    width: int
-    names: tuple[str, ...]
-
-    def bits(self, operand: str) -> list[str]:
-        widths = {"A": self.width, "B": self.width, "S": self.width,
-                  "P": 2 * self.width, "Cin": 1, "Cout": 1}
-        return bit_names(operand, widths[operand])
-
-
-def model_interface(model) -> _Interface:
+def model_interface(model) -> Unit:
     """Classify a model as an adder or a multiplier from its terminals."""
     return _interface(tuple(public_terminals(model)))
 
 
 @functools.lru_cache(maxsize=64)
-def _interface(names: tuple[str, ...]) -> _Interface:
+def _interface(names: tuple[str, ...]) -> Unit:
     """model_interface of a model whose public terminals are ``names``,
     classified once per distinct tuple."""
     width = operand_width(names, "A")
@@ -245,14 +257,14 @@ def _interface(names: tuple[str, ...]) -> _Interface:
             raise ValueError("adder sum width must match input width")
         if "Cout" not in names:
             raise KeyError("adder is missing terminal 'Cout'")
-        return _Interface("adder", width, names)
+        return Unit("adder", width)
     try:
         product_width = operand_width(names, "P")
     except KeyError:
         raise KeyError("model is neither an adder (Cin) nor a multiplier (P)") from None
     if product_width != 2 * width:
         raise ValueError("multiplier product width must be twice the input width")
-    return _Interface("multiplier", width, names)
+    return Unit("multiplier", width)
 
 
 def build_adder(n_bits: int, base) -> MergedModel:
@@ -297,8 +309,7 @@ def build_multiplier(n_bits: int, base_mult, base_adder) -> MergedModel:
         raise ValueError(f"base multiplier width {mult_iface.width} != {m}")
 
     n, nn = n_bits, 2 * n_bits
-    adder_iface = model_interface(base_adder)
-    adder2n = base_adder if (adder_iface.kind, adder_iface.width) == ("adder", nn) else \
+    adder2n = base_adder if model_interface(base_adder) == Unit("adder", nn) else \
         build_adder(nn, base_adder)
     components = [
         ("mLL", base_mult), ("mLH", base_mult), ("mHL", base_mult), ("mHH", base_mult),
@@ -361,12 +372,13 @@ def builtin_model(name: str, sharpness: float = DEFAULT_SHARPNESS):
     if key == "fa1":
         return compose(full_adder_netlist(sharpness))
     try:
-        kind, width = parse_unit(key)
+        unit = parse_unit(key)
     except ValueError:
         raise KeyError(f"unknown builtin model {name!r}") from None
-    if kind == "mult" and width <= MULT_DIRECT_MAX:
-        return rbm_from_truth_table(multiplier_table(width), sharpness)
+    if unit.kind == "multiplier" and unit.width <= MULT_DIRECT_MAX:
+        return rbm_from_truth_table(unit.table(), sharpness)
     slice_fa = rbm_from_truth_table(adder_table(1), sharpness)
-    if kind == "mult":
-        return build_multiplier(width, builtin_model(f"mult{width // 2}", sharpness), slice_fa)
-    return slice_fa if width == 1 else build_adder(width, slice_fa)
+    if unit.kind == "multiplier":
+        half = builtin_model(f"{unit.kind}{unit.width // 2}", sharpness)
+        return build_multiplier(unit.width, half, slice_fa)
+    return slice_fa if unit.width == 1 else build_adder(unit.width, slice_fa)

@@ -338,9 +338,9 @@ def success_curve(
     task is posed once, and each checkpoint reads its pooled histogram
     as ``solve`` does.
     """
+    if not len(checkpoints) or not all(_integer(c) and c >= 1 for c in checkpoints):
+        raise ValueError(f"checkpoints must be positive integers, got {checkpoints!r}")
     checkpoints = sorted(int(c) for c in checkpoints)
-    if not checkpoints or checkpoints[0] < 1:
-        raise ValueError("checkpoints must be positive sample counts")
     if n_chains < 1 or not len(tasks):
         raise ValueError("need n_chains >= 1 and at least one task")
     # Sweeps recorded when each checkpoint's pooled sample count is reached.

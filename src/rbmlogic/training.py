@@ -7,6 +7,8 @@ consecutive stages, k would exceed ``k_max``, or accuracy reaches 1;
 the parameters from the best stage are returned.  Accuracy scores a
 unit against its own truth table rows, with no arithmetic task: each
 picked row clamps its input bits, and the output mode must match it.
+Every layout fact (terminals, row count, input widths, rows) is read
+from the task's ``synthesis.Unit``, so nothing here depends on the kind.
 
 ``exact_refine`` continues training a unit whose visible layer is small
 enough to enumerate: full-batch steps of the exact log-likelihood
@@ -47,13 +49,12 @@ from scipy.special import expit, logsumexp
 from .merge import model_parts, public_terminals, resolve_clamp
 from .model import Rbm
 from .sampler import mode_estimate, multistart
-from .synthesis import (adder_table, multiplier_table, parse_unit, unit_inputs, unit_row,
-                        unit_terminals)
+from .synthesis import Unit, parse_unit
 from . import exact
 
 # Hidden-layer sizes known to train well for specific units.
 KNOWN_HIDDEN = {("adder", 1): 6, ("adder", 2): 28, ("adder", 4): 64,
-                ("mult", 1): 4, ("mult", 2): 12, ("mult", 4): 64}
+                ("multiplier", 1): 4, ("multiplier", 2): 12, ("multiplier", 4): 64}
 
 ENUMERATION_LIMIT = 2**20
 
@@ -110,17 +111,6 @@ class TrainConfig:
             raise ValueError("weight_decay and init_scale must be nonnegative")
 
 
-def task_layout(task) -> tuple[str, int, tuple[str, ...]]:
-    kind, width = parse_unit(task)
-    return kind, width, unit_terminals(kind, width)
-
-
-def dataset_size(task) -> int:
-    """Number of distinct valid rows: one per input combination."""
-    kind, width = parse_unit(task)
-    return 2 ** (2 * width + 1) if kind == "adder" else 2 ** (2 * width)
-
-
 def generate_dataset(task, cap: int | None = None,
                      rng: np.random.Generator | None = None) -> tuple[np.ndarray, tuple[str, ...]]:
     """All valid rows of a unit's truth table, or ``cap`` random ones.
@@ -128,24 +118,23 @@ def generate_dataset(task, cap: int | None = None,
     Refuses to enumerate state spaces above 2^20 rows; pass ``cap`` to
     sample instead (with replacement, from ``rng``).
     """
-    kind, width, names = task_layout(task)
-    total = dataset_size(task)
+    unit = parse_unit(task)
     if cap is None:
-        if total > ENUMERATION_LIMIT:
+        if unit.size > ENUMERATION_LIMIT:
             raise ValueError(
-                f"task has {total} rows; pass cap= to sample instead of enumerating"
+                f"task has {unit.size} rows; pass cap= to sample instead of enumerating"
             )
-        table = adder_table(width) if kind == "adder" else multiplier_table(width)
+        table = unit.table()
         return np.array(table.rows, dtype=np.uint8), table.names
     if cap < 1:
         raise ValueError("cap must be >= 1")
     rng = np.random.default_rng() if rng is None else rng
-    # Each row draws A, then B, then (adders only) Cin.
-    highs = (2**width, 2**width, 2) if kind == "adder" else (2**width, 2**width)
-    rows = np.empty((cap, len(names)), dtype=np.uint8)
+    # Each row draws its inputs in row order: A, then B, then (adders) Cin.
+    highs = [2**n for _, n in unit.inputs]
+    rows = np.empty((cap, len(unit.terminals)), dtype=np.uint8)
     for i in range(cap):
-        rows[i] = unit_row(kind, width, [int(rng.integers(hi)) for hi in highs])
-    return rows, names
+        rows[i] = unit.row([int(rng.integers(hi)) for hi in highs])
+    return rows, unit.terminals
 
 
 def _activation(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -266,20 +255,20 @@ def reconstruction_error(rbm: Rbm, data: np.ndarray) -> float:
     return float(np.mean(_squared_errors(rbm, data)))
 
 
-def _instances(kind: str, width: int, limit: int, seed: int) -> list[tuple[int, ...]]:
-    """Up to ``limit`` distinct input combinations, in ``unit_inputs`` order.
+def _instances(unit: Unit, limit: int, seed: int) -> list[tuple[int, ...]]:
+    """Up to ``limit`` distinct input combinations, in ``unit.rows()`` order.
 
-    Above ``limit`` the picks are indices into ``unit_inputs``, decoded
-    arithmetically so that wide units never build the 2^(2w+1) list.
+    Above ``limit`` the picks are indices into ``unit.rows()``, decoded in
+    mixed radix over the input widths, the last input lowest, so that wide
+    units never build the 2^(2w+1) list.
     """
-    n = dataset_size((kind, width))
-    if n <= limit:
-        return unit_inputs(kind, width)
-    picks = sorted(np.random.default_rng(seed).choice(n, size=limit, replace=False).tolist())
-    mask = (1 << width) - 1
-    if kind == "adder":  # index = a << (width + 1) | b << 1 | cin
-        return [(i >> (width + 1), (i >> 1) & mask, i & 1) for i in picks]
-    return [(i >> width, i & mask) for i in picks]  # index = a << width | b
+    if unit.size <= limit:
+        return unit.rows()
+    rng = np.random.default_rng(seed)
+    picks = sorted(rng.choice(unit.size, size=limit, replace=False).tolist())
+    widths = [n for _, n in unit.inputs]
+    fields = [(sum(widths[k + 1:]), 2**n - 1) for k, n in enumerate(widths)]  # (shift, mask)
+    return [tuple(i >> shift & mask for shift, mask in fields) for i in picks]
 
 
 def evaluate_accuracy(model, task, n_instances: int = 64, n_chains: int = 2,
@@ -292,14 +281,15 @@ def evaluate_accuracy(model, task, n_instances: int = 64, n_chains: int = 2,
     activations fit one pass, otherwise from the pooled histogram of
     ``n_chains`` Gibbs chains seeded ``seed + 1000 * i`` for row i.
     """
-    kind, width, names = task_layout(task)
+    unit = parse_unit(task)
+    names = unit.terminals
     terminals = public_terminals(model)
     if sorted(terminals) != sorted(names):
-        raise KeyError(f"model is not a {kind}{width} unit: it lacks terminals "
+        raise KeyError(f"model is not a {unit.kind}{unit.width} unit: it lacks terminals "
                        f"{[t for t in names if t not in terminals]} and has "
                        f"{[t for t in terminals if t not in names]} besides")
-    n_in = 2 * width + (kind == "adder")  # a row's input bits come first
-    rows = [unit_row(kind, width, i) for i in _instances(kind, width, n_instances, seed)]
+    n_in = sum(n for _, n in unit.inputs)  # a row's input bits come first
+    rows = [unit.row(x) for x in _instances(unit, n_instances, seed)]
     clamps, expected = [dict(zip(names[:n_in], r)) for r in rows], [r[n_in:] for r in rows]
     outputs = names[n_in:]
     rbm, _ = model_parts(model)
@@ -321,9 +311,10 @@ def evaluate_accuracy(model, task, n_instances: int = 64, n_chains: int = 2,
 def train(task, n_hidden: int | None = None,
           config: TrainConfig = TrainConfig()) -> tuple[Rbm, list[dict]]:
     """Train a unit with the staged CD schedule; returns best model + log."""
-    kind, width, names = task_layout(task)
+    unit = parse_unit(task)
+    names = unit.terminals
     if n_hidden is None:
-        n_hidden = KNOWN_HIDDEN.get((kind, width), 4 * len(names))
+        n_hidden = KNOWN_HIDDEN.get(unit, 4 * len(names))
     if isinstance(n_hidden, bool) or not isinstance(n_hidden, Integral) or n_hidden < 0:
         raise ValueError(f"n_hidden must be an integer >= 0, got {n_hidden!r}")
     rng = np.random.default_rng(config.seed)

@@ -191,6 +191,35 @@ def test_the_check_sees_bit_packing():
     assert _bit_packing_lines(tree) == [2, 3, 4, 8]
 
 
+def _mult_literals(tree: ast.Module, exempt: str | None = None) -> list[int]:
+    """Lines of each string constant "mult" (f-string parts too), except the
+    keys of the module-level dict named ``exempt``."""
+    keys = {id(key) for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id == exempt for t in node.targets)
+            for key in node.value.keys}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and n.value == "mult" and id(n) not in keys)
+
+
+def test_the_multiplier_kind_has_one_spelling():
+    # A unit's kind is "adder" or "multiplier"; "mult" is only a name that
+    # parse_unit reads, through synthesis._UNIT_KINDS.
+    found = [f"{p.name}:{line}" for p in PACKAGE for line in _mult_literals(
+        ast.parse(p.read_text()), "_UNIT_KINDS" if p.name == "synthesis.py" else None)]
+    assert not found, f'"mult" outside synthesis._UNIT_KINDS: {", ".join(found)}'
+
+
+def test_the_check_sees_planted_mult_literals():
+    tree = ast.parse('_UNIT_KINDS = {"mult": "multiplier", "fa": "adder"}\n'
+                     'KNOWN = {("mult", 1): 4}\n'
+                     'def f(kind, n):\n'
+                     '    return kind == "mult" or f"mult{n}" or "mult8"\n'
+                     'OTHER = {"mult": "mult"}\n')
+    assert _mult_literals(tree, "_UNIT_KINDS") == [2, 4, 4, 5, 5]
+    assert _mult_literals(tree) == [1, 2, 4, 4, 5, 5]
+
+
 # Each module may import only modules before it in this list.
 LAYERS = ("model", "merge", "exact", "sampler", "synthesis", "training", "tasks", "cli")
 

@@ -763,6 +763,15 @@ class TestSuccessCurve:
         with pytest.raises(ValueError, match="at least one task"):
             success_curve(m2, [], [10])
 
+    @pytest.mark.parametrize("checkpoints", [[2.5, True], [True], [4, 2.0], ["8"]])
+    def test_checkpoints_that_are_not_integers_are_refused(self, checkpoints):
+        # They were once truncated: [2.5, True] ran as checkpoints 1 and 2.
+        task = TaskSpec("factor", 2, {"P": 4})
+        with pytest.raises(ValueError, match=r"checkpoints must be positive integers, got \["):
+            success_curve(builtin_model("mult2"), [task], checkpoints, n_chains=2)
+        curve = success_curve(builtin_model("mult2"), [task], [np.int64(4), 2], n_chains=2)
+        assert [c for c, _ in curve] == [2, 4]
+
     def test_direct_multiplier_factors_everything(self):
         m2 = builtin_model("mult2")
         tasks = [TaskSpec("factor", 2, {"P": p}) for p in (4, 6, 9)]

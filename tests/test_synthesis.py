@@ -13,6 +13,7 @@ from rbmlogic import synthesis
 from rbmlogic.synthesis import (
     DEFAULT_SHARPNESS,
     TruthTable,
+    Unit,
     adder_table,
     bit_names,
     build_adder,
@@ -25,7 +26,6 @@ from rbmlogic.synthesis import (
     model_interface,
     operand_width,
     rbm_from_truth_table,
-    unit_terminals,
 )
 
 from .reference import bits_le
@@ -256,7 +256,7 @@ class TestCircuits:
     def test_ripple_adder_structure(self):
         fa = rbm_from_truth_table(adder_table(1))
         add = build_adder(2, fa)
-        public = set(add.exported_terminals)
+        public = set(public_terminals(add))
         assert public == {"A0", "A1", "B0", "B1", "S0", "S1", "Cin", "Cout"}
         assert add.rbm.n_visible == 9
         assert add.rbm.n_hidden == 16
@@ -267,13 +267,13 @@ class TestCircuits:
         # Every slice width that divides n, the 1-bit adder on a 1-bit slice too.
         for w in (w for w in range(1, n + 1) if n % w == 0):
             add = build_adder(n, builtin_model(f"adder{w}", 6.0))
-            assert set(public_terminals(add)) == set(unit_terminals("adder", n))
+            assert set(public_terminals(add)) == set(Unit("adder", n).terminals)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     @pytest.mark.parametrize("adder", ["adder1", "adder2"])
     def test_composed_multiplier_exports_the_unit_terminals(self, n, adder):
         mult = build_multiplier(n, builtin_model(f"mult{n // 2}", 6.0), builtin_model(adder, 6.0))
-        assert set(public_terminals(mult)) == set(unit_terminals("mult", n))
+        assert set(public_terminals(mult)) == set(Unit("multiplier", n).terminals)
 
     def test_ripple_adder_width_must_divide(self):
         two = rbm_from_truth_table(adder_table(2))
@@ -325,7 +325,7 @@ class TestCircuits:
         mult = build_multiplier(
             4, builtin_model("mult2"), rbm_from_truth_table(adder_table(1))
         )
-        assert set(mult.exported_terminals) == {
+        assert set(public_terminals(mult)) == {
             f"{p}{j}" for p in ("A", "B") for j in range(4)
         } | {f"P{j}" for j in range(8)}
         assert len(mult.constants) == 22
@@ -352,7 +352,7 @@ class TestCircuits:
         assert adder1.n_visible == 5
         adder2 = builtin_model("adder2")
         assert isinstance(adder2, MergedModel)
-        assert set(adder2.exported_terminals) == {
+        assert set(public_terminals(adder2)) == {
             "A0", "A1", "B0", "B1", "S0", "S1", "Cin", "Cout"
         }
         mult2 = builtin_model("mult2")
@@ -360,7 +360,7 @@ class TestCircuits:
         assert mult2.weights.shape == (8, 16)
         mult8 = builtin_model("mult8")
         assert isinstance(mult8, MergedModel)
-        assert len(mult8.exported_terminals) == 32
+        assert len(public_terminals(mult8)) == 32
         assert mult8.rbm.weights.shape == (179, 1408)
         with pytest.raises(KeyError, match="unknown builtin"):
             builtin_model("foo")

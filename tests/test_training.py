@@ -9,19 +9,17 @@ from scipy.special import expit
 
 from rbmlogic.exact import exact_joint_distribution, exact_visible_distribution
 from rbmlogic.model import Rbm
-from rbmlogic.synthesis import adder_table, builtin_model, parse_unit
+from rbmlogic.synthesis import Unit, adder_table, builtin_model, parse_unit
 from rbmlogic import exact, training
 from rbmlogic.training import (
     EXACT_LEARNING_RATE,
     KNOWN_HIDDEN,
     TrainConfig,
     cd_step,
-    dataset_size,
     evaluate_accuracy,
     exact_refine,
     generate_dataset,
     reconstruction_error,
-    task_layout,
     train,
 )
 
@@ -71,9 +69,9 @@ class TestConfig:
 class TestTaskParsing:
     def test_parse_unit(self):
         assert parse_unit("adder4") == ("adder", 4)
-        assert parse_unit("mult2") == ("mult", 2)
-        assert parse_unit(("mult", 2)) == ("mult", 2)
-        assert parse_unit(("multiplier", 8)) == ("mult", 8)
+        assert parse_unit("mult2") == ("multiplier", 2)
+        assert parse_unit(("mult", 2)) == ("multiplier", 2)
+        assert parse_unit(("multiplier", 8)) == ("multiplier", 8)
         with pytest.raises(ValueError):
             parse_unit("foo3")
         with pytest.raises(ValueError):
@@ -81,17 +79,28 @@ class TestTaskParsing:
         with pytest.raises(TypeError):
             parse_unit(7)
 
-    def test_task_layout(self):
-        kind, width, names = task_layout("adder2")
-        assert (kind, width) == ("adder", 2)
-        assert names == ("A0", "A1", "B0", "B1", "Cin", "S0", "S1", "Cout")
-        _, _, mnames = task_layout("mult1")
-        assert mnames == ("A", "B", "P0", "P1")
+    @pytest.mark.parametrize("spec", [("adder", 2.5), ("mult", True), ("adder", 1.9),
+                                      ("fa", "2"), ("multiplier", 4.0)])
+    def test_parse_unit_refuses_widths_that_are_not_integers(self, spec):
+        with pytest.raises(ValueError, match=f"unit width must be an integer >= 1, "
+                                             f"got {spec[1]!r}"):
+            parse_unit(spec)
+        with pytest.raises(ValueError, match="unit width must be an integer"):
+            generate_dataset(spec)
 
-    def test_dataset_size(self):
-        assert dataset_size("adder2") == 32
-        assert dataset_size("mult4") == 256
-        assert dataset_size("adder16") == 2**33
+    def test_numpy_integer_widths_are_accepted(self):
+        assert parse_unit(("adder", np.int64(3))) == ("adder", 3)
+
+    def test_unit_terminals(self):
+        unit = parse_unit("adder2")
+        assert unit == Unit("adder", 2)
+        assert unit.terminals == ("A0", "A1", "B0", "B1", "Cin", "S0", "S1", "Cout")
+        assert parse_unit("mult1").terminals == ("A", "B", "P0", "P1")
+
+    def test_unit_size(self):
+        assert parse_unit("adder2").size == 32
+        assert parse_unit("mult4").size == 256
+        assert parse_unit("adder16").size == 2**33
 
 
 class TestDataset:
@@ -276,7 +285,7 @@ def exact_nll(rbm, rows):
 
 class TestExactRefine:
     def _untrained(self, seed=0):
-        _, _, names = task_layout("adder1")
+        names = parse_unit("adder1").terminals
         rng = np.random.default_rng(seed)
         return Rbm(rng.normal(0, 0.1, (5, 6)), np.zeros(5), np.zeros(6), names)
 
@@ -372,24 +381,46 @@ class TestInstances:
     # SHA-256 prefixes of the picks made when _instances indexed the full
     # list of input combinations; decoding the indices must agree.
     @pytest.mark.parametrize("args, digest", [
-        (("adder", 4, 64, 0), "979f5fdef49defb0"),
-        (("adder", 8, 64, 3), "15be961ea6ffc7ff"),
-        (("mult", 8, 64, 0), "18bc5e0627b28596"),
-        (("mult", 4, 100, 5), "c4dcaf50996425d6"),
-        (("adder", 1, 64, 0), "ad142c41bc4f7cee"),
+        ((Unit("adder", 4), 64, 0), "979f5fdef49defb0"),
+        ((Unit("adder", 8), 64, 3), "15be961ea6ffc7ff"),
+        ((Unit("multiplier", 8), 64, 0), "18bc5e0627b28596"),
+        ((Unit("multiplier", 4), 100, 5), "c4dcaf50996425d6"),
+        ((Unit("adder", 1), 64, 0), "ad142c41bc4f7cee"),
     ])
     def test_picks_are_pinned(self, args, digest):
         picks = training._instances(*args)
         assert hashlib.sha256(repr(picks).encode()).hexdigest()[:16] == digest
 
     def test_wide_unit_is_sampled_without_building_its_inputs(self, monkeypatch):
-        def refuse(kind, width):
-            raise AssertionError(f"built all {kind}{width} inputs")
+        def refuse(unit):
+            raise AssertionError(f"built all {unit} inputs")
 
-        monkeypatch.setattr(training, "unit_inputs", refuse)
-        picks = training._instances("adder", 16, 64, 0)
+        monkeypatch.setattr(Unit, "rows", refuse)
+        picks = training._instances(Unit("adder", 16), 64, 0)
         assert len(picks) == 64 and picks == sorted(set(picks))
         assert all(a < 2**16 and b < 2**16 and cin in (0, 1) for a, b, cin in picks)
+
+    @pytest.mark.parametrize("kind", ["adder", "multiplier"])
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_decoded_picks_are_the_drawn_rows(self, kind, width):
+        # The decode is checked against indexing the full list, and each row
+        # against the unit's arithmetic.
+        unit = Unit(kind, width)
+        inputs = unit.rows()
+        for limit, seed in ((1, 0), (unit.size // 3 + 1, width), (unit.size - 1, 7)):
+            drawn = np.random.default_rng(seed).choice(unit.size, size=limit, replace=False)
+            assert training._instances(unit, limit, seed) == [inputs[i] for i in sorted(drawn)]
+        w = width
+        for x in inputs:
+            row = unit.row(x)
+            a, b = decode_bits(row, 0, w), decode_bits(row, w, w)
+            assert (a, b) == x[:2]
+            if kind == "adder":
+                cin, s, cout = row[2 * w], decode_bits(row, 2 * w + 1, w), row[3 * w + 1]
+                assert len(row) == 3 * w + 2 and (cin,) == x[2:]
+                assert a + b + cin == s + (cout << w)
+            else:
+                assert len(row) == 4 * w and a * b == decode_bits(row, 2 * w, 2 * w)
 
 
 class TestEvaluateAccuracy:
@@ -397,7 +428,7 @@ class TestEvaluateAccuracy:
         assert evaluate_accuracy(builtin_model("adder1"), "adder1") == 1.0
 
     def test_untrained_model_is_far_from_perfect(self):
-        _, _, names = task_layout("adder1")
+        names = parse_unit("adder1").terminals
         rng = np.random.default_rng(0)
         rbm = Rbm(rng.normal(0, 0.1, (5, 6)), np.zeros(5), np.zeros(6), names)
         assert evaluate_accuracy(rbm, "adder1") < 0.5
