@@ -164,10 +164,11 @@ class Unit(NamedTuple):
 
 
 def parse_unit(unit) -> Unit:
-    """The Unit of a name such as "adder4", "fa2", "mult8", or of a
-    (kind, width) pair such as ("multiplier", 8)."""
+    """The Unit of a name such as "adder4", "fa2", "mult8" (case and
+    surrounding blanks ignored), or of a (kind, width) pair such as
+    ("multiplier", 8)."""
     if isinstance(unit, str):
-        m = re.fullmatch(r"([a-z]+)([0-9]+)", unit)
+        m = re.fullmatch(r"([a-z]+)([0-9]+)", unit.strip().lower())
         kind, width = (m.group(1), int(m.group(2))) if m else (None, None)
     elif isinstance(unit, (tuple, list)) and len(unit) == 2:
         kind, width = unit

@@ -34,7 +34,12 @@ permutation first (after the epoch's sampled rows when ``dataset_cap``
 is set; full-batch epochs have no permutation), then one draw per batch of
 n * (n_hidden + (k - 1) * (n_visible + n_hidden)) uniforms, used in
 order: the initial hidden sample, then (visible, hidden) for each
-intermediate step.
+intermediate step.  Each intermediate sample is decided as the sampler
+decides, by ``sampler._decide`` on the negated product, so no
+probability is formed for it (the decision can differ from
+``u < expit(a)`` only where u lies within 2^-52 of p).  Only the three
+states the gradient reads, the first hidden and the last visible and
+hidden activations, keep ``expit``, so the gradient's bits are unchanged.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from scipy.special import expit, logsumexp
 
 from .merge import model_parts, public_terminals, resolve_clamp
 from .model import Rbm
-from .sampler import mode_estimate, multistart
+from .sampler import _decide, mode_estimate, multistart
 from .synthesis import Unit, parse_unit
 from . import exact
 
@@ -150,7 +155,11 @@ def _cd_update(w: np.ndarray, vb: np.ndarray, hb: np.ndarray, v0: np.ndarray,
 
     ``u`` holds the step's uniforms in draw order: the initial hidden
     sample, then a visible and a hidden sample for each of the k - 1
-    intermediate steps.  The final step's reconstruction statistics use
+    intermediate steps.  The first hidden sample compares with ``ph0``,
+    which the gradient needs anyway; the intermediate samples are
+    ``_decide(h @ -W.T, vb, u)`` and ``_decide(v @ -W, hb, u)``, with
+    ``-W`` formed once, so no sigmoid is taken for a state that is only
+    sampled.  The final step's reconstruction statistics use
     activation probabilities on both layers instead of samples; at
     learning rate 1 the sampled version injects enough gradient noise
     that small tables never converge.  The in-place arithmetic does the
@@ -161,14 +170,13 @@ def _cd_update(w: np.ndarray, vb: np.ndarray, hb: np.ndarray, v0: np.ndarray,
     n, (nv, nh) = len(v0), w.shape
     ph0 = _activation(v0, w, hb)
     h = (u[: n * nh].reshape(n, nh) < ph0).astype(np.float64)
-    pv = _activation(h, w.T, vb)
+    neg_w = -w
     for step in range(k - 1):
         pos = n * (nh + step * (nv + nh))
-        v = (u[pos : pos + n * nv].reshape(n, nv) < pv).astype(np.float64)
-        ph = _activation(v, w, hb)
+        v = _decide(h @ neg_w.T, vb, u[pos : pos + n * nv].reshape(n, nv)).astype(np.float64)
         pos += n * nv
-        h = (u[pos : pos + n * nh].reshape(n, nh) < ph).astype(np.float64)
-        pv = _activation(h, w.T, vb)
+        h = _decide(v @ neg_w, hb, u[pos : pos + n * nh].reshape(n, nh)).astype(np.float64)
+    pv = _activation(h, w.T, vb)
     ph_k = _activation(pv, w, hb)
     grad = v0.T @ ph0
     grad -= pv.T @ ph_k

@@ -116,3 +116,26 @@ def ref_block_gibbs(rbm: Rbm, clamp: dict[int, int], seeds, n_sweeps: int,
                 hist[key] = hist.get(key, 0) + 1
         traces.append(rows)
     return traces, hist
+
+
+def ref_cd_update(rbm: Rbm, v0: np.ndarray, u: np.ndarray, k: int, lr: float, wd: float):
+    """One CD-k step on ``rbm`` from the rows ``v0``, every sample decided as u < expit(a).
+
+    ``u`` holds the step's uniforms in draw order: n_hidden per row for
+    the first hidden sample, then n_visible and n_hidden per row for each
+    of the k - 1 intermediate steps.  The last step keeps probabilities
+    on both layers.  Returns the updated (weights, visible_bias, hidden_bias).
+    """
+    w, a, b = rbm.weights, rbm.visible_bias, rbm.hidden_bias
+    n, (nv, nh) = len(v0), w.shape
+    draws = iter(np.split(u, np.cumsum([n * nh] + [n * nv, n * nh] * (k - 1))))
+    ph0 = expit(v0 @ w + b)
+    h = (next(draws).reshape(n, nh) < ph0).astype(float)
+    for _ in range(k - 1):
+        v = (next(draws).reshape(n, nv) < expit(h @ w.T + a)).astype(float)
+        h = (next(draws).reshape(n, nh) < expit(v @ w + b)).astype(float)
+    pv = expit(h @ w.T + a)
+    ph_k = expit(pv @ w + b)
+    return (w + lr * ((v0.T @ ph0 - pv.T @ ph_k) / n - wd * w),
+            a + lr * (v0 - pv).mean(axis=0),
+            b + lr * (ph0 - ph_k).mean(axis=0))

@@ -120,6 +120,13 @@ class TestBuild:
         assert "No such file or directory: 'missing.json'" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_base_option_reads_unit_names_in_any_case(self, tmp_path, capsys):
+        for spec in ("adder4", "Adder4"):
+            assert main(["build", spec, "--base", "adder1",
+                         "-o", str(tmp_path / f"{spec}.json")]) == 0
+        assert "built Adder4: 17 visible" in capsys.readouterr().out
+        assert (tmp_path / "Adder4.json").read_text() == (tmp_path / "adder4.json").read_text()
+
     def test_base_option_rejects_plain_gates(self, tmp_path, capsys):
         code = main(["build", "xor", "-o", str(tmp_path / "x.json"),
                      "--base", "adder1"])
@@ -248,6 +255,15 @@ class TestTrain:
         assert "trained mult2: best accuracy" in capsys.readouterr().out
         # every epoch draws cap * copies_per_epoch rows; none enumerates the table
         assert caps and set(caps) == {16}
+
+    def test_unit_names_are_read_in_any_case(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"epochs_per_stage": 1, "k_max": 2, "eval_instances": 4}))
+        for task in ("mult2", "Mult2"):
+            assert main(["train", task, "-o", str(tmp_path / f"{task}.json"),
+                         "--config", str(tmp_path / "cfg.json")]) == 0
+        assert "trained Mult2: best accuracy" in capsys.readouterr().out
+        assert (tmp_path / "Mult2.json").read_text() == (tmp_path / "mult2.json").read_text()
 
     def test_rejects_unknown_config_keys(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"nope": 1}))

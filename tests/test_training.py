@@ -1,6 +1,7 @@
 """Contrastive-divergence training: datasets, updates, schedule, evaluation."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from rbmlogic.training import (
     reconstruction_error,
     train,
 )
+
+from .reference import random_rbm, ref_cd_update
 
 
 def decode_bits(row, lo, width):
@@ -72,6 +75,8 @@ class TestTaskParsing:
         assert parse_unit("mult2") == ("multiplier", 2)
         assert parse_unit(("mult", 2)) == ("multiplier", 2)
         assert parse_unit(("multiplier", 8)) == ("multiplier", 8)
+        assert parse_unit(" Mult2 ") == ("multiplier", 2)
+        assert parse_unit("FA4") == ("adder", 4)
         with pytest.raises(ValueError):
             parse_unit("foo3")
         with pytest.raises(ValueError):
@@ -265,6 +270,55 @@ class TestCdStep:
             digest.update(p.tobytes())
         digest.update(repr(gen.bit_generator.state).encode())
         assert digest.hexdigest() == self.CD_STEP_DIGESTS[k]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_kernel_matches_expit_reference(self, k):
+        # Weight scale 1e3 puts |a| above 800, where exp(-a) overflows.
+        cfg = TrainConfig(learning_rate=0.3, weight_decay=1e-3)
+        for case, ((nv, nh, n), scale) in enumerate(itertools.product(
+                [(3, 0, 4), (6, 5, 7), (16, 64, 20)], [0.5, 5.0, 1e3])):
+            rng = np.random.default_rng(100 * k + case)
+            rbm = random_rbm(rng, nv, nh, scale=scale)
+            batch = (rng.random((n, nv)) < 0.5).astype(float)
+            gen, twin = np.random.default_rng(case), np.random.default_rng(case)
+            out = cd_step(rbm, batch, cfg, gen, k=k)
+            u = twin.random(n * (nh + (k - 1) * (nv + nh)))
+            expected = ref_cd_update(rbm, batch, u, k, cfg.learning_rate, cfg.weight_decay)
+            for got, want in zip((out.weights, out.visible_bias, out.hidden_bias), expected):
+                assert got.tobytes() == want.tobytes()
+            assert gen.bit_generator.state == twin.bit_generator.state
+            if scale == 1e3 and nh:
+                assert np.abs(batch @ rbm.weights).max() > 800
+                # A zero uniform decides like p = 0 where exp overflows to inf.
+                u[::3] = 0.0
+                w, vb, hb = (np.array(p) for p in (rbm.weights, rbm.visible_bias,
+                                                   rbm.hidden_bias))
+                training._cd_update(w, vb, hb, batch, u, k, cfg.learning_rate,
+                                    cfg.weight_decay)
+                expected = ref_cd_update(rbm, batch, u, k, cfg.learning_rate,
+                                         cfg.weight_decay)
+                for got, want in zip((w, vb, hb), expected):
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_only_the_gradient_states_take_a_sigmoid(self, monkeypatch, k):
+        calls = {"_decide": 0, "expit": 0}
+
+        def counting(name):
+            inner = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counting(name))
+        rng = np.random.default_rng(k)
+        rbm = random_rbm(rng, 6, 5)
+        cd_step(rbm, (rng.random((7, 6)) < 0.5).astype(float), TrainConfig(), rng, k=k)
+        # ph0, the last pv and ph_k enter the gradient; every other state is a sample.
+        assert calls == {"_decide": 2 * (k - 1), "expit": 3}
 
     def test_single_row_training_concentrates_mass(self):
         cfg = TrainConfig(learning_rate=1.0, weight_decay=1e-4, k_initial=2)
