@@ -43,7 +43,7 @@ from .exact import (
     tv_distance,
 )
 from .merge import MergedModel, Netlist, compose, model_parts, resolve_clamp
-from .model import Rbm
+from .model import Rbm, _check_integer
 from .sampler import integrated_autocorrelation_time, run_chain
 from .synthesis import (
     DEFAULT_SHARPNESS,
@@ -332,8 +332,7 @@ def _bench_config(path: Path) -> dict:
         [(n, cfg[n], 0) for n in ("seed", "burn_in")] + \
         [("checkpoints entry", c, 1) for c in cfg["checkpoints"]]
     for name, value, low in checks:
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ValueError(f"{path}: {name} must be an integer >= {low}, got {value!r}")
+        _check_integer(f"{path}: {name}", value, low)
     sharpness = cfg["sharpness"]
     if isinstance(sharpness, bool) or not isinstance(sharpness, (int, float)) \
             or not 0 < sharpness < np.inf:

@@ -15,9 +15,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
+
+
+def _integer(value) -> bool:
+    """An Integral (numpy integers too) that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """The one integer rule: raise a ValueError naming ``name`` unless
+    ``value`` is an integer (``_integer``) at or above ``low``."""
+    if not _integer(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _as_bits(x, length: int, what: str) -> np.ndarray:

@@ -11,7 +11,7 @@ SWEEP_BLOCK_BYTES); PCG64 gives the same numbers for one draw of k * n
 uniforms as for k draws of n, so blocking changes no result.
 
 _chain_sweeps is the one block Gibbs kernel.
-_recorded_states is the one run driver: it checks the schedule, resolves
+_recorded_states is the one run driver: it checks the schedule and seeds, resolves
 the clamp, seeds one generator per row, draws the start state and picks
 the recorded sweeps, for block Gibbs (_chain_sweeps) and for
 replica_exchange's tempered sweep.  _Recorder is the one sample recorder
@@ -69,7 +69,7 @@ import numpy as np
 
 from .exact import _bit_index, _distinct_rows, component_plan
 from .merge import clamp_arrays, model_parts, resolve_clamp
-from .model import Rbm, free_energy_batch
+from .model import Rbm, _check_integer, _integer, free_energy_batch
 
 
 class Histogram:
@@ -343,12 +343,14 @@ def _recorded_states(model, clamp, seeds: Sequence[int], n_sweeps: int, burn_in:
     n_sweeps)`` runs the rows of v in place and yields (v, state) after
     every sweep: block Gibbs (_chain_sweeps) unless given.  Sweep t (from
     0) is recorded when t >= burn_in and (t - burn_in) is a multiple of
-    ``thin``.
+    ``thin``.  Every count and seed must be an integer (``_check_integer``).
     """
-    if n_sweeps < 1 or burn_in < 0 or thin < 1 or burn_in >= n_sweeps:
-        raise ValueError("need n_sweeps >= 1, 0 <= burn_in < n_sweeps, thin >= 1")
-    if not len(seeds):
-        raise ValueError("need at least one chain")
+    for name, value, low in (("burn_in", burn_in, 0), ("thin", thin, 1), ("n_sweeps", n_sweeps, 1)):
+        _check_integer(name, value, low)
+    for s in seeds:
+        _check_integer("seed", s, 0)
+    if burn_in >= n_sweeps:
+        raise ValueError(f"need burn_in < n_sweeps, got {burn_in} >= {n_sweeps}")
     rbm, _ = model_parts(model)
     idx, vals, free = clamp_arrays(rbm, resolve_clamp(model, clamp))
     gens = [np.random.default_rng(int(s)) for s in seeds]
@@ -462,7 +464,10 @@ def multistart(
     record_terminals: Sequence[str] | None = None,
 ) -> Histogram:
     """Pool histograms from independent chains seeded seed, seed+1, ..."""
+    if not _integer(n_chains) or n_chains < 1:
+        raise ValueError(f"need at least one chain, got n_chains={n_chains!r}")
     if seeds is None:
+        _check_integer("seed", seed, 0)
         seeds = [seed + c for c in range(n_chains)]
     elif len(seeds) != n_chains:
         raise ValueError("seeds length must equal n_chains")
@@ -563,8 +568,9 @@ def replica_exchange(
     n_ladders * len(betas) * n_sweeps chain-sweeps.  See the module
     docstring for the stream contract.
     """
-    if n_ladders < 1:
-        raise ValueError("need n_ladders >= 1")
+    if not _integer(n_ladders) or n_ladders < 1:
+        raise ValueError(f"need n_ladders >= 1, got {n_ladders!r}")
+    _check_integer("seed", seed, 0)
     betas = np.asarray(betas, dtype=np.float64)
     if (betas.ndim != 1 or not betas.size or betas[-1] != 1.0 or (betas <= 0).any()
             or (np.diff(betas) <= 0).any()):

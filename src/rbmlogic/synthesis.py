@@ -23,13 +23,12 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .merge import MergedModel, Netlist, compose, public_terminals
-from .model import Rbm
+from .model import Rbm, _check_integer
 
 DEFAULT_SHARPNESS = 12.0
 
@@ -176,8 +175,7 @@ def parse_unit(unit) -> Unit:
         raise TypeError(f"bad unit spec {unit!r}")
     if kind not in _UNIT_KINDS:
         raise ValueError(f"cannot parse unit {unit!r}")
-    if isinstance(width, bool) or not isinstance(width, Integral) or width < 1:
-        raise ValueError(f"unit width must be an integer >= 1, got {width!r}")
+    _check_integer("unit width", width, 1)
     return Unit(_UNIT_KINDS[kind], int(width))
 
 

@@ -32,13 +32,13 @@ operation's rule and the ``Posed.check`` verdict on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .exact import _bit_index
 from .merge import public_terminals
+from .model import _check_integer, _integer
 from .sampler import (Histogram, _pooled_histograms, mode_estimate, multistart,
                       replica_exchange)
 from .synthesis import model_interface
@@ -67,11 +67,10 @@ OPERATIONS = tuple(_OPS)
 
 def encode_int(value: int, width: int) -> list[int]:
     """Little-endian bits of a nonnegative integer."""
-    value = int(value)
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if not 0 <= value < 2**width:
+    _check_integer("width", width, 1)
+    if not (_integer(value) and 0 <= value < 2**width):
         raise ValueError(f"{value} does not fit in {width} bits")
+    value = int(value)
     return [(value >> j) & 1 for j in range(width)]
 
 
@@ -81,11 +80,6 @@ def decode_int(bits: Sequence[int]) -> int:
         if b not in (0, 1):
             raise ValueError(f"bad bit {b!r}")
     return int(_bit_index(np.array(bits, dtype=np.uint8).reshape(1, -1))[0])
-
-
-def _integer(value) -> bool:
-    """An Integral (numpy integers too) that is not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -111,10 +105,9 @@ class TaskSpec:
             raise ValueError(f"unknown operation {self.operation!r}")
         if self.cout not in (None, "free") and not (_integer(self.cout) and self.cout in (0, 1)):
             raise ValueError(f"cout must be None, 'free', 0 or 1, got {self.cout!r}")
-        if self.bit_width is not None and not (_integer(self.bit_width) and self.bit_width >= 1):
-            raise ValueError(f"bit_width must be an integer >= 1, got {self.bit_width!r}")
-        if self.expected is not None and not (_integer(self.expected) and self.expected >= 0):
-            raise ValueError(f"expected must be an integer >= 0, got {self.expected!r}")
+        for name, low in (("bit_width", 1), ("expected", 0)):
+            if getattr(self, name) is not None:
+                _check_integer(name, getattr(self, name), low)
         if self.cout is not None and self.operation != "subtract":
             raise ValueError(f"cout applies to subtract only, not to {self.operation!r}")
         for name, value in self.clamps.items():
@@ -237,10 +230,7 @@ class SolveSettings:
     def __post_init__(self):
         for name, low in (("n_chains", 1), ("n_sweeps", 1), ("thin", 1), ("burn_in", 0),
                           ("seed", 0), ("top_k", 0)):
-            value = getattr(self, name)
-            if not _integer(value) or value < low:
-                raise ValueError(f"bad sampler settings: {name} must be an integer "
-                                 f">= {low}, got {value!r}")
+            _check_integer(f"bad sampler settings: {name}", getattr(self, name), low)
         if self.betas is not None:
             object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
 
@@ -341,8 +331,10 @@ def success_curve(
     if not len(checkpoints) or not all(_integer(c) and c >= 1 for c in checkpoints):
         raise ValueError(f"checkpoints must be positive integers, got {checkpoints!r}")
     checkpoints = sorted(int(c) for c in checkpoints)
-    if n_chains < 1 or not len(tasks):
-        raise ValueError("need n_chains >= 1 and at least one task")
+    if not _integer(n_chains) or n_chains < 1 or not len(tasks):
+        raise ValueError(f"need an integer n_chains >= 1 and at least one task, "
+                         f"got n_chains={n_chains!r} and {len(tasks)} tasks")
+    _check_integer("seed", seed, 0)
     # Sweeps recorded when each checkpoint's pooled sample count is reached.
     marks = [(c + n_chains - 1) // n_chains for c in checkpoints]
     successes = [0] * len(checkpoints)

@@ -46,13 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
 from .merge import model_parts, public_terminals, resolve_clamp
-from .model import Rbm
+from .model import Rbm, _check_integer
 from .sampler import _decide, mode_estimate, multistart
 from .synthesis import Unit, parse_unit
 from . import exact
@@ -71,10 +71,11 @@ EXACT_LEARNING_RATE = 0.2
 EXACT_MOMENTUM = 0.9
 
 
-# TrainConfig fields that are real numbers, and the integer fields that
-# may be None; every other field is an integer.
+# TrainConfig fields that are real numbers >= 0, and the integer fields
+# that may be None; every other field is an integer >= 1, or >= _LOWEST.
 _RATES = ("learning_rate", "weight_decay", "init_scale")
 _OPTIONAL = ("batch_size", "dataset_cap")
+_LOWEST = {"seed": 0}
 
 
 @dataclass(frozen=True)
@@ -98,22 +99,12 @@ class TrainConfig:
         for name, value in vars(self).items():
             if name in _RATES:
                 if isinstance(value, bool) or not isinstance(value, Real) \
-                        or not math.isfinite(value):
-                    raise ValueError(f"{name} must be a finite number, got {value!r}")
-            elif not (value is None and name in _OPTIONAL) and (
-                    isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k_initial < 1 or self.k_max < self.k_initial:
-            raise ValueError("need 1 <= k_initial <= k_max")
-        if min(self.epochs_per_stage, self.copies_per_epoch, self.patience,
-               self.eval_instances, self.eval_chains, self.eval_sweeps) <= 0:
-            raise ValueError("config counts must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 (or None for automatic)")
-        if self.weight_decay < 0 or self.init_scale < 0:
-            raise ValueError("weight_decay and init_scale must be nonnegative")
+                        or not math.isfinite(value) or value < 0:
+                    raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            elif not (value is None and name in _OPTIONAL):
+                _check_integer(name, value, _LOWEST.get(name, 1))
+        if self.k_max < self.k_initial:
+            raise ValueError(f"need k_initial <= k_max, got {self.k_initial} > {self.k_max}")
 
 
 def generate_dataset(task, cap: int | None = None,
@@ -323,8 +314,7 @@ def train(task, n_hidden: int | None = None,
     names = unit.terminals
     if n_hidden is None:
         n_hidden = KNOWN_HIDDEN.get(unit, 4 * len(names))
-    if isinstance(n_hidden, bool) or not isinstance(n_hidden, Integral) or n_hidden < 0:
-        raise ValueError(f"n_hidden must be an integer >= 0, got {n_hidden!r}")
+    _check_integer("n_hidden", n_hidden, 0)
     rng = np.random.default_rng(config.seed)
     rbm = Rbm(
         rng.normal(0.0, config.init_scale, (len(names), n_hidden)),

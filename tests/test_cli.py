@@ -218,6 +218,12 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        # It once reached numpy, whose "expected non-negative integer" names nothing.
+        assert main(["train", "adder1", "-o", str(tmp_path / "t.json"), "--seed", "-1"]) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_writes_model_metrics_and_manifest(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = {"epochs_per_stage": 2, "k_max": 3, "patience": 2,

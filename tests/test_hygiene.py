@@ -220,6 +220,46 @@ def test_the_check_sees_planted_mult_literals():
     assert _mult_literals(tree) == [1, 2, 4, 4, 5, 5]
 
 
+def _integer_rule_lines(tree: ast.Module) -> list[int]:
+    """Lines that import or read ``numbers.Integral``, or hold a string
+    (f-string parts too) with the integer rule's "must be an integer >="."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers" and any(
+                alias.name == "Integral" for alias in node.names):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "Integral" and \
+                isinstance(node.value, ast.Name) and node.value.id == "numbers":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and \
+                "must be an integer >=" in node.value:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_integer_rule_is_stated_once():
+    # model._check_integer is the one integer check and the one spelling
+    # of its message; every other module calls it (or model._integer).
+    found = {p.name: _integer_rule_lines(ast.parse(p.read_text())) for p in PACKAGE}
+    assert found.pop("model.py"), "model.py no longer states the integer rule"
+    stray = [f"{name}:{line}" for name, lines in found.items() for line in lines]
+    assert not stray, f"integer rule restated outside model.py: {', '.join(stray)}"
+
+
+def test_the_check_sees_planted_integer_rules():
+    tree = ast.parse("from numbers import Integral, Real\n"
+                     "import numbers\n"
+                     "ok = isinstance(x, numbers.Integral)\n"
+                     "e = f'{name} must be an integer >= {low}, got {x!r}'\n"
+                     "g = (f'{name} must be an integer '\n"
+                     "     f'>= {low}')\n"
+                     "h = 'n must be an integer >= 1'\n"
+                     "from numbers import Real\n"
+                     "i = f'{name} must be an integer, got {x!r}'\n"
+                     "j = numbers.Real\n")
+    assert _integer_rule_lines(tree) == [1, 3, 4, 5, 7]
+
+
 # Each module may import only modules before it in this list.
 LAYERS = ("model", "merge", "exact", "sampler", "synthesis", "training", "tasks", "cli")
 

@@ -1,6 +1,7 @@
 """Clamped block Gibbs sampling: chains, pooling, diagnostics, success curves."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -278,6 +279,60 @@ class TestMultistart:
     def test_needs_a_chain(self):
         with pytest.raises(ValueError, match="need at least one chain"):
             multistart(random_rbm(np.random.default_rng(8), 2, 2), n_chains=0, n_sweeps=50)
+
+
+def _small_run(driver, **overrides):
+    """The histogram (success_curve: the curve) of one short run of a run driver."""
+    if driver == "success_curve":
+        return success_curve(builtin_model("mult2"), [TaskSpec("factor", 2, {"P": 6})], [20],
+                             **({"n_chains": 2} | overrides))
+    run = {"run_chain": lambda *a, **k: run_chain(*a, **k)[1], "multistart": multistart,
+           "replica_exchange": sampler.replica_exchange}[driver]
+    return run(zero_rbm(2, 1), **({"n_sweeps": 20} | overrides))
+
+
+class TestRunDriverArguments:
+    """Every run driver refuses a count or seed that is not an integer, by
+    name; each of these cases once ran as its truncation or failed unnamed."""
+
+    @pytest.mark.parametrize("driver, field, value, message", [
+        ("run_chain", "seed", 3.9, "seed must be an integer >= 0, got 3.9"),
+        ("run_chain", "seed", True, "seed must be an integer >= 0, got True"),
+        ("run_chain", "n_sweeps", 20.0, "n_sweeps must be an integer >= 1, got 20.0"),
+        ("run_chain", "thin", 1.0, "thin must be an integer >= 1, got 1.0"),
+        ("run_chain", "burn_in", 0.5, "burn_in must be an integer >= 0, got 0.5"),
+        ("multistart", "seed", 1.7, "seed must be an integer >= 0, got 1.7"),
+        ("multistart", "seed", True, "seed must be an integer >= 0, got True"),
+        ("multistart", "seed", -1, "seed must be an integer >= 0, got -1"),
+        ("multistart", "seeds", [1, 2.5, 3, 4], "seed must be an integer >= 0, got 2.5"),
+        ("multistart", "n_chains", True, "need at least one chain, got n_chains=True"),
+        ("multistart", "n_chains", 2.5, "need at least one chain, got n_chains=2.5"),
+        ("replica_exchange", "seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+        ("replica_exchange", "seed", True, "seed must be an integer >= 0, got True"),
+        ("replica_exchange", "n_ladders", True, "need n_ladders >= 1, got True"),
+        ("replica_exchange", "thin", 1.0, "thin must be an integer >= 1, got 1.0"),
+        ("success_curve", "seed", 0.5, "seed must be an integer >= 0, got 0.5"),
+        ("success_curve", "seed", True, "seed must be an integer >= 0, got True"),
+        ("success_curve", "n_chains", True, "n_chains >= 1 and at least one task, got "
+                                            "n_chains=True"),
+        ("success_curve", "burn_in", 1.5, "burn_in must be an integer >= 0, got 1.5"),
+    ])
+    def test_refuses_counts_and_seeds_that_are_not_integers(self, driver, field, value,
+                                                             message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _small_run(driver, **{field: value})
+
+    @pytest.mark.parametrize("driver, fields", [
+        ("run_chain", {"seed": 3, "n_sweeps": 20, "burn_in": 2, "thin": 3}),
+        ("multistart", {"seed": 1, "n_chains": 3, "n_sweeps": 20, "burn_in": 2, "thin": 3}),
+        ("multistart", {"seeds": [5, 2], "n_chains": 2}),
+        ("replica_exchange", {"seed": 2, "n_ladders": 2, "n_sweeps": 20, "thin": 2}),
+        ("success_curve", {"seed": 4, "n_chains": 3, "burn_in": 2}),
+    ])
+    def test_numpy_integers_are_accepted(self, driver, fields):
+        as_numpy = {k: [np.int64(s) for s in v] if k == "seeds" else np.int64(v)
+                    for k, v in fields.items()}
+        assert _small_run(driver, **as_numpy) == _small_run(driver, **fields)
 
 
 def _adder16_add():

@@ -48,6 +48,17 @@ class TestEncoding:
         with pytest.raises(ValueError, match="bad bit"):
             decode_int([0, 2])
 
+    @pytest.mark.parametrize("value, width, message", [
+        (2.7, 2, "2.7 does not fit in 2 bits"), (True, 1, "True does not fit in 1 bits"),
+        (1, True, "width must be an integer >= 1, got True"),
+        (1, 2.0, "width must be an integer >= 1, got 2.0"),
+    ])
+    def test_refuses_values_and_widths_that_are_not_integers(self, value, width, message):
+        # They were once truncated: encode_int(2.7, 2) gave [0, 1].
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode_int(value, width)
+        assert encode_int(np.int64(2), np.int64(2)) == [0, 1]
+
     @given(width=st.integers(1, 16), data=st.data())
     def test_round_trip(self, width, data):
         value = data.draw(st.integers(0, 2**width - 1))

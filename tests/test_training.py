@@ -58,7 +58,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("k_initial", "2"), ("epochs_per_stage", 2.5), ("seed", True),
         ("dataset_cap", 4.0), ("learning_rate", True), ("init_scale", "0.1"),
-        ("weight_decay", float("nan")),
+        ("weight_decay", float("nan")), ("seed", -1), ("dataset_cap", 0), ("eval_chains", 0),
     ])
     def test_counts_are_integers_and_rates_finite_numbers(self, field, value):
         with pytest.raises(ValueError, match=field):
