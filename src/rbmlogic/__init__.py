@@ -39,13 +39,11 @@ from .merge import MergedModel, Netlist, compose, merge_pair
 from .synthesis import (
     DEFAULT_SHARPNESS,
     TruthTable,
-    adder_table,
     build_adder,
     build_multiplier,
     builtin_model,
     full_adder_netlist,
     gate,
-    multiplier_table,
     rbm_from_truth_table,
 )
 from .exact import (
@@ -87,9 +85,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryState", "Rbm", "energy", "free_energy", "free_energy_batch",
     "MergedModel", "Netlist", "compose", "merge_pair",
-    "DEFAULT_SHARPNESS", "TruthTable", "adder_table", "build_adder",
-    "build_multiplier", "builtin_model", "full_adder_netlist", "gate",
-    "multiplier_table", "rbm_from_truth_table",
+    "DEFAULT_SHARPNESS", "TruthTable", "build_adder", "build_multiplier",
+    "builtin_model", "full_adder_netlist", "gate", "rbm_from_truth_table",
     "ExactDistribution", "convergence_bound", "delta_bound", "delta_exact",
     "exact_joint_distribution", "exact_visible_distribution",
     "gibbs_transition_matrix", "kl_divergence", "l1_distance",

@@ -43,7 +43,7 @@ from .exact import (
     tv_distance,
 )
 from .merge import MergedModel, Netlist, compose, model_parts, resolve_clamp
-from .model import Rbm, _check_integer
+from .model import Rbm, _check_integer, dumps_model
 from .sampler import integrated_autocorrelation_time, run_chain
 from .synthesis import (
     DEFAULT_SHARPNESS,
@@ -70,18 +70,16 @@ def _sidecar(path: Path) -> Path:
 def save_model(model, path: Path) -> list[Path]:
     """Write a model JSON; merged models get a terminals sidecar."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    written = [path]
-    if isinstance(model, MergedModel):
-        model.rbm.save(path)
-        side = _sidecar(path)
-        side.write_text(json.dumps({
-            "terminal_map": {k: int(v) for k, v in sorted(model.terminal_map.items())},
-            "constants": {k: int(v) for k, v in sorted(model.constants.items())},
-        }, indent=1, sort_keys=True) + "\n")
-        written.append(side)
-    else:
-        model.save(path)
-    return written
+    merged = isinstance(model, MergedModel)
+    path.write_text(dumps_model(model.rbm if merged else model))
+    if not merged:
+        return [path]
+    side = _sidecar(path)
+    side.write_text(json.dumps({
+        "terminal_map": {k: int(v) for k, v in sorted(model.terminal_map.items())},
+        "constants": {k: int(v) for k, v in sorted(model.constants.items())},
+    }, indent=1, sort_keys=True) + "\n")
+    return [path, side]
 
 
 # Top-level keys of a model JSON; a netlist JSON has "components" instead.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from numbers import Integral
-from pathlib import Path
 
 import numpy as np
 
@@ -137,13 +136,6 @@ class Rbm:
             w = w.reshape(len(names), len(a))
         return cls(w, b, a, names)
 
-    def save(self, path) -> None:
-        Path(path).write_text(dumps_model(self))
-
-    @classmethod
-    def load(cls, path) -> "Rbm":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
-
 
 def _numbers(values) -> bool:
     """Whether a parsed JSON value is a list of numbers; bools are not
@@ -180,10 +172,6 @@ def dumps_model(rbm: Rbm) -> str:
             + ',\n "weights": [\n  ' + rows + "\n ]\n}")
 
 
-def loads_model(text: str) -> Rbm:
-    return Rbm.from_json_dict(json.loads(text))
-
-
 @dataclass
 class BinaryState:
     """A joint (visible, hidden) bit assignment for one RBM."""
@@ -205,9 +193,8 @@ def free_energy(rbm: Rbm, v) -> float:
     exp(-F(v)) equals the sum over all hidden states of exp(-E(v, h)); the
     softplus accumulation stays finite for arbitrarily large weights.
     """
-    v = _as_bits(v, rbm.n_visible, "visible state")
-    act = rbm.hidden_bias + rbm.weights.T @ v
-    return float(-(rbm.visible_bias @ v) - np.logaddexp(0.0, act).sum())
+    bits = _as_bits(v, rbm.n_visible, "visible state")
+    return float(free_energy_batch(rbm, bits[None])[0])
 
 
 def free_energy_batch(rbm: Rbm, V: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:

@@ -179,16 +179,6 @@ def parse_unit(unit) -> Unit:
     return Unit(_UNIT_KINDS[kind], int(width))
 
 
-def adder_table(n_bits: int) -> TruthTable:
-    """Joint table of n-bit addition: A + B + Cin = S + 2^n * Cout."""
-    return parse_unit(("adder", n_bits)).table()
-
-
-def multiplier_table(n_bits: int) -> TruthTable:
-    """Joint table of n-bit multiplication: A * B = P, P over 2n bits."""
-    return parse_unit(("multiplier", n_bits)).table()
-
-
 def full_adder_netlist(sharpness: float = DEFAULT_SHARPNESS) -> Netlist:
     """Standard 5-gate full adder: S = A^B^Cin, Cout = AB + (A^B)Cin.
 
@@ -376,7 +366,7 @@ def builtin_model(name: str, sharpness: float = DEFAULT_SHARPNESS):
         raise KeyError(f"unknown builtin model {name!r}") from None
     if unit.kind == "multiplier" and unit.width <= MULT_DIRECT_MAX:
         return rbm_from_truth_table(unit.table(), sharpness)
-    slice_fa = rbm_from_truth_table(adder_table(1), sharpness)
+    slice_fa = rbm_from_truth_table(Unit("adder", 1).table(), sharpness)
     if unit.kind == "multiplier":
         half = builtin_model(f"{unit.kind}{unit.width // 2}", sharpness)
         return build_multiplier(unit.width, half, slice_fa)

@@ -52,7 +52,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .merge import model_parts, public_terminals, resolve_clamp
-from .model import Rbm, _check_integer
+from .model import Rbm, _check_integer, _integer
 from .sampler import _decide, mode_estimate, multistart
 from .synthesis import Unit, parse_unit
 from . import exact
@@ -122,8 +122,7 @@ def generate_dataset(task, cap: int | None = None,
             )
         table = unit.table()
         return np.array(table.rows, dtype=np.uint8), table.names
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    _check_integer("cap", cap, 1)
     rng = np.random.default_rng() if rng is None else rng
     # Each row draws its inputs in row order: A, then B, then (adders) Cin.
     highs = [2**n for _, n in unit.inputs]
@@ -194,8 +193,7 @@ def cd_step(rbm: Rbm, batch: np.ndarray, config: TrainConfig,
     initial hidden sample, then alternating visible and hidden samples.
     """
     k = config.k_initial if k is None else k
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_integer("k", k, 1)
     v0 = np.asarray(batch, dtype=np.float64)
     if v0.ndim != 2 or v0.shape[1] != rbm.n_visible:
         raise ValueError(f"batch shape {v0.shape} does not match "
@@ -215,8 +213,8 @@ def exact_refine(rbm: Rbm, data: np.ndarray, steps: int) -> Rbm:
     ``EXACT_LEARNING_RATE`` and momentum ``EXACT_MOMENTUM``.
     Deterministic: draws no random numbers.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not _integer(steps) or steps < 0:
+        raise ValueError(f"steps must be >= 0 and an integer, got {steps!r}")
     v0 = np.asarray(data, dtype=np.float64)
     if v0.ndim != 2 or not len(v0) or v0.shape[1] != rbm.n_visible:
         raise ValueError(f"data shape {v0.shape} is not a non-empty (rows, "
@@ -280,6 +278,9 @@ def evaluate_accuracy(model, task, n_instances: int = 64, n_chains: int = 2,
     activations fit one pass, otherwise from the pooled histogram of
     ``n_chains`` Gibbs chains seeded ``seed + 1000 * i`` for row i.
     """
+    for name, value, low in (("n_instances", n_instances, 1), ("n_chains", n_chains, 1),
+                             ("n_sweeps", n_sweeps, 1), ("seed", seed, 0)):
+        _check_integer(name, value, low)
     unit = parse_unit(task)
     names = unit.terminals
     terminals = public_terminals(model)

@@ -37,11 +37,11 @@ from rbmlogic.exact import (
 from rbmlogic.merge import Netlist, compose, merge_pair
 from rbmlogic.sampler import integrated_autocorrelation_time, run_chain
 from rbmlogic.synthesis import (
-    adder_table,
     build_adder,
     build_multiplier,
     builtin_model,
     gate,
+    parse_unit,
     rbm_from_truth_table,
 )
 from rbmlogic.tasks import SolveSettings, TaskSpec, random_task, solve
@@ -171,7 +171,7 @@ class TestAcceptance:
 
         merged = truth_mass(exact_visible_distribution(builtin_model("fa1").rbm))
         direct = truth_mass(
-            exact_visible_distribution(rbm_from_truth_table(adder_table(1))))
+            exact_visible_distribution(rbm_from_truth_table(parse_unit(("adder", 1)).table())))
         _verdict(
             merged >= 0.97 and direct > merged,
             "3/10 full-adder valid mass",

@@ -21,10 +21,10 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 import rbmlogic
-from rbmlogic.cli import load_model, main
+from rbmlogic.cli import load_model, main, save_model
 from rbmlogic.merge import MergedModel, public_terminals
 from rbmlogic.model import Rbm
-from rbmlogic.synthesis import Unit
+from rbmlogic.synthesis import Unit, build_multiplier, builtin_model
 from rbmlogic import training
 from rbmlogic.training import generate_dataset
 
@@ -71,6 +71,21 @@ class TestBuild:
         assert isinstance(model, MergedModel)
         assert sorted(public_terminals(model)) == ["A", "B", "Cin", "Cout", "S"]
         assert model.terminal_map == sidecar["terminal_map"]
+
+    @pytest.mark.parametrize("name, n_constants", [
+        ("fa1", 0), ("adder16", 0), ("mult8", 38), ("mult4 --base mult2", 22)])
+    def test_composed_model_keeps_its_constants_through_its_files(self, tmp_path, name,
+                                                                  n_constants):
+        model = (build_multiplier(4, builtin_model("mult2"), builtin_model("adder1"))
+                 if name == "mult4 --base mult2" else builtin_model(name))
+        back = load_model(save_model(model, tmp_path / "m.json")[0])
+        assert isinstance(back, MergedModel)
+        for field in ("weights", "visible_bias", "hidden_bias"):
+            assert getattr(back.rbm, field).tobytes() == getattr(model.rbm, field).tobytes()
+        assert back.rbm.visible_names == model.rbm.visible_names
+        assert back.terminal_map == model.terminal_map
+        assert back.constants == model.constants
+        assert len(back.constants) == n_constants
 
     def test_sidecar_with_an_old_exports_list_loads(self, tmp_path, model_dir):
         # Sidecars once carried an exports list; it is ignored on load.
@@ -597,7 +612,7 @@ class TestDiagnose:
 
     def test_bad_sidecar_constant_is_an_input_error(self, tmp_path, capsys):
         rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
-        rbm.save(tmp_path / "m.json")
+        save_model(rbm, tmp_path / "m.json")
         (tmp_path / "m.terminals.json").write_text(json.dumps(
             {"terminal_map": {"x": 0, "y": 1}, "constants": {"x": 2}}))
         code = main(["diagnose", str(tmp_path / "m.json"), "-o", str(tmp_path / "out")])
@@ -614,7 +629,7 @@ class TestDiagnose:
     def test_sidecar_constants_are_validated_on_load(self, tmp_path, capsys, constants,
                                                      message):
         rbm = Rbm(np.zeros((2, 1)), np.zeros(2), np.zeros(1), ("x", "y"))
-        rbm.save(tmp_path / "m.json")
+        save_model(rbm, tmp_path / "m.json")
         (tmp_path / "m.terminals.json").write_text(json.dumps(
             {"terminal_map": {"x": 0, "y": 1}, "constants": constants}))
         code = main(["diagnose", str(tmp_path / "m.json"), "-o", str(tmp_path / "out")])
@@ -774,8 +789,8 @@ class TestFuzzedInputFiles:
            data=st.data())
     def test_random_sidecars_exit_0_or_2(self, tmp_path_factory, sidecar, command, data):
         path = tmp_path_factory.mktemp("fuzz") / "m.json"
-        Rbm(np.ones((5, 2)), np.zeros(5), np.zeros(2),
-            ("A", "B", "Cin", "S", "Cout")).save(path)
+        save_model(Rbm(np.ones((5, 2)), np.zeros(5), np.zeros(2),
+                       ("A", "B", "Cin", "S", "Cout")), path)
         path.with_name("m.terminals.json").write_text(json.dumps(_spoiled(data, sidecar)))
         codes = (0, 2) if command[0] == "inspect" else (0, 1, 2)
         assert main([command[0], str(path), *command[1:]]) in codes
@@ -891,7 +906,7 @@ class TestEnvironment:
     def test_threads_setting_must_be_a_positive_integer(self, tmp_path, value):
         # The bad value reaches no BLAS variable, and every command exits 2
         # naming it.
-        Rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1), ("a",)).save(tmp_path / "m.json")
+        save_model(Rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1), ("a",)), tmp_path / "m.json")
         script = textwrap.dedent("""
             import os, sys
             from rbmlogic.cli import main

@@ -417,9 +417,32 @@ def _unresolved_citations(text: str, bindings: dict[str, set[str]]) -> list[str]
     return missing + [n for n in re.findall(r"(?<![\w.])_[A-Za-z]\w*", text) if n not in defined]
 
 
+def _class_members(tree: ast.Module) -> dict[str, set[str]]:
+    """Each module-level class mapped to the names its body binds: methods,
+    properties, class attributes and dataclass or NamedTuple fields."""
+    out = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            out[cls.name] = _module_bindings(ast.Module(body=cls.body, type_ignores=[]))
+    return out
+
+
+def _unresolved_attributes(text: str, members: dict[str, set[str]]) -> list[str]:
+    """Each ``Class.name`` in ``text`` whose class is in ``members`` but
+    binds no such name; a ``module.Class.name`` counts too."""
+    cited = re.findall(r"(?<!\w)(?=([A-Za-z_]\w*)\.([A-Za-z_]\w*))", text)
+    return [f"{c}.{n}" for c, n in cited if c in members and n not in members[c]]
+
+
 def test_every_name_the_readme_cites_is_defined():
-    bindings = {p.stem: _module_bindings(ast.parse(p.read_text())) for p in SOURCES}
-    missing = _unresolved_citations((ROOT / "README.md").read_text(), bindings)
+    trees = [ast.parse(p.read_text()) for p in SOURCES]
+    bindings = {p.stem: _module_bindings(tree) for p, tree in zip(SOURCES, trees)}
+    members = {}
+    for tree in trees:
+        for cls, names in _class_members(tree).items():
+            members.setdefault(cls, set()).update(names)
+    text = (ROOT / "README.md").read_text()
+    missing = _unresolved_citations(text, bindings) + _unresolved_attributes(text, members)
     assert not missing, f"README cites names rbmlogic does not define: {', '.join(missing)}"
 
 
@@ -434,3 +457,18 @@ def test_the_check_sees_missing_readme_names():
             "`_method`, _inner, _missing and __init__; not names: foo_bar, a._b.\n")
     assert _unresolved_citations(text, bindings) == [
         "exact._gone", "tasks.pose", "_method", "_inner", "_missing"]
+
+
+def test_the_check_sees_missing_readme_attributes():
+    tree = ast.parse("class Rbm:\n    weights: object\n    KIND = 'rbm'\n"
+                     "    @property\n    def n_visible(self): pass\n"
+                     "    @classmethod\n    def from_json_dict(cls, d): pass\n"
+                     "class Unit(NamedTuple):\n    kind: str\n    def row(self, x): pass\n"
+                     "def helper():\n    class Inner:\n        pass\n")
+    members = _class_members(tree)
+    assert members == {"Rbm": {"weights", "KIND", "n_visible", "from_json_dict"},
+                       "Unit": {"kind", "row"}}
+    text = ("`Rbm.weights`, Rbm.KIND, model.Rbm.n_visible and `Rbm.from_json_dict(d)`;\n"
+            "Unit.kind, Unit.row. Gone: Rbm.save, model.Rbm.load, `Unit.rows`;\n"
+            "not classes: W.T, Inner.x, exact.py.\n")
+    assert _unresolved_attributes(text, members) == ["Rbm.save", "Rbm.load", "Unit.rows"]

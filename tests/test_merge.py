@@ -17,10 +17,10 @@ from rbmlogic.exact import (
 from rbmlogic.merge import MergedModel, Netlist, compose, merge_pair, public_terminals
 from rbmlogic.model import BinaryState, Rbm, dumps_model, energy
 from rbmlogic.synthesis import (
-    adder_table,
     builtin_model,
     full_adder_netlist,
     gate,
+    parse_unit,
     rbm_from_truth_table,
 )
 
@@ -268,7 +268,7 @@ class TestCompose:
     def test_full_adder_valid_mass_and_direct_comparison(self):
         mm = compose(full_adder_netlist())
         merged_mass = self._adder_truth_mass(exact_visible_distribution(mm.rbm))
-        direct = rbm_from_truth_table(adder_table(1))
+        direct = rbm_from_truth_table(parse_unit(("adder", 1)).table())
         direct_mass = self._adder_truth_mass(exact_visible_distribution(direct))
         assert merged_mass == approx(0.9889024244305604, abs=1e-12)
         assert direct_mass == approx(0.9926065107403327, abs=1e-12)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rbmlogic.cli import load_model, save_model
 from rbmlogic.exact import _conditional_tables
 from rbmlogic.merge import Netlist, compose, model_parts
 from rbmlogic.model import (
@@ -18,7 +19,6 @@ from rbmlogic.model import (
     energy,
     free_energy,
     free_energy_batch,
-    loads_model,
 )
 from rbmlogic.synthesis import builtin_model
 
@@ -231,7 +231,7 @@ class TestValidation:
 class TestSerialization:
     @given(small_rbm())
     def test_json_round_trip_is_bit_exact(self, rbm):
-        back = loads_model(dumps_model(rbm))
+        back = Rbm.from_json_dict(json.loads(dumps_model(rbm)))
         assert back.visible_names == rbm.visible_names
         assert back.weights.tobytes() == rbm.weights.tobytes()
         assert back.visible_bias.tobytes() == rbm.visible_bias.tobytes()
@@ -240,14 +240,14 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         rbm = random_rbm(np.random.default_rng(0), 3, 2)
         path = tmp_path / "m.json"
-        rbm.save(path)
-        back = Rbm.load(path)
+        save_model(rbm, path)
+        back = load_model(path)
         assert back.weights.tobytes() == rbm.weights.tobytes()
         assert back.visible_names == rbm.visible_names
 
     def test_zero_hidden_round_trip(self):
         rbm = Rbm(np.zeros((2, 0)), np.array([0.25, -1.5]), np.zeros(0), ("x", "y"))
-        back = loads_model(dumps_model(rbm))
+        back = Rbm.from_json_dict(json.loads(dumps_model(rbm)))
         assert back.n_hidden == 0
         assert np.array_equal(back.visible_bias, rbm.visible_bias)
 

@@ -14,7 +14,6 @@ from rbmlogic.synthesis import (
     DEFAULT_SHARPNESS,
     TruthTable,
     Unit,
-    adder_table,
     bit_names,
     build_adder,
     build_multiplier,
@@ -22,9 +21,9 @@ from rbmlogic.synthesis import (
     full_adder_netlist,
     gate,
     gate_table,
-    multiplier_table,
     model_interface,
     operand_width,
+    parse_unit,
     rbm_from_truth_table,
 )
 
@@ -62,14 +61,14 @@ class TestTruthTable:
             gate_table("xnor")
 
     def test_one_bit_adder_table(self):
-        t = adder_table(1)
+        t = parse_unit(("adder", 1)).table()
         assert t.names == ("A", "B", "Cin", "S", "Cout")
         assert len(t.rows) == 8
         for a, b, cin, s, cout in t.rows:
             assert a + b + cin == s + 2 * cout
 
     def test_adder_table(self):
-        t = adder_table(2)
+        t = parse_unit(("adder", 2)).table()
         assert t.arity == 8
         assert len(t.rows) == 32
         for row in t.rows:
@@ -80,10 +79,10 @@ class TestTruthTable:
             cout = row[7]
             assert a + b + cin == s + 4 * cout
         with pytest.raises(ValueError):
-            adder_table(0)
+            parse_unit(("adder", 0)).table()
 
     def test_multiplier_table(self):
-        t = multiplier_table(2)
+        t = parse_unit(("multiplier", 2)).table()
         assert t.arity == 8
         assert len(t.rows) == 16
         for row in t.rows:
@@ -92,7 +91,7 @@ class TestTruthTable:
             p = sum(row[4 + j] << j for j in range(4))
             assert a * b == p
         with pytest.raises(ValueError):
-            multiplier_table(0)
+            parse_unit(("multiplier", 0)).table()
 
     def test_bit_names(self):
         assert bit_names("A", 1) == ["A"]
@@ -196,11 +195,11 @@ class TestOperandWidths:
             operand_width(["A0", "A2"], "A")
 
     def test_model_interface_reads_slice_widths(self):
-        fa = rbm_from_truth_table(adder_table(1))
+        fa = rbm_from_truth_table(parse_unit(("adder", 1)).table())
         assert (model_interface(fa).kind, model_interface(fa).width) == ("adder", 1)
-        assert model_interface(rbm_from_truth_table(adder_table(2))).width == 2
+        assert model_interface(rbm_from_truth_table(parse_unit(("adder", 2)).table())).width == 2
         assert model_interface(compose(full_adder_netlist())).width == 1
-        mult = model_interface(rbm_from_truth_table(multiplier_table(2)))
+        mult = model_interface(rbm_from_truth_table(parse_unit(("multiplier", 2)).table()))
         assert (mult.kind, mult.width) == ("multiplier", 2)
         coutless = Rbm(np.zeros((4, 1)), np.zeros(4), np.zeros(1), ("A", "B", "S", "Cin"))
         with pytest.raises(KeyError, match="missing terminal 'Cout'"):
@@ -209,7 +208,7 @@ class TestOperandWidths:
     def test_model_interface_classifies_each_name_tuple_once(self):
         # Models with the same public terminals share one classification,
         # from a bounded cache; a refusal is raised again on every call.
-        fa = rbm_from_truth_table(adder_table(1))
+        fa = rbm_from_truth_table(parse_unit(("adder", 1)).table())
         assert model_interface(fa) is model_interface(fa.renamed({})) is \
             model_interface(compose(full_adder_netlist()))
         assert synthesis._interface.cache_info().maxsize is not None
@@ -219,8 +218,8 @@ class TestOperandWidths:
                 model_interface(coutless)
 
     def test_builders_validate_their_bases(self):
-        fa = rbm_from_truth_table(adder_table(1))
-        mult2 = rbm_from_truth_table(multiplier_table(2))
+        fa = rbm_from_truth_table(parse_unit(("adder", 1)).table())
+        mult2 = rbm_from_truth_table(parse_unit(("multiplier", 2)).table())
         with pytest.raises(KeyError, match="no terminals"):
             build_adder(2, gate("and"))
         carryless = Rbm(np.zeros((3, 1)), np.zeros(3), np.zeros(1), ("A", "B", "S"))
@@ -233,7 +232,8 @@ class TestOperandWidths:
         with pytest.raises(ValueError, match="base multiplier width 2 != 1"):
             build_multiplier(2, mult2, fa)
         with pytest.raises(KeyError, match="missing terminal 'Cin'"):
-            build_multiplier(4, mult2, rbm_from_truth_table(multiplier_table(4)))
+            build_multiplier(
+                4, mult2, rbm_from_truth_table(parse_unit(("multiplier", 4)).table()))
 
 
     def test_model_interface_refuses_a_sum_wider_than_the_inputs(self):
@@ -254,7 +254,7 @@ class TestOperandWidths:
 
 class TestCircuits:
     def test_ripple_adder_structure(self):
-        fa = rbm_from_truth_table(adder_table(1))
+        fa = rbm_from_truth_table(parse_unit(("adder", 1)).table())
         add = build_adder(2, fa)
         public = set(public_terminals(add))
         assert public == {"A0", "A1", "B0", "B1", "S0", "S1", "Cin", "Cout"}
@@ -276,12 +276,12 @@ class TestCircuits:
         assert set(public_terminals(mult)) == set(Unit("multiplier", n).terminals)
 
     def test_ripple_adder_width_must_divide(self):
-        two = rbm_from_truth_table(adder_table(2))
+        two = rbm_from_truth_table(parse_unit(("adder", 2)).table())
         with pytest.raises(ValueError, match="does not divide"):
             build_adder(3, two)
 
     def test_ripple_adder_exhaustively_sound(self):
-        add = build_adder(2, rbm_from_truth_table(adder_table(1)))
+        add = build_adder(2, rbm_from_truth_table(parse_unit(("adder", 1)).table()))
         for a in range(4):
             for b in range(4):
                 for cin in (0, 1):
@@ -323,7 +323,7 @@ class TestCircuits:
 
     def test_composed_multiplier_structure(self):
         mult = build_multiplier(
-            4, builtin_model("mult2"), rbm_from_truth_table(adder_table(1))
+            4, builtin_model("mult2"), rbm_from_truth_table(parse_unit(("adder", 1)).table())
         )
         assert set(public_terminals(mult)) == {
             f"{p}{j}" for p in ("A", "B") for j in range(4)
@@ -335,7 +335,7 @@ class TestCircuits:
 
     def test_composed_multiplier_validation(self):
         m2 = builtin_model("mult2")
-        fa = rbm_from_truth_table(adder_table(1))
+        fa = rbm_from_truth_table(parse_unit(("adder", 1)).table())
         with pytest.raises(ValueError, match="even"):
             build_multiplier(3, m2, fa)
         with pytest.raises(ValueError, match="width"):

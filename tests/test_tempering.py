@@ -21,7 +21,7 @@ from rbmlogic.exact import exact_visible_distribution, tv_distance
 from rbmlogic.merge import MergedModel
 from rbmlogic.model import Rbm, free_energy_batch
 from rbmlogic.sampler import multistart, replica_exchange, run_chain
-from rbmlogic.synthesis import (adder_table, build_multiplier, builtin_model,
+from rbmlogic.synthesis import (build_multiplier, builtin_model, parse_unit,
                                 rbm_from_truth_table)
 from rbmlogic.tasks import SolveSettings, TaskSpec, pose, solve, success_curve
 
@@ -65,7 +65,8 @@ def solve_digests() -> list[str]:
 @functools.cache
 def composed_mult4():
     """4-bit multiplier composed of mult2 and full adders: 22 zero constants."""
-    return build_multiplier(4, builtin_model("mult2"), rbm_from_truth_table(adder_table(1)))
+    return build_multiplier(4, builtin_model("mult2"),
+                            rbm_from_truth_table(parse_unit(("adder", 1)).table()))
 
 
 def replica_digests() -> list[str]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.special import expit
 
 from rbmlogic.exact import exact_joint_distribution, exact_visible_distribution
 from rbmlogic.model import Rbm
-from rbmlogic.synthesis import Unit, adder_table, builtin_model, parse_unit
+from rbmlogic.synthesis import Unit, builtin_model, parse_unit
 from rbmlogic import exact, training
 from rbmlogic.training import (
     EXACT_LEARNING_RATE,
@@ -112,7 +113,7 @@ class TestDataset:
     def test_adder1_rows_are_the_one_bit_adder_table(self):
         rows, names = generate_dataset("adder1")
         assert names == ("A", "B", "Cin", "S", "Cout")
-        assert set(map(tuple, rows.tolist())) == set(adder_table(1).rows)
+        assert set(map(tuple, rows.tolist())) == set(parse_unit(("adder", 1)).table().rows)
 
     def test_mult2_rows_verify_arithmetic(self):
         rows, names = generate_dataset("mult2")
@@ -150,6 +151,12 @@ class TestDataset:
     def test_cap_validation(self):
         with pytest.raises(ValueError, match="cap"):
             generate_dataset("adder1", cap=0)
+        for cap in (2.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"cap must be an integer >= 1, "
+                                                           f"got {cap!r}")):
+                generate_dataset("adder1", cap=cap)
+        rows, _ = generate_dataset("adder1", cap=np.int64(3), rng=np.random.default_rng(0))
+        assert rows.shape == (3, 5)
 
 
 class TestCdStep:
@@ -172,6 +179,13 @@ class TestCdStep:
             cd_step(rbm, np.zeros(2), cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="k must be"):
             cd_step(rbm, np.zeros((1, 2)), cfg, np.random.default_rng(0), k=0)
+        for k in (2.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 1, "
+                                                           f"got {k!r}")):
+                cd_step(rbm, np.zeros((1, 2)), cfg, np.random.default_rng(0), k=k)
+        steps = [cd_step(rbm, np.ones((1, 2)), cfg, np.random.default_rng(0), k=k)
+                 for k in (np.int64(2), 2)]
+        assert steps[0].weights.tobytes() == steps[1].weights.tobytes()
 
     def test_weight_decay_subtracts_scaled_weights_exactly(self):
         rng = np.random.default_rng(2)
@@ -368,6 +382,8 @@ class TestExactRefine:
 
     @pytest.mark.parametrize("data, steps, message", [
         (np.zeros((1, 5)), -2, "steps must be >= 0"),
+        (np.zeros((1, 5)), 2.5, "steps must be >= 0"),
+        (np.zeros((1, 5)), True, "steps must be >= 0"),
         (np.zeros((3, 4)), 1, r"data shape \(3, 4\) is not a non-empty \(rows, 5\)"),
         (np.zeros((0, 5)), 1, r"data shape \(0, 5\) is not a non-empty"),
         (np.zeros(5), 1, r"data shape \(5,\) is not a non-empty"),
@@ -512,6 +528,21 @@ class TestEvaluateAccuracy:
         monkeypatch.setattr(training, "mode_estimate", lambda hist: (next(modes), 1))
         acc = evaluate_accuracy(builtin_model("adder1"), "adder1", n_chains=1, n_sweeps=2)
         assert type(acc) is float and acc == 3 / 8
+
+    @pytest.mark.parametrize("field, value, low", [
+        ("n_instances", 0, 1), ("n_instances", 2.5, 1), ("n_chains", 0, 1),
+        ("n_chains", 2.5, 1), ("n_sweeps", 0.5, 1), ("n_sweeps", True, 1),
+        ("seed", -3, 0), ("seed", 1.5, 0),
+    ])
+    def test_counts_and_seed_are_refused_by_name(self, field, value, low):
+        message = f"{field} must be an integer >= {low}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_accuracy(builtin_model("adder1"), "adder1", **{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        counts = dict(n_instances=4, n_chains=2, n_sweeps=5, seed=1)
+        assert evaluate_accuracy(builtin_model("adder1"), "adder1",
+                                 **{k: np.int64(v) for k, v in counts.items()}) == 1.0
 
     def test_model_without_the_units_terminals_is_refused(self):
         with pytest.raises(KeyError, match="lacks terminals \\['P0', 'P1', 'P2', 'P3'\\]"):
